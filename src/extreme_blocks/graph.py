@@ -8,14 +8,17 @@ nodes is joined by a unique shortest path.
 
 Node identifiers are opaque strings. Internally they are mapped to dense
 indices in sorted identifier order, which fixes matrix layouts across runs.
+
+The structure every other module reads is one block-cut tree, rooted at
+the first node and built in linear time and memory: the clique order from
+the root, each clique's root-side separator and its other members (its
+targets), and each node's parent, depth and preorder subtree interval.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .errors import (
     DisconnectedGraphError,
@@ -26,6 +29,8 @@ from .errors import (
 
 Edge = tuple[str, str]
 
+ROOT = 0  # dense index of the node the block-cut tree hangs from
+
 
 def canonical_edge(a: str, b: str) -> Edge:
     """Unordered pair in sorted order; the canonical key for edge maps."""
@@ -33,7 +38,7 @@ def canonical_edge(a: str, b: str) -> Edge:
 
 
 class BlockGraph:
-    """Validated connected block graph with precomputed structure.
+    """Validated connected block graph with its rooted block-cut tree.
 
     Attributes
     ----------
@@ -46,6 +51,8 @@ class BlockGraph:
     separators : frozenset of str
         Minimal clique-separator nodes (the cut vertices).
 
+    Construction roots the block-cut tree at the first node, in linear
+    time and memory; path queries walk it in O(path length).
     Instances are immutable after construction and safe for concurrent
     read access.
     """
@@ -84,29 +91,18 @@ class BlockGraph:
         cliques.sort(key=lambda c: tuple(sorted(c)))
         self.cliques: tuple[frozenset, ...] = tuple(cliques)
 
-        member_count = {v: 0 for v in self.nodes}
-        self._cliques_of: dict[str, tuple[int, ...]] = {v: () for v in self.nodes}
-        for ci, c in enumerate(self.cliques):
-            for v in c:
-                member_count[v] += 1
-                self._cliques_of[v] = self._cliques_of[v] + (ci,)
+        # members of each clique as sorted dense indices, and the cliques at each node
+        self._members: list[list[int]] = [sorted(self._index[v] for v in c) for c in self.cliques]
+        cliques_at: list[list[int]] = [[] for _ in range(n)]
+        for ci, members in enumerate(self._members):
+            for v in members:
+                cliques_at[v].append(ci)
+        self._cliques_at: list[tuple[int, ...]] = [tuple(cs) for cs in cliques_at]
         self.separators: frozenset[str] = frozenset(
-            v for v, k in member_count.items() if k >= 2
+            self.nodes[v] for v, cs in enumerate(self._cliques_at) if len(cs) >= 2
         )
 
-        # each edge lies in exactly one clique
-        self._clique_of_edge: dict[Edge, int] = {}
-        for ci, c in enumerate(self.cliques):
-            members = sorted(c)
-            for i, a in enumerate(members):
-                for b in members[i + 1 :]:
-                    self._clique_of_edge[(a, b)] = ci
-
-        # eager path table: BFS parents and hop distances from every root
-        self._parent = np.full((n, n), -1, dtype=np.int64)
-        self._dist = np.full((n, n), -1, dtype=np.int64)
-        for r in range(n):
-            self._bfs(r)
+        self._root_tree()
 
     # -- construction internals ------------------------------------------
 
@@ -190,19 +186,143 @@ class BlockGraph:
                 if len(self._adj_sets[a] & blk) != k - 1:
                     raise NotBlockGraphError([self.nodes[i] for i in blk])
 
-    def _bfs(self, root: int):
-        parent = self._parent[root]
-        dist = self._dist[root]
-        parent[root] = root
-        dist[root] = 0
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for w in self._adj[v]:
-                if dist[w] == -1:
-                    dist[w] = dist[v] + 1
-                    parent[w] = v
-                    queue.append(w)
+    def _root_tree(self):
+        """Root the block-cut tree at node 0, in O(|V| + |E|).
+
+        Cliques are discovered breadth first from the root. Each clique's
+        root-side separator is the member it was reached through; its other
+        members, its targets, hang below that separator: their parent is
+        the separator, their parent clique is this clique. In preorder the
+        children of a node are laid out clique by clique, so every node's
+        subtree and every clique's targets with their subtrees cover one
+        contiguous interval. The block-cut tree is a tree, so a clique is
+        reached exactly once.
+        """
+        n, k = len(self.nodes), len(self.cliques)
+        self._sep = [ROOT] * k              # root-side separator of each clique
+        self._order: list[int] = []         # cliques, breadth first from the root
+        self._up = [ROOT] * n               # parent node; the root's is itself
+        self._up_clique = [-1] * n          # the clique in which a node is a target
+        self._depth = [0] * n               # hops from the root
+        visit = [ROOT]                      # nodes, breadth first from the root
+        for v in visit:
+            for ci in self._cliques_at[v]:
+                if ci == self._up_clique[v]:
+                    continue
+                self._sep[ci] = v
+                self._order.append(ci)
+                for t in self._members[ci]:
+                    if t != v:
+                        self._up[t] = v
+                        self._up_clique[t] = ci
+                        self._depth[t] = self._depth[v] + 1
+                        visit.append(t)
+
+        self._size = [1] * n                # subtree sizes
+        for v in reversed(visit[1:]):
+            self._size[self._up[v]] += self._size[v]
+        self._pre = [0] * n                 # preorder position; subtree = [pre, pre + size)
+        self._lo = [0] * k                  # clique interval [lo, hi) below its separator
+        self._hi = [0] * k
+        for v in visit:
+            pos = self._pre[v] + 1
+            for ci in self._cliques_at[v]:
+                if ci == self._up_clique[v]:
+                    continue
+                self._lo[ci] = pos
+                for t in self._members[ci]:
+                    if t != v:
+                        self._pre[t] = pos
+                        pos += self._size[t]
+                self._hi[ci] = pos
+
+    def _preorder(self) -> list[int]:
+        """Node indices by preorder position, the coordinates of the ranges
+        that _branch and _beyond return."""
+        order = [ROOT] * len(self.nodes)
+        for v, k in enumerate(self._pre):
+            order[k] = v
+        return order
+
+    def _inside(self, x: int, ranges: tuple[tuple[int, int], ...]) -> bool:
+        return any(lo <= self._pre[x] < hi for lo, hi in ranges)
+
+    def _path(self, a: int, b: int) -> list[int]:
+        """Node indices of the unique shortest path from a to b.
+
+        Both ends climb toward the root until they meet, or until they are
+        targets of one clique, which joins them by a single edge.
+        """
+        up, depth, pc = self._up, self._depth, self._up_clique
+        head, tail = [a], [b]
+        while a != b:
+            if depth[a] > depth[b]:
+                a = up[a]
+                head.append(a)
+            elif depth[b] > depth[a]:
+                b = up[b]
+                tail.append(b)
+            elif pc[a] == pc[b]:
+                break
+            else:
+                a, b = up[a], up[b]
+                head.append(a)
+                tail.append(b)
+        if a == b:
+            tail.pop()
+        return head + tail[::-1]
+
+    def _branch(self, ci: int, c: int) -> tuple[tuple[int, int], ...]:
+        """Preorder ranges of the nodes whose paths enter clique ci through
+        its member c."""
+        if c != self._sep[ci]:
+            return ((self._pre[c], self._pre[c] + self._size[c]),)
+        return ((0, self._lo[ci]), (self._hi[ci], len(self.nodes)))
+
+    def _beyond(self, ci: int, c: int) -> tuple[tuple[int, int], ...]:
+        """Preorder ranges of the nodes whose paths from clique ci's member
+        c start with an edge of ci: the complement of c's branch."""
+        if c != self._sep[ci]:
+            return ((0, self._pre[c]), (self._pre[c] + self._size[c], len(self.nodes)))
+        return ((self._lo[ci], self._hi[ci]),)
+
+    def _separator(self, ci: int, x: int) -> int:
+        """The member of clique ci through which paths from node x enter it;
+        x itself if x is a member."""
+        return next(c for c in self._members[ci] if self._inside(x, self._branch(ci, c)))
+
+    def _first_clique(self, a: int, x: int) -> int:
+        """The clique that holds the first edge of the path from a to x != a."""
+        return next(ci for ci in self._cliques_at[a] if self._inside(x, self._beyond(ci, a)))
+
+    def _anchored(self, u: int) -> tuple[list[int], list[int]]:
+        """Cliques ordered away from node u, and each one's separator toward u.
+
+        The cliques on the path from u up to the root turn around: u's
+        parent clique comes first with separator u, then its parent's with
+        separator u's parent, and so on. The others keep the root order and
+        their root-side separator. A clique's separator is a target of an
+        earlier clique, or u itself.
+        """
+        sep = list(self._sep)
+        chain = []
+        while u != ROOT:
+            ci = self._up_clique[u]
+            sep[ci] = u
+            chain.append(ci)
+            u = self._up[u]
+        on_chain = set(chain)
+        return chain + [ci for ci in self._order if ci not in on_chain], sep
+
+    def _parents_toward(self, u: int) -> list[int]:
+        """For each node, the node before it on the path from u; u maps to itself."""
+        _, sep = self._anchored(u)
+        parent = [u] * len(self.nodes)
+        for ci, members in enumerate(self._members):
+            for t in members:
+                if t != sep[ci]:
+                    parent[t] = sep[ci]
+        return parent
 
     # -- queries ----------------------------------------------------------
 
@@ -223,55 +343,46 @@ class BlockGraph:
 
         Empty when u == v.
         """
-        iu, iv = self.index(u), self.index(v)
-        parent = self._parent[iu]
-        rev: list[Edge] = []
-        w = iv
-        while w != iu:
-            p = int(parent[w])
-            rev.append((self.nodes[p], self.nodes[w]))
-            w = p
-        rev.reverse()
-        return tuple(rev)
+        path = [self.nodes[i] for i in self._path(self.index(u), self.index(v))]
+        return tuple(zip(path, path[1:]))
 
     def path_nodes(self, u: str, v: str) -> tuple[str, ...]:
         """Node sequence of the unique shortest path, endpoints included."""
-        path = self.shortest_path(u, v)
-        return (u,) + tuple(b for _, b in path)
+        return tuple(self.nodes[i] for i in self._path(self.index(u), self.index(v)))
 
     def hop_distance(self, u: str, v: str) -> int:
-        return int(self._dist[self.index(u), self.index(v)])
+        return len(self._path(self.index(u), self.index(v))) - 1
 
     def parent_toward(self, u: str, v: str) -> str:
         """The node just before v on the shortest path from u; u if v == u."""
-        iu, iv = self.index(u), self.index(v)
-        return self.nodes[int(self._parent[iu, iv])]
+        path = self._path(self.index(u), self.index(v))
+        return self.nodes[path[-2] if len(path) > 1 else path[0]]
 
     def clique_index(self, C: Iterable[str]) -> int:
         key = frozenset(str(v) for v in C)
-        for ci, c in enumerate(self.cliques):
-            if c == key:
+        member = next(iter(key), None)  # C is among the cliques at any of its members
+        for ci in self._cliques_at[self._index[member]] if member in self._index else ():
+            if self.cliques[ci] == key:
                 return ci
         raise UnknownCliqueError(f"{tuple(sorted(key))} is not a maximal clique")
 
     def clique_of_edge(self, a: str, b: str) -> int:
-        return self._clique_of_edge[canonical_edge(a, b)]
+        """The clique holding edge (a, b); KeyError if it is not an edge."""
+        if not self.has_edge(a, b):
+            raise KeyError(canonical_edge(a, b))
+        return self._first_clique(self._index[a], self._index[b])
 
     def separator_node(self, u: str, C: Iterable[str]) -> str:
         """u itself if u is in C, else the single node of C through which
         every path from u into C passes."""
         ci = self.clique_index(C)
-        clique = self.cliques[ci]
-        if u in clique:
+        if u in self.cliques[ci]:
             return u
-        iu = self.index(u)
-        dist = self._dist[iu]
-        return min(clique, key=lambda c: int(dist[self._index[c]]))
+        return self.nodes[self._separator(ci, self.index(u))]
 
     def cliques_at(self, v: str) -> tuple[int, ...]:
         """Indices of the maximal cliques containing v."""
-        self.index(v)
-        return self._cliques_of[v]
+        return self._cliques_at[self.index(v)]
 
     def clique_degree(self, v: str) -> int:
         return len(self.cliques_at(v))

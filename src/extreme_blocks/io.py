@@ -24,6 +24,12 @@ def fmt17(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _row_template(cols: int) -> str:
+    """printf template for one row of `cols` numbers; "%.17g" formats a
+    float exactly as fmt17 does."""
+    return ",".join(["%.17g"] * cols)
+
+
 # -- JSON inputs -----------------------------------------------------------
 
 def load_graph_json(path: str | Path) -> tuple[list[str], list[tuple[str, str]]]:
@@ -96,8 +102,9 @@ def load_mask_json(path: str | Path) -> list[str]:
 def write_matrix_csv(path: str | Path, nodes: Sequence[str], values: np.ndarray):
     values = np.asarray(values, dtype=float)
     lines = ["," + ",".join(nodes)]
-    for i, v in enumerate(nodes):
-        lines.append(v + "," + ",".join(fmt17(x) for x in values[i]))
+    row = "%s," + _row_template(values.shape[1])
+    for v, vals in zip(nodes, values.tolist()):
+        lines.append(row % (v, *vals))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -143,8 +150,9 @@ def write_samples_csv(path: str | Path, nodes: Sequence[str], matrix: np.ndarray
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     with open(path, "w") as fh:
         fh.write(",".join(nodes) + "\n")
-        for row in matrix:
-            fh.write(",".join(fmt17(x) for x in row) + "\n")
+        template = _row_template(matrix.shape[1]) + "\n"
+        for row in matrix.tolist():
+            fh.write(template % tuple(row))
 
 
 def read_samples_csv(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:

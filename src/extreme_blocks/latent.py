@@ -46,54 +46,22 @@ def check_identifiable(g: BlockGraph, mask: ObservationMask) -> tuple[bool, tupl
     return (len(offending) == 0, offending)
 
 
-def _first_step(g: BlockGraph, a: str, x: str) -> str:
-    """The node right after a on the shortest path from a to x."""
-    return g.path_nodes(a, x)[1]
-
-
-def _direction_anchors(g: BlockGraph, a: str, observed: set[str]) -> dict[int, list[str]]:
-    """Observable nodes grouped by the clique their path from `a` enters first."""
-    dirs: dict[int, list[str]] = {ci: [] for ci in g.cliques_at(a)}
-    for x in sorted(observed):
-        if x == a:
-            continue
-        w = _first_step(g, a, x)
-        dirs[g.clique_of_edge(a, w)].append(x)
-    return dirs
-
-
-def _anchor_through(g: BlockGraph, a: str, b: str, observed: set[str]) -> str:
-    """Smallest-identifier observable whose path from a starts with edge (a, b)."""
-    for x in sorted(observed):
-        if x != a and _first_step(g, a, x) == b:
-            return x
-    raise InconsistentInputError(
-        f"no observable anchor beyond edge ({a}, {b}); mask is not identifiable"
-    )
-
-
-def _distance_to_anchor(g: BlockGraph, a: str, ibar: str, other_cliques: list[int],
-                        dirs: dict[int, list[str]], p_obs: dict[tuple[str, str], float],
-                        tol: float) -> float:
+def _distance_to_anchor(g: BlockGraph, a: int, ibar: int, other_cliques: list[int],
+                        dirs: dict[int, int], p_obs, tol: float) -> float:
     """p(a, ibar) from observable path sums, checked across all valid
     pairs of auxiliary clique directions."""
     values = []
     for n1 in range(len(other_cliques)):
         for n2 in range(n1 + 1, len(other_cliques)):
-            jbar = dirs[other_cliques[n1]][0]
-            ybar = dirs[other_cliques[n2]][0]
-            val = 0.5 * (
-                p_obs[canonical_edge(ibar, jbar)]
-                + p_obs[canonical_edge(ibar, ybar)]
-                - p_obs[canonical_edge(ybar, jbar)]
-            )
-            values.append(val)
+            jbar = dirs[other_cliques[n1]]
+            ybar = dirs[other_cliques[n2]]
+            values.append(0.5 * (p_obs(ibar, jbar) + p_obs(ibar, ybar) - p_obs(ybar, jbar)))
     if not values:
-        raise NotIdentifiableError([a])
+        raise NotIdentifiableError([g.nodes[a]])
     spread = max(values) - min(values)
     if spread > tol:
         raise InconsistentInputError(
-            f"recovered p({a}, {ibar}) differs by {spread:.3e} across anchor triples"
+            f"recovered p({g.nodes[a]}, {g.nodes[ibar]}) differs by {spread:.3e} across anchor triples"
         )
     return values[0]
 
@@ -105,8 +73,10 @@ def recover_path_sums(g: BlockGraph, p_obs: PathSumMatrix, mask: ObservationMask
 
     Observable edges read off directly; edges at latent nodes come from the
     three-anchor equations, repeated one node outward along latent chains.
-    The reconstruction is validated by restricting back and comparing to
-    the input.
+    Each anchor is the smallest observable node in a direction, found in
+    the direction's preorder ranges of the block-cut tree. The
+    reconstruction is validated by restricting back and comparing to the
+    input.
     """
     if tuple(p_obs.nodes) != mask.observed:
         raise ValueError("path-sum matrix nodes must match the observed set")
@@ -120,35 +90,51 @@ def recover_path_sums(g: BlockGraph, p_obs: PathSumMatrix, mask: ObservationMask
     if not ok:
         raise NotIdentifiableError(offending)
 
-    observed = set(mask.observed)
-    lookup: dict[tuple[str, str], float] = {}
-    for i, a in enumerate(p_obs.nodes):
-        for j, b in enumerate(p_obs.nodes):
-            if i < j:
-                lookup[canonical_edge(a, b)] = float(vals[i, j])
+    n = len(g.nodes)
+    observed = [g.index(v) for v in mask.observed]
+    row = np.full(n, -1)            # row of each observed node in p_obs
+    row[observed] = np.arange(len(observed))
+    by_pre = np.array(g._preorder())  # observed nodes by preorder position; n if latent
+    by_pre[row[by_pre] < 0] = n
+
+    def first_observed(ranges) -> int:
+        """Smallest observed node in the preorder ranges; n if none."""
+        return min((int(by_pre[lo:hi].min()) for lo, hi in ranges if hi > lo), default=n)
+
+    def p(i: int, j: int) -> float:  # the upper triangle, as given
+        ri, rj = sorted((row[i], row[j]))
+        return float(vals[ri, rj])
+
+    # per latent node and clique at it: the smallest observable node whose
+    # path from the latent node starts in that clique
+    dirs = {a: {ci: first_observed(g._beyond(ci, a)) for ci in g._cliques_at[a]}
+            for a in (g.index(v) for v in mask.latent)}
 
     delta2: dict[tuple[str, str], float] = {}
     for a, b in g.edges_sorted():
-        if a in observed and b in observed:
-            delta2[(a, b)] = lookup[(a, b)]
+        ia, ib = g.index(a), g.index(b)
+        if row[ia] >= 0 and row[ib] >= 0:
+            delta2[(a, b)] = p(ia, ib)
             continue
         # orient the edge so the first endpoint is latent
-        lat, other = (a, b) if a not in observed else (b, a)
-        ibar = other if other in observed else _anchor_through(g, lat, other, observed)
-        dirs = _direction_anchors(g, lat, observed)
-        ci_edge = g.clique_of_edge(lat, other)
-        others = [ci for ci in g.cliques_at(lat) if ci != ci_edge and dirs[ci]]
-        p_lat_ibar = _distance_to_anchor(g, lat, ibar, others, dirs, lookup, tol)
-        if other in observed:
+        lat, other = (ia, ib) if row[ia] < 0 else (ib, ia)
+        ci_edge = g.clique_of_edge(a, b)
+        ibar = other if row[other] >= 0 else first_observed(g._branch(ci_edge, other))
+        if ibar == n:
+            raise InconsistentInputError(
+                f"no observable anchor beyond edge ({g.nodes[lat]}, {g.nodes[other]}); "
+                "mask is not identifiable"
+            )
+        others = [ci for ci in g._cliques_at[lat] if ci != ci_edge and dirs[lat][ci] < n]
+        p_lat_ibar = _distance_to_anchor(g, lat, ibar, others, dirs[lat], p, tol)
+        if row[other] >= 0:
             value = p_lat_ibar
         else:
             # chain case: resolve p(other, ibar) with the same scheme one
             # node further out, then subtract
-            dirs_b = _direction_anchors(g, other, observed)
-            ci_toward = g.clique_of_edge(other, _first_step(g, other, ibar))
-            others_b = [ci for ci in g.cliques_at(other) if ci != ci_toward and dirs_b[ci]]
-            p_other_ibar = _distance_to_anchor(g, other, ibar, others_b, dirs_b, lookup, tol)
-            value = p_lat_ibar - p_other_ibar
+            ci_toward = g._first_clique(other, ibar)
+            others_b = [ci for ci in g._cliques_at[other] if ci != ci_toward and dirs[other][ci] < n]
+            value = p_lat_ibar - _distance_to_anchor(g, other, ibar, others_b, dirs[other], p, tol)
         if value <= 0:
             raise InconsistentInputError(
                 f"recovered edge parameter for ({a}, {b}) is non-positive: {value:.3e}"
@@ -157,8 +143,7 @@ def recover_path_sums(g: BlockGraph, p_obs: PathSumMatrix, mask: ObservationMask
 
     full = path_sum_matrix(DeltaFamily(g, delta2))
     # closing the loop: the reconstruction must restrict back to the input
-    sub = full.restrict(mask.observed)
-    err = float(np.abs(sub.values - vals).max())
+    err = float(np.abs(full.values[np.ix_(observed, observed)] - vals).max())
     if err > tol:
         raise InconsistentInputError(
             f"recovered path sums disagree with the input by {err:.3e} on the observed set"

@@ -139,21 +139,31 @@ class PathSumMatrix:
 
 
 def path_sum_matrix(d: DeltaFamily) -> PathSumMatrix:
-    """p_ij = sum of delta_e^2 over the unique shortest path from i to j."""
+    """p_ij = sum of delta_e^2 over the unique shortest path from i to j.
+
+    Nodes are placed clique by clique in the root order of the block-cut
+    tree. The targets t of a clique reach every node k placed before them
+    through the clique's separator s, so p_tk = delta_st^2 + p_sk; among
+    themselves they are one edge apart.
+    """
     g = d.graph
     n = len(g.nodes)
-    p = np.zeros((n, n))
-    for r in range(n):
-        root = g.nodes[r]
-        # accumulate along BFS order so the parent entry is already final
-        order = np.argsort(g._dist[r], kind="stable")
-        for w in order:
-            w = int(w)
-            if w == r:
-                continue
-            parent = int(g._parent[r, w])
-            p[r, w] = p[r, parent] + d.delta2(g.nodes[parent], g.nodes[w])
-    return PathSumMatrix(g.nodes, (p + p.T) / 2.0)
+    q = np.zeros((n, n))  # rows and columns in placement order
+    rank = np.zeros(n, dtype=np.intp)
+    placed = 1  # the root
+    for ci in g._order:
+        _, m = d.clique_matrix(ci)
+        members = g._members[ci]
+        si = members.index(g._sep[ci])
+        keep = [k for k in range(len(members)) if k != si]
+        lo, hi = placed, placed + len(keep)
+        rank[[members[k] for k in keep]] = np.arange(lo, hi)
+        block = m[si, keep][:, None] + q[rank[members[si]], :lo][None, :]
+        q[lo:hi, :lo] = block
+        q[:lo, lo:hi] = block.T
+        q[lo:hi, lo:hi] = m[np.ix_(keep, keep)]
+        placed = hi
+    return PathSumMatrix(g.nodes, q[np.ix_(rank, rank)])
 
 
 @dataclass(frozen=True)
@@ -184,13 +194,18 @@ def anchored_edges(g: BlockGraph, u: str) -> dict[str, Edge]:
     These are the edges pointing away from u; each v in V minus u is the
     endpoint of exactly one of them.
     """
-    g.index(u)
-    out = {}
-    for v in g.nodes:
-        if v == u:
-            continue
-        out[v] = (g.parent_toward(u, v), v)
-    return out
+    iu = g.index(u)
+    parent = g._parents_toward(iu)
+    return {v: (g.nodes[parent[i]], v) for i, v in enumerate(g.nodes) if i != iu}
+
+
+def _increment_law(d: DeltaFamily, ci: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and covariance of clique ci's log-increments from member s
+    (a dense index) to its other members, in sorted member order."""
+    _, m = d.clique_matrix(ci)
+    si = d.graph._members[ci].index(s)
+    rest = [i for i in range(len(m)) if i != si]
+    return -2.0 * m[si, rest], psi_from_matrix(m, si, rest)
 
 
 def clique_limit_params(d: DeltaFamily, C: Iterable[str], s: str) -> tuple[np.ndarray, np.ndarray]:
@@ -198,15 +213,9 @@ def clique_limit_params(d: DeltaFamily, C: Iterable[str], s: str) -> tuple[np.nd
     -2*(delta_sv^2) and increment covariance Psi over C minus s, both in
     sorted member order."""
     ci = d.graph.clique_index(C)
-    members = sorted(d.graph.cliques[ci])
-    if s not in members:
-        raise NodeNotInCliqueError(f"node {s!r} not in clique {tuple(members)}")
-    _, m = d.clique_matrix(ci)
-    si = members.index(s)
-    rest = [i for i in range(len(members)) if i != si]
-    mean = -2.0 * m[si, rest]
-    psi = psi_from_matrix(m, si, rest)
-    return mean, psi
+    if s not in d.graph.cliques[ci]:
+        raise NodeNotInCliqueError(f"node {s!r} not in clique {tuple(sorted(d.graph.cliques[ci]))}")
+    return _increment_law(d, ci, d.graph.index(s))
 
 
 def increment_blocks(d: DeltaFamily, u: str) -> list[tuple[list[str], np.ndarray, np.ndarray]]:
@@ -217,12 +226,11 @@ def increment_blocks(d: DeltaFamily, u: str) -> list[tuple[list[str], np.ndarray
     cliques partition V minus u.
     """
     g = d.graph
-    g.index(u)
+    _, sep = g._anchored(g.index(u))
     out = []
-    for ci, clique in enumerate(g.cliques):
-        s = g.separator_node(u, clique)
-        targets = sorted(clique - {s})
-        mean, psi = clique_limit_params(d, clique, s)
+    for ci, members in enumerate(g._members):
+        targets = [g.nodes[t] for t in members if t != sep[ci]]
+        mean, psi = _increment_law(d, ci, sep[ci])
         out.append((targets, mean, psi))
     return out
 
@@ -236,16 +244,15 @@ def precision_matrix(d: DeltaFamily, u: str) -> np.ndarray:
     non-edge zero pattern exact up to block-inverse rounding.
     """
     g = d.graph
-    g.index(u)
+    iu = g.index(u)
     rest = [v for v in g.nodes if v != u]
     pos = {v: k for k, v in enumerate(rest)}
     m = len(rest)
 
     m_inv = np.eye(m)
-    for v in rest:
-        w = g.parent_toward(u, v)
-        if w != u:
-            m_inv[pos[v], pos[w]] = -1.0
+    for v, w in enumerate(g._parents_toward(iu)):
+        if v != iu and w != iu:
+            m_inv[v - (v > iu), w - (w > iu)] = -1.0
 
     theta_z = np.zeros((m, m))
     for targets, _, psi in increment_blocks(d, u):
@@ -293,38 +300,67 @@ class GraphCheckReport:
 
 def extremal_graph_check(d: DeltaFamily, tolerance: float = 1e-9) -> GraphCheckReport:
     """Verify the graphical zero pattern: for every anchor u and every
-    non-adjacent pair i, j != u, the precision entry must vanish."""
+    non-adjacent pair i, j != u, the precision entry must vanish.
+
+    The worst entry is the first largest one, scanning anchors in node
+    order and each anchor's pairs i < j row by row.
+    """
     g = d.graph
+    n = len(g.nodes)
+    non_edge = np.triu(np.ones((n, n), dtype=bool), 1)
+    for a, b in g.edges:
+        ia, ib = g.index(a), g.index(b)
+        non_edge[ia, ib] = non_edge[ib, ia] = False
     worst = 0.0
     arg = None
-    for u in g.nodes:
-        rest = [v for v in g.nodes if v != u]
-        theta = precision_matrix(d, u)
-        for a in range(len(rest)):
-            for b in range(a + 1, len(rest)):
-                if g.has_edge(rest[a], rest[b]):
-                    continue
-                val = abs(float(theta[a, b]))
-                if val > worst:
-                    worst = val
-                    arg = (u, rest[a], rest[b])
+    for iu, u in enumerate(g.nodes):
+        rest = [i for i in range(n) if i != iu]
+        vals = np.abs(precision_matrix(d, u))
+        vals[~(non_edge[np.ix_(rest, rest)] & (vals > 0))] = 0.0  # NaN never counts
+        k = int(np.argmax(vals)) if vals.size else 0
+        if vals.size and vals.flat[k] > worst:
+            worst = float(vals.flat[k])
+            a, b = divmod(k, len(rest))
+            arg = (u, g.nodes[rest[a]], g.nodes[rest[b]])
     return GraphCheckReport(worst, tolerance, arg)
+
+
+def _branches(g: BlockGraph):
+    """Yield (ci, label) per clique: label[v] is the position, among the
+    clique's sorted members, of the member through which the paths from
+    node v enter the clique.
+
+    Edge (a, b) of the clique lies on the path i-j exactly when i and j
+    sit in the branches of a and b.
+    """
+    n = len(g.nodes)
+    by_pre = np.array(g._preorder(), dtype=np.intp)
+    for ci, members in enumerate(g._members):
+        s = g._sep[ci]
+        label = np.full(n, members.index(s))
+        for k, t in enumerate(members):
+            if t != s:
+                (lo, hi), = g._branch(ci, t)
+                label[by_pre[lo:hi]] = k
+        yield ci, label
+
+
+def _clique_edges(g: BlockGraph, ci: int):
+    """(edge, x, y) for the edges of clique ci, x < y member positions."""
+    members = g._members[ci]
+    for x in range(len(members)):
+        for y in range(x + 1, len(members)):
+            yield (g.nodes[members[x]], g.nodes[members[y]]), x, y
 
 
 def edge_usage(g: BlockGraph) -> dict[Edge, np.ndarray]:
     """Boolean V x V matrices marking which pairs' shortest paths use each edge."""
-    n = len(g.nodes)
-    usage = {e: np.zeros((n, n), dtype=bool) for e in g.edges_sorted()}
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            w = j
-            while w != i:
-                p = int(g._parent[i, w])
-                usage[canonical_edge(g.nodes[p], g.nodes[w])][i, j] = True
-                w = p
-    return usage
+    usage = {}
+    for ci, label in _branches(g):
+        for e, x, y in _clique_edges(g, ci):
+            in_a, in_b = label == x, label == y
+            usage[e] = np.outer(in_a, in_b) | np.outer(in_b, in_a)
+    return {e: usage[e] for e in g.edges_sorted()}
 
 
 def sigma_coefficient_matrix(g: BlockGraph, u: str) -> np.ndarray:
@@ -337,13 +373,14 @@ def sigma_coefficient_matrix(g: BlockGraph, u: str) -> np.ndarray:
     iu = g.index(u)
     n = len(g.nodes)
     rest = [i for i in range(n) if i != iu]
-    edges = g.edges_sorted()
-    usage = edge_usage(g)
-    coeffs = np.zeros((len(rest), len(rest), len(edges)))
-    for k, e in enumerate(edges):
-        use = usage[e]
-        ui = use[iu, rest].astype(float)
-        coeffs[:, :, k] = 2.0 * (
-            ui[:, None] + ui[None, :] - use[np.ix_(rest, rest)].astype(float)
-        )
+    column = {e: k for k, e in enumerate(g.edges_sorted())}
+    coeffs = np.zeros((n - 1, n - 1, len(column)))
+    for ci, label in _branches(g):
+        at_u, label = label[iu], label[rest]
+        for e, x, y in _clique_edges(g, ci):
+            in_a, in_b = (label == x).astype(float), (label == y).astype(float)
+            # the path from u uses e when it enters the far branch
+            ui = in_b if at_u == x else in_a if at_u == y else np.zeros(n - 1)
+            use = np.outer(in_a, in_b) + np.outer(in_b, in_a)
+            coeffs[:, :, column[e]] = 2.0 * (ui[:, None] + ui[None, :] - use)
     return coeffs

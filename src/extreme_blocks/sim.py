@@ -56,37 +56,27 @@ class FieldSample:
         return self.matrix[:, self.nodes.index(v)]
 
 
-def _chol_with_jitter(psi: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(psi)
-    except np.linalg.LinAlgError:
-        pass
-    jitter = 1e-12 * float(np.trace(psi))
-    try:
-        return np.linalg.cholesky(psi + jitter * np.eye(psi.shape[0]))
-    except np.linalg.LinAlgError as exc:
-        raise SingularBlockError("increment covariance is not factorizable") from exc
-
-
 def _ln_increments(d: DeltaFamily, u: str, n: int, seed: int, threads: int = 1):
-    """(n, |V|-1) matrix of log-increments, columns in sorted V-minus-u order.
+    """(|V|, n) log-increments by node: row v holds the n draws of ln Z for
+    the edge into v from its clique's separator toward u; row u is zero.
 
-    Column v holds ln Z of the last edge on the path from u to v.
+    Returns the per-clique increment laws too.
     """
     g = d.graph
-    rest = [v for v in g.nodes if v != u]
-    pos = {v: k for k, v in enumerate(rest)}
     blocks = increment_blocks(d, u)
-    out = np.empty((n, len(rest)))
+    out = np.zeros((len(g.nodes), n))
 
     def fill(ci: int):
         targets, mean, psi = blocks[ci]
-        chol = _chol_with_jitter(psi)
+        try:
+            chol = np.linalg.cholesky(psi)
+        except np.linalg.LinAlgError as exc:
+            raise SingularBlockError(
+                f"increment covariance for targets {targets} is not factorizable") from exc
         rng = philox_stream(seed, ci)
         z = rng.standard_normal((n, len(targets)))
         lnz = mean[None, :] + z @ chol.T
-        for j, v in enumerate(targets):
-            out[:, pos[v]] = lnz[:, j]
+        out[[g.index(v) for v in targets]] = lnz.T
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -94,53 +84,44 @@ def _ln_increments(d: DeltaFamily, u: str, n: int, seed: int, threads: int = 1):
     else:
         for ci in range(len(blocks)):
             fill(ci)
-    return rest, blocks, out
+    return blocks, out
 
 
 def sample_increments(d: DeltaFamily, u: str, rng_seed: int) -> IncrementDraw:
     """Draw the increment vector Z once: jointly normal on the log scale
     within each clique, independent across cliques, then exponentiated."""
     g = d.graph
-    g.index(u)
-    rest, blocks, lnz = _ln_increments(d, u, 1, rng_seed)
-    pos = {v: k for k, v in enumerate(rest)}
+    _, sep = g._anchored(g.index(u))
+    blocks, lnz = _ln_increments(d, u, 1, rng_seed)
     values: dict[tuple[str, str], float] = {}
     groups = []
     for ci, (targets, _, _) in enumerate(blocks):
-        s = g.separator_node(u, g.cliques[ci])
+        s = g.nodes[sep[ci]]
         edges = tuple((s, v) for v in targets)
         for s_, v in edges:
-            values[(s_, v)] = float(np.exp(lnz[0, pos[v]]))
+            values[(s_, v)] = float(np.exp(lnz[g.index(v), 0]))
         groups.append(edges)
     return IncrementDraw(u, values, tuple(groups))
-
-
-def _path_indicator(d: DeltaFamily, u: str, rest: Sequence[str]) -> np.ndarray:
-    """M[v, w] = 1 when w lies on the shortest path from u to v (w != u)."""
-    g = d.graph
-    pos = {v: k for k, v in enumerate(rest)}
-    m = np.zeros((len(rest), len(rest)))
-    for v in rest:
-        for node in g.path_nodes(u, v)[1:]:
-            m[pos[v], pos[node]] = 1.0
-    return m
 
 
 def sample_limit_field(d: DeltaFamily, u: str, n: int, rng_seed: int,
                        threads: int = 1) -> FieldSample:
     """n independent draws of A_u, where A_uv multiplies the increments
-    along the unique shortest path from u to v and A_uu = 1."""
+    along the unique shortest path from u to v and A_uu = 1.
+
+    The log-increments accumulate clique by clique away from u: a
+    clique's targets t add their own increment to their separator's
+    field, ln A_ut = ln A_us + ln Z_t.
+    """
     if n < 1:
         raise ValueError("need at least one draw")
     g = d.graph
-    g.index(u)
-    rest, _, lnz = _ln_increments(d, u, n, rng_seed, threads)
-    ln_a = lnz @ _path_indicator(d, u, rest).T
-    matrix = np.ones((n, len(g.nodes)))
-    iu = g.index(u)
-    cols = [i for i in range(len(g.nodes)) if i != iu]
-    matrix[:, cols] = np.exp(ln_a)
-    return FieldSample(u, g.nodes, matrix)
+    order, sep = g._anchored(g.index(u))
+    blocks, ln_a = _ln_increments(d, u, n, rng_seed, threads)
+    for ci in order:
+        idx = [g.index(v) for v in blocks[ci][0]]
+        ln_a[idx] += ln_a[sep[ci]]
+    return FieldSample(u, g.nodes, np.ascontiguousarray(np.exp(ln_a).T))
 
 
 def sample_pareto_conditioned(d: DeltaFamily, u: str, n: int, rng_seed: int,

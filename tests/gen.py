@@ -33,6 +33,19 @@ def random_block_graph(rng: np.random.Generator, max_nodes: int = 15) -> BlockGr
     return build_block_graph(nodes, edges)
 
 
+def clique_tree_edges(rng: np.random.Generator, n_nodes: int) -> tuple[list[str], list[tuple[str, str]]]:
+    """Nodes and edges of a clique tree on exactly n_nodes nodes: cliques
+    of 2-5 nodes, each attached at a uniformly drawn earlier node."""
+    nodes = [f"n{i:05d}" for i in range(n_nodes)]
+    edges, used = [], 1
+    while used < n_nodes:
+        size = min(int(rng.integers(2, 6)), n_nodes - used + 1)
+        clique = [nodes[int(rng.integers(used))]] + nodes[used:used + size - 1]
+        edges += [(a, b) for i, a in enumerate(clique) for b in clique[i + 1:]]
+        used += size - 1
+    return nodes, edges
+
+
 def random_tree(rng: np.random.Generator, n_nodes: int = 8) -> BlockGraph:
     nodes = [f"n{i:02d}" for i in range(n_nodes)]
     edges = [(nodes[int(rng.integers(i))], nodes[i]) for i in range(1, n_nodes)]

@@ -1,0 +1,30 @@
+"""The benchmark's workloads run end to end and pass their own checks.
+
+Each workload runs once on the paper's Fig. 1 graph (--smoke), which
+exercises its checks: path sums against explicit paths, Sigma_u Theta_u
+= I, latent recovery and thread independence of the field for the
+structural workload, closed forms for the tail queries, the fit error for
+the fit sweep.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+
+
+@pytest.mark.parametrize("workload", ["structure-n301", "tail-queries", "fit-sweep"])
+def test_workload_smoke(workload):
+    proc = subprocess.run(
+        [sys.executable, str(RUN), "--workload", workload, "--seed", "1",
+         "--seconds", "0.5", "--trace", "0", "--smoke"],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})  # leave perfbench/ untouched
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, proc.stdout.strip().splitlines()[-2][-2000:]

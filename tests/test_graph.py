@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import deque
 from itertools import combinations
 
@@ -15,7 +16,7 @@ from extreme_blocks import (
     shortest_path,
 )
 from conftest import FIG1_EDGES, FIG1_NODES, FIG2_EDGES, FIG2_NODES
-from gen import random_block_graph
+from gen import clique_tree_edges, random_block_graph
 
 
 def bfs_path(nodes, edges, u, v):
@@ -204,3 +205,19 @@ class TestCliqueDegree:
     def test_unknown_node(self, fig1_graph):
         with pytest.raises(UnknownNodeError):
             clique_degree(fig1_graph, "nope")
+
+
+class TestScale:
+    def test_ten_thousand_nodes_build_in_linear_memory(self):
+        nodes, edges = clique_tree_edges(np.random.default_rng(11), 10_000)
+        tracemalloc.start()
+        try:
+            g = build_block_graph(nodes, edges)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # two dense n x n int64 tables alone would take 1.6 GB
+        assert peak < 64e6
+        assert len(g.nodes) == 10_000 and g.hop_distance(nodes[0], nodes[0]) == 0
+        far = max(nodes[1:200], key=lambda v: g.hop_distance(nodes[0], v))
+        assert g.path_nodes(nodes[0], far)[0] == nodes[0]

@@ -61,6 +61,16 @@ class TestMatrixCsv:
         ebio.write_matrix_csv(p2, back_nodes, back)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_bytes_match_per_value_formatting(self, tmp_path):
+        half = np.array([[0.0, -0.0, 1e-300, 1e300], [np.nan, np.inf, -np.inf, 1 / 3]])
+        values = np.vstack([half, -half[::-1, ::-1]])
+        nodes = ("a", "b", "c", "d")
+        path = tmp_path / "m.csv"
+        ebio.write_matrix_csv(path, nodes, values)
+        expect = ["," + ",".join(nodes)]
+        expect += [v + "," + ",".join(ebio.fmt17(x) for x in row) for v, row in zip(nodes, values)]
+        assert path.read_text() == "\n".join(expect) + "\n"
+
     def test_label_mismatch_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text(",a,b\nb,0,1\na,1,0\n")
@@ -77,6 +87,15 @@ class TestSamplesCsv:
         nodes, back = ebio.read_samples_csv(path)
         assert nodes == ("x", "y", "z")
         assert np.array_equal(back, mat)
+
+    def test_bytes_match_per_value_formatting(self, tmp_path):
+        mat = np.array([[0.0, -0.0, 1e-300, 1e300, np.nan, np.inf, -np.inf, 0.1]])
+        path = tmp_path / "s.csv"
+        nodes = tuple("abcdefgh")
+        ebio.write_samples_csv(path, nodes, mat)
+        expect = ",".join(nodes) + "\n" + ",".join(ebio.fmt17(x) for x in mat[0]) + "\n"
+        assert path.read_text() == expect
+        assert expect.splitlines()[1] == "0,-0,1e-300,1.0000000000000001e+300,nan,inf,-inf,0.10000000000000001"
 
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "s.csv"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from extreme_blocks import (
+    GraphCheckReport,
     MissingEdgeParamError,
     NonPositiveParamError,
     NotCNDError,
@@ -269,6 +270,35 @@ class TestExtremalGraphCheck:
         g = random_tree(rng, 8)
         fam = random_delta(g, rng)
         assert extremal_graph_check(fam).passed
+
+    @staticmethod
+    def pair_loop_report(fam, tolerance=1e-9):
+        """The check as a scan over anchors and then pairs i < j row by
+        row, keeping the first largest entry."""
+        g = fam.graph
+        worst, arg = 0.0, None
+        for u in g.nodes:
+            rest = [v for v in g.nodes if v != u]
+            theta = precision_matrix(fam, u)
+            for a in range(len(rest)):
+                for b in range(a + 1, len(rest)):
+                    if g.has_edge(rest[a], rest[b]):
+                        continue
+                    val = abs(float(theta[a, b]))
+                    if val > worst:
+                        worst, arg = val, (u, rest[a], rest[b])
+        return GraphCheckReport(worst, tolerance, arg)
+
+    def test_matches_pair_loop_on_figures(self, fig1_family, fig2_family):
+        for fam in (fig1_family, fig2_family):
+            assert extremal_graph_check(fam) == self.pair_loop_report(fam)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_pair_loop_on_random_graphs(self, seed):
+        rng = np.random.default_rng(90 + seed)
+        g = random_block_graph(rng, max_nodes=14) if seed % 2 else random_tree(rng, 10)
+        fam = random_delta(g, rng)
+        assert extremal_graph_check(fam) == self.pair_loop_report(fam)
 
 
 class TestCliqueLimitParams:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from extreme_blocks import (
+    DeltaFamily,
+    SingularBlockError,
     build_block_graph,
     clique_limit_params,
     gaussian_limit,
@@ -111,6 +113,17 @@ class TestLimitField:
         a = sample_limit_field(fig1_family, "7", 2000, 5, threads=1).matrix
         b = sample_limit_field(fig1_family, "7", 2000, 5, threads=4).matrix
         assert np.array_equal(a, b)
+
+    def test_unfactorizable_block_raises(self):
+        # delta^2 of 1, 1 and 10 on a triangle is not conditionally
+        # negative definite: the increment covariance is indefinite
+        g = build_block_graph("abc", [("a", "b"), ("a", "c"), ("b", "c")])
+        fam = DeltaFamily(g, {("a", "b"): 1.0, ("a", "c"): 1.0, ("b", "c"): 10.0})
+        for u in g.nodes:
+            with pytest.raises(SingularBlockError):
+                sample_limit_field(fam, u, 10, 1)
+            with pytest.raises(SingularBlockError):
+                sample_limit_field(fam, u, 10, 1, threads=2)
 
     def test_different_seeds_differ(self, fig2_family):
         a = sample_limit_field(fig2_family, "1", 100, 1).matrix

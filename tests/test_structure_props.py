@@ -1,0 +1,143 @@
+"""Property tests of the block-cut-tree queries and everything built on them.
+
+Each example is a random block graph (a tree of cliques of sizes 2-5, or a
+plain tree) with its node names shuffled, so the node the library roots
+its tree at lands anywhere in the structure. Every result is compared with
+a brute-force reference that finds explicit paths by a breadth-first
+search over the clique list and shares no code with the library.
+"""
+
+from collections import deque
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from extreme_blocks import (
+    ObservationMask,
+    build_block_graph,
+    gaussian_limit,
+    path_sum_matrix,
+    precision_matrix,
+    recover_path_sums,
+    sample_increments,
+    sample_limit_field,
+)
+from extreme_blocks.model import sigma_coefficient_matrix
+from gen import random_delta
+
+PROPS = settings(max_examples=40, deadline=None,
+                 suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def block_graphs(draw, tree: bool = False):
+    """(graph, cliques, seed): cliques attach at a uniformly drawn node."""
+    spec = draw(st.lists(
+        st.tuples(st.just(2) if tree else st.integers(2, 5), st.integers(0, 10**6)),
+        min_size=1, max_size=10))
+    cliques, n = [], 1
+    for size, at in spec:
+        cliques.append([at % n] + list(range(n, n + size - 1)))
+        n += size - 1
+    perm = draw(st.permutations(range(n)))
+    name = [f"v{perm[i]:02d}" for i in range(n)]
+    cliques = [[name[i] for i in c] for c in cliques]
+    edges = [(c[i], c[j]) for c in cliques for i in range(len(c)) for j in range(i + 1, len(c))]
+    return build_block_graph(name, edges), cliques, draw(st.integers(0, 2**31))
+
+
+def any_graph():
+    return st.one_of(block_graphs(), block_graphs(tree=True))
+
+
+def explicit_paths(cliques, source):
+    """Node sequence of the path from source to every node, found by a
+    breadth-first search over the clique list."""
+    adj = {}
+    for c in cliques:
+        for v in c:
+            adj.setdefault(v, set()).update(w for w in c if w != v)
+    paths, queue = {source: (source,)}, deque([source])
+    while queue:
+        v = queue.popleft()
+        for w in sorted(adj[v]):
+            if w not in paths:
+                paths[w] = paths[v] + (w,)
+                queue.append(w)
+    return paths
+
+
+def explicit_sum(fam, path):
+    return sum(fam.delta2(a, b) for a, b in zip(path, path[1:]))
+
+
+@PROPS
+@given(any_graph())
+def test_path_queries_match_explicit_paths(case):
+    g, cliques, _ = case
+    for u in g.nodes:
+        paths = explicit_paths(cliques, u)
+        for v in g.nodes:
+            path = paths[v]
+            assert g.path_nodes(u, v) == path
+            assert g.shortest_path(u, v) == tuple(zip(path, path[1:]))
+            assert g.hop_distance(u, v) == len(path) - 1
+            assert g.parent_toward(u, v) == (path[-2] if len(path) > 1 else u)
+        for clique in g.cliques:
+            # the member of the clique nearest to u
+            expect = min(clique, key=lambda c: len(paths[c]))
+            assert g.separator_node(u, clique) == expect
+
+
+@PROPS
+@given(any_graph())
+def test_path_sums_match_explicit_paths(case):
+    g, cliques, seed = case
+    fam = random_delta(g, np.random.default_rng(seed))
+    p = path_sum_matrix(fam)
+    for u in g.nodes:
+        paths = explicit_paths(cliques, u)
+        for v in g.nodes:
+            assert abs(p.entry(u, v) - explicit_sum(fam, paths[v])) <= 1e-12
+
+
+@PROPS
+@given(any_graph(), st.data())
+def test_covariance_coefficients_and_precision(case, data):
+    g, _, seed = case
+    fam = random_delta(g, np.random.default_rng(seed))
+    u = data.draw(st.sampled_from(g.nodes))
+    cov = gaussian_limit(fam, u).cov
+    coeffs = sigma_coefficient_matrix(g, u)
+    assert np.abs(coeffs @ fam.as_vector() - cov).max() <= 1e-12
+    theta = precision_matrix(fam, u)
+    assert np.abs(cov @ theta - np.eye(len(cov))).max() <= 1e-8
+
+
+@PROPS
+@given(any_graph(), st.data())
+def test_field_multiplies_increments_along_paths(case, data):
+    g, cliques, seed = case
+    fam = random_delta(g, np.random.default_rng(seed))
+    u = data.draw(st.sampled_from(g.nodes))
+    z = sample_increments(fam, u, seed).values
+    field = sample_limit_field(fam, u, 1, seed)
+    for v, path in explicit_paths(cliques, u).items():
+        expect = float(np.prod([z[e] for e in zip(path, path[1:])]))
+        assert field.column(v)[0] == pytest.approx(expect, rel=1e-12)
+
+
+@PROPS
+@given(block_graphs(), st.data())
+def test_recovery_reproduces_path_sums(case, data):
+    g, _, seed = case
+    hubs = [v for v in g.nodes if g.clique_degree(v) >= 3]
+    latent = data.draw(st.lists(st.sampled_from(hubs), unique=True) if hubs else st.just([]))
+    fam = random_delta(g, np.random.default_rng(seed))
+    p = path_sum_matrix(fam)
+    mask = ObservationMask.from_latent(g, latent)
+    rec = recover_path_sums(g, p.restrict(mask.observed), mask)
+    assert rec.nodes == p.nodes
+    assert np.abs(rec.values - p.values).max() <= 1e-9
