@@ -48,7 +48,7 @@ def _default_threads() -> int:
         return 1
 
 
-def _add_common(p: argparse.ArgumentParser, *names, seed_required=False):
+def _add_common(p: argparse.ArgumentParser, *names):
     if "graph" in names:
         p.add_argument("--graph", required=True, help="graph JSON file")
     if "params" in names:
@@ -60,8 +60,7 @@ def _add_common(p: argparse.ArgumentParser, *names, seed_required=False):
     if "n" in names:
         p.add_argument("--n", type=int, required=True, help="number of draws")
     if "seed" in names:
-        p.add_argument("--seed", type=int, required=seed_required,
-                       default=None if seed_required else 0,
+        p.add_argument("--seed", type=int, default=0,
                        help="random seed (mandatory for stochastic commands)")
     if "threads" in names:
         p.add_argument("--threads", type=int, default=_default_threads(),
@@ -313,7 +312,7 @@ def build_parser() -> _Parser:
                      description="Tail dependence on block graphs")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[], help="validate a graph (and parameters)")
+    p = sub.add_parser("validate", help="validate a graph (and parameters)")
     _add_common(p, "graph", "params-opt")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_validate)
@@ -324,8 +323,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_params)
 
     p = sub.add_parser("simulate", help="sample the limiting field or conditioned Pareto vectors")
-    _add_common(p, "graph", "params", "anchor", "n", "threads", "out", "format",
-                seed_required=True)
+    _add_common(p, "graph", "params", "anchor", "n", "threads", "out", "format")
     p.add_argument("--seed", type=int, required=True, help="random seed")
     p.add_argument("--law", choices=("field", "pareto"), default="field")
     p.set_defaults(func=cmd_simulate)

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import (
     ConstantColumnError,
@@ -23,7 +22,7 @@ from .errors import (
     UnknownNodeError,
 )
 from .graph import BlockGraph, Edge
-from .model import edge_usage, sigma_coefficient_matrix
+from .model import sigma_coefficient_matrix
 
 
 @dataclass(frozen=True)
@@ -55,6 +54,17 @@ class SampleSet:
             raise UnknownNodeError(f"unknown node {v!r}") from None
 
 
+def _average_ranks(col: np.ndarray) -> np.ndarray:
+    """Ranks 1..n of the entries of col; tied entries share the mean rank of their run."""
+    order = np.argsort(col, kind="stable")
+    ordered = col[order]
+    start = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    end = np.r_[start[1:], len(col)]
+    ranks = np.empty(len(col))
+    ranks[order] = np.repeat(0.5 * (start + end + 1), end - start)
+    return ranks
+
+
 def rank_transform(s: SampleSet) -> SampleSet:
     """Empirical standardization to the unit-Pareto scale.
 
@@ -70,7 +80,7 @@ def rank_transform(s: SampleSet) -> SampleSet:
         col = s.data[:, j]
         if np.all(col == col[0]):
             raise ConstantColumnError(f"column {s.nodes[j]!r} is constant")
-        r = rankdata(col, method="average")
+        r = _average_ranks(col)
         out[:, j] = (n + 1.0) / (n + 1.0 - r)
     return SampleSet(out, s.nodes, "pareto")
 
@@ -180,26 +190,21 @@ def fit_delta_from_covariances(g: BlockGraph, covs: Mapping[str, np.ndarray],
         raise ValueError("need covariance estimates for at least one anchor")
     edges = g.edges_sorted()
     n_edges = len(edges)
-    usage = edge_usage(g)
 
     design_rows, target_rows = [], []
     for u, cov_hat in covs.items():
-        iu = g.index(u)
+        coeffs = sigma_coefficient_matrix(g, u)
         m = len(g.nodes) - 1
         cov_hat = np.asarray(cov_hat, dtype=float)
         if cov_hat.shape != (m, m):
             raise ValueError(f"anchor {u!r}: covariance must be {m}x{m}")
         w = float(anchor_weights[u]) if anchor_weights else 1.0
-        coeffs = sigma_coefficient_matrix(g, u).reshape(m * m, n_edges)
-        design_rows.append(np.sqrt(w) * coeffs)
+        design_rows.append(np.sqrt(w) * coeffs.reshape(m * m, n_edges))
         target_rows.append(np.sqrt(w) * cov_hat.reshape(m * m))
         if means is not None:
-            rest = [i for i in range(len(g.nodes)) if i != iu]
-            mean_coeffs = np.zeros((m, n_edges))
-            for k, e in enumerate(edges):
-                mean_coeffs[:, k] = -2.0 * usage[e][iu, rest].astype(float)
+            # mu_u = -2 p_u. and Sigma_u's diagonal is 4 p_u.
             lam = np.sqrt(w * mean_weight)
-            design_rows.append(lam * mean_coeffs)
+            design_rows.append(lam * (-0.5 * np.diagonal(coeffs).T))
             target_rows.append(lam * np.asarray(means[u], dtype=float))
 
     design = np.vstack(design_rows)

@@ -314,16 +314,6 @@ class BlockGraph:
         on_chain = set(chain)
         return chain + [ci for ci in self._order if ci not in on_chain], sep
 
-    def _parents_toward(self, u: int) -> list[int]:
-        """For each node, the node before it on the path from u; u maps to itself."""
-        _, sep = self._anchored(u)
-        parent = [u] * len(self.nodes)
-        for ci, members in enumerate(self._members):
-            for t in members:
-                if t != sep[ci]:
-                    parent[t] = sep[ci]
-        return parent
-
     # -- queries ----------------------------------------------------------
 
     def index(self, v: str) -> int:

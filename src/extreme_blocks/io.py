@@ -117,10 +117,14 @@ def read_matrix_csv(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
         raise ValueError("matrix CSV must start with an empty header cell")
     nodes = tuple(header[1:])
     rows = []
-    for line, expect in zip(lines[1:], nodes):
+    for k, line in enumerate(lines[1:]):
         cells = line.split(",")
-        if cells[0] != expect:
+        if k >= len(nodes):
+            raise ValueError(f"row {cells[0]!r} is beyond the {len(nodes)} header nodes")
+        if cells[0] != nodes[k]:
             raise ValueError(f"row label {cells[0]!r} does not match column order")
+        if len(cells) != len(nodes) + 1:
+            raise ValueError(f"row {cells[0]!r} has {len(cells) - 1} values for {len(nodes)} header nodes")
         rows.append([float(x) for x in cells[1:]])
     if len(rows) != len(nodes):
         raise ValueError("matrix CSV row count does not match header")

@@ -7,6 +7,11 @@ negative definiteness via positive definiteness of the increment
 covariances), forms the shortest-path-sum matrix P, the log-scale limit
 parameters (mu_u, Sigma_u) for any anchor node, and the structurally exact
 precision matrices Theta_u whose zero pattern encodes the graph.
+
+One fill sums per-clique blocks along shortest paths: on Delta_C it gives
+P, on unit blocks per edge the path-edge incidence, whose anchoring gives
+Sigma_u's coefficients in delta^2 as anchoring P gives Sigma_u. Theta_u is
+a sum of per-clique terms Psi_C^-1 over the cliques ordered away from u.
 """
 
 from __future__ import annotations
@@ -138,32 +143,47 @@ class PathSumMatrix:
         return PathSumMatrix(tuple(keep), self.values[np.ix_(idx, idx)].copy())
 
 
-def path_sum_matrix(d: DeltaFamily) -> PathSumMatrix:
-    """p_ij = sum of delta_e^2 over the unique shortest path from i to j.
+def _path_fill(g: BlockGraph, blocks: list[np.ndarray], tail: tuple[int, ...] = ()) -> np.ndarray:
+    """Sums of per-clique blocks along shortest paths, in node order.
 
-    Nodes are placed clique by clique in the root order of the block-cut
-    tree. The targets t of a clique reach every node k placed before them
-    through the clique's separator s, so p_tk = delta_st^2 + p_sk; among
-    themselves they are one edge apart.
+    blocks[ci] has rows and columns in clique ci's sorted member order and
+    any trailing axes `tail`. Nodes are placed clique by clique in the
+    root order of the block-cut tree. The targets t of a clique reach every
+    node k placed before them through the clique's separator s, so
+    P[t, k] = block[s, t] + P[s, k]; among themselves they are one edge
+    apart.
     """
-    g = d.graph
     n = len(g.nodes)
-    q = np.zeros((n, n))  # rows and columns in placement order
+    q = np.zeros((n, n, *tail))  # rows and columns in placement order
     rank = np.zeros(n, dtype=np.intp)
     placed = 1  # the root
     for ci in g._order:
-        _, m = d.clique_matrix(ci)
-        members = g._members[ci]
+        m, members = blocks[ci], g._members[ci]
         si = members.index(g._sep[ci])
         keep = [k for k in range(len(members)) if k != si]
         lo, hi = placed, placed + len(keep)
         rank[[members[k] for k in keep]] = np.arange(lo, hi)
         block = m[si, keep][:, None] + q[rank[members[si]], :lo][None, :]
         q[lo:hi, :lo] = block
-        q[:lo, lo:hi] = block.T
+        q[:lo, lo:hi] = np.swapaxes(block, 0, 1)
         q[lo:hi, lo:hi] = m[np.ix_(keep, keep)]
         placed = hi
-    return PathSumMatrix(g.nodes, q[np.ix_(rank, rank)])
+    return q[np.ix_(rank, rank)]
+
+
+def _anchor(p: np.ndarray, iu: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row iu of a path-sum array and 2*(p[iu,i] + p[iu,j] - p[i,j]) over
+    i, j != iu; trailing axes ride along."""
+    rest = np.delete(np.arange(len(p)), iu)
+    pu = p[iu, rest]
+    return pu, 2.0 * (pu[:, None] + pu[None, :] - p[np.ix_(rest, rest)])
+
+
+def path_sum_matrix(d: DeltaFamily) -> PathSumMatrix:
+    """p_ij = sum of delta_e^2 over the unique shortest path from i to j,
+    filled from the clique matrices Delta_C."""
+    blocks = [d.clique_matrix(ci)[1] for ci in range(len(d.graph.cliques))]
+    return PathSumMatrix(d.graph.nodes, _path_fill(d.graph, blocks))
 
 
 @dataclass(frozen=True)
@@ -180,23 +200,8 @@ class GaussianLimit:
 def gaussian_limit(d: DeltaFamily, u: str) -> GaussianLimit:
     g = d.graph
     iu = g.index(u)
-    p = path_sum_matrix(d).values
-    rest = [i for i in range(len(g.nodes)) if i != iu]
-    pu = p[iu, rest]
-    mean = -2.0 * pu
-    cov = 2.0 * (pu[:, None] + pu[None, :] - p[np.ix_(rest, rest)])
-    return GaussianLimit(u, tuple(g.nodes[i] for i in rest), mean, cov)
-
-
-def anchored_edges(g: BlockGraph, u: str) -> dict[str, Edge]:
-    """For each v != u, the last edge (parent, v) of the path from u to v.
-
-    These are the edges pointing away from u; each v in V minus u is the
-    endpoint of exactly one of them.
-    """
-    iu = g.index(u)
-    parent = g._parents_toward(iu)
-    return {v: (g.nodes[parent[i]], v) for i, v in enumerate(g.nodes) if i != iu}
+    pu, cov = _anchor(path_sum_matrix(d).values, iu)
+    return GaussianLimit(u, g.nodes[:iu] + g.nodes[iu + 1:], -2.0 * pu, cov)
 
 
 def _increment_law(d: DeltaFamily, ci: int, s: int) -> tuple[np.ndarray, np.ndarray]:
@@ -236,33 +241,32 @@ def increment_blocks(d: DeltaFamily, u: str) -> list[tuple[list[str], np.ndarray
 
 
 def precision_matrix(d: DeltaFamily, u: str) -> np.ndarray:
-    """Inverse of the anchored covariance, built structurally.
+    """Inverse of the anchored covariance, built clique by clique.
 
-    Theta_u = (M_u^-1)^T Theta_u^Z M_u^-1 with M_u^-1 carrying +1 on the
-    diagonal and -1 at (v, parent(v)), and Theta_u^Z the blockwise inverse
-    of the block-diagonal increment covariance. The construction keeps the
-    non-edge zero pattern exact up to block-inverse rounding.
+    ln A_t = ln A_s + ln Z_t for the targets T of each clique C and its
+    separator s toward u, with independent increments of covariance
+    Psi_C. With K = Psi_C^-1, each clique adds K to the (T, T) block,
+    -K 1 to the (T, s) entries and 1'K 1 to (s, s); the s terms vanish
+    when s = u. Entries between non-adjacent nodes are never written, so
+    the zero pattern is exact.
     """
     g = d.graph
     iu = g.index(u)
-    rest = [v for v in g.nodes if v != u]
-    pos = {v: k for k, v in enumerate(rest)}
-    m = len(rest)
-
-    m_inv = np.eye(m)
-    for v, w in enumerate(g._parents_toward(iu)):
-        if v != iu and w != iu:
-            m_inv[v - (v > iu), w - (w > iu)] = -1.0
-
-    theta_z = np.zeros((m, m))
-    for targets, _, psi in increment_blocks(d, u):
-        idx = [pos[v] for v in targets]
+    theta = np.zeros((len(g.nodes) - 1,) * 2)
+    order, sep = g._anchored(iu)
+    for ci in order:
+        s = sep[ci]
         try:
-            block_inv = np.linalg.inv(psi)
+            k = np.linalg.inv(_increment_law(d, ci, s)[1])
         except np.linalg.LinAlgError as exc:  # cannot occur for a valid family
-            raise SingularBlockError(f"increment block for targets {targets} is singular") from exc
-        theta_z[np.ix_(idx, idx)] = block_inv
-    return m_inv.T @ theta_z @ m_inv
+            raise SingularBlockError(f"increment block of clique {sorted(g.cliques[ci])} is singular") from exc
+        idx = [t - (t > iu) for t in g._members[ci] if t != s]
+        theta[np.ix_(idx, idx)] += k  # a target's diagonal also collects the cliques it separates
+        if s != iu:
+            js, col = s - (s > iu), k.sum(axis=1)
+            theta[idx, js] = theta[js, idx] = -col
+            theta[js, js] += col.sum()
+    return theta
 
 
 def check_cnd(m: np.ndarray | PathSumMatrix) -> bool:
@@ -325,62 +329,22 @@ def extremal_graph_check(d: DeltaFamily, tolerance: float = 1e-9) -> GraphCheckR
     return GraphCheckReport(worst, tolerance, arg)
 
 
-def _branches(g: BlockGraph):
-    """Yield (ci, label) per clique: label[v] is the position, among the
-    clique's sorted members, of the member through which the paths from
-    node v enter the clique.
-
-    Edge (a, b) of the clique lies on the path i-j exactly when i and j
-    sit in the branches of a and b.
-    """
-    n = len(g.nodes)
-    by_pre = np.array(g._preorder(), dtype=np.intp)
-    for ci, members in enumerate(g._members):
-        s = g._sep[ci]
-        label = np.full(n, members.index(s))
-        for k, t in enumerate(members):
-            if t != s:
-                (lo, hi), = g._branch(ci, t)
-                label[by_pre[lo:hi]] = k
-        yield ci, label
-
-
-def _clique_edges(g: BlockGraph, ci: int):
-    """(edge, x, y) for the edges of clique ci, x < y member positions."""
-    members = g._members[ci]
-    for x in range(len(members)):
-        for y in range(x + 1, len(members)):
-            yield (g.nodes[members[x]], g.nodes[members[y]]), x, y
-
-
-def edge_usage(g: BlockGraph) -> dict[Edge, np.ndarray]:
-    """Boolean V x V matrices marking which pairs' shortest paths use each edge."""
-    usage = {}
-    for ci, label in _branches(g):
-        for e, x, y in _clique_edges(g, ci):
-            in_a, in_b = label == x, label == y
-            usage[e] = np.outer(in_a, in_b) | np.outer(in_b, in_a)
-    return {e: usage[e] for e in g.edges_sorted()}
-
-
 def sigma_coefficient_matrix(g: BlockGraph, u: str) -> np.ndarray:
     """Coefficients of Sigma_u as a linear map of the sorted delta^2 vector.
 
     Returns an array of shape (m, m, |E|) with m = |V| - 1 such that
-    Sigma_u = coeffs @ delta2_vector. Every coefficient is one of
-    {0, +/-2, 4}.
+    Sigma_u = coeffs @ delta2_vector. The path fill run on unit blocks,
+    one per edge, marks the edges on each shortest path; anchoring those
+    marks as Sigma_u anchors P gives coefficients in {0, +/-2, 4}.
     """
     iu = g.index(u)
-    n = len(g.nodes)
-    rest = [i for i in range(n) if i != iu]
     column = {e: k for k, e in enumerate(g.edges_sorted())}
-    coeffs = np.zeros((n - 1, n - 1, len(column)))
-    for ci, label in _branches(g):
-        at_u, label = label[iu], label[rest]
-        for e, x, y in _clique_edges(g, ci):
-            in_a, in_b = (label == x).astype(float), (label == y).astype(float)
-            # the path from u uses e when it enters the far branch
-            ui = in_b if at_u == x else in_a if at_u == y else np.zeros(n - 1)
-            use = np.outer(in_a, in_b) + np.outer(in_b, in_a)
-            coeffs[:, :, column[e]] = 2.0 * (ui[:, None] + ui[None, :] - use)
-    return coeffs
+    blocks = []
+    for members in g._members:
+        b = np.zeros((len(members), len(members), len(column)))
+        for x in range(len(members)):
+            for y in range(x + 1, len(members)):
+                e = column[g.nodes[members[x]], g.nodes[members[y]]]
+                b[x, y, e] = b[y, x, e] = 1.0
+        blocks.append(b)
+    return _anchor(_path_fill(g, blocks, (len(column),)), iu)[1]

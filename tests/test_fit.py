@@ -1,6 +1,10 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.stats
 
 from extreme_blocks import (
     ConstantColumnError,
@@ -47,6 +51,24 @@ class TestRankTransform:
         out = rank_transform(SampleSet(np.array([[1.0], [1.0], [2.0]]), ("a",)))
         # tied pair gets rank 1.5 -> (n+1)/(n+1-1.5)
         assert np.allclose(out.data[:2, 0], 4.0 / 2.5)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_scipy_average_ranks(self, seed):
+        rng = np.random.default_rng(seed)
+        data = np.column_stack([rng.standard_normal(300), rng.integers(0, 7, 300),
+                                rng.integers(0, 60, 300), rng.exponential(size=300).round(1)])
+        out = rank_transform(SampleSet(data, ("a", "b", "c", "d"))).data
+        for j in range(data.shape[1]):
+            r = scipy.stats.rankdata(data[:, j], method="average")
+            assert np.array_equal(out[:, j], 301.0 / (301.0 - r))
+
+    def test_import_leaves_scipy_stats_out(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, extreme_blocks; print('scipy.stats' in sys.modules)"],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_constant_column_rejected(self):
         with pytest.raises(ConstantColumnError):
@@ -193,10 +215,13 @@ class TestFitDelta:
         rng = np.random.default_rng(60 + seed)
         g = random_block_graph(rng, max_nodes=10)
         fam = random_delta(g, rng)
-        covs = {u: gaussian_limit(fam, u).cov for u in g.nodes}
-        res = fit_delta_from_covariances(g, covs)  # raises if rank-deficient
-        for e, v in fam.edge_params.items():
-            assert res.delta2_hat[e] == pytest.approx(v, abs=1e-7)
+        limits = {u: gaussian_limit(fam, u) for u in g.nodes}
+        covs = {u: lim.cov for u, lim in limits.items()}
+        means = {u: lim.mean for u, lim in limits.items()}
+        for res in (fit_delta_from_covariances(g, covs),  # raises if rank-deficient
+                    fit_delta_from_covariances(g, covs, means)):
+            for e, v in fam.edge_params.items():
+                assert res.delta2_hat[e] == pytest.approx(v, abs=1e-7)
 
     def test_underdetermined_reports_null_edges(self, fig2_graph, fig2_family, monkeypatch):
         import extreme_blocks.fit as fit_mod

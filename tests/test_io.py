@@ -77,6 +77,18 @@ class TestMatrixCsv:
         with pytest.raises(ValueError):
             ebio.read_matrix_csv(path)
 
+    def test_extra_row_rejected(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(",a,b\na,0,1\nb,1,0\nc,5,5\n")
+        with pytest.raises(ValueError, match="'c'"):
+            ebio.read_matrix_csv(path)
+
+    def test_wide_row_rejected(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(",a,b\na,0,1,2\nb,1,0,2\n")
+        with pytest.raises(ValueError, match="'a' has 3 values"):
+            ebio.read_matrix_csv(path)
+
 
 class TestSamplesCsv:
     def test_round_trip(self, tmp_path):

@@ -103,17 +103,37 @@ def test_path_sums_match_explicit_paths(case):
             assert abs(p.entry(u, v) - explicit_sum(fam, paths[v])) <= 1e-12
 
 
+def explicit_incidence(g, cliques):
+    """inc[i, j, e] = 1 when edge e (in sorted order) lies on the explicit
+    path from node i to node j."""
+    column = {e: k for k, e in enumerate(g.edges_sorted())}
+    inc = np.zeros((len(g.nodes), len(g.nodes), len(column)))
+    for i, a in enumerate(g.nodes):
+        for j, path in explicit_paths(cliques, a).items():
+            for e in zip(path, path[1:]):
+                inc[i, g.nodes.index(j), column[tuple(sorted(e))]] = 1.0
+    return inc
+
+
 @PROPS
 @given(any_graph(), st.data())
 def test_covariance_coefficients_and_precision(case, data):
-    g, _, seed = case
+    g, cliques, seed = case
     fam = random_delta(g, np.random.default_rng(seed))
     u = data.draw(st.sampled_from(g.nodes))
-    cov = gaussian_limit(fam, u).cov
+    lim = gaussian_limit(fam, u)
+    cov = lim.cov
     coeffs = sigma_coefficient_matrix(g, u)
     assert np.abs(coeffs @ fam.as_vector() - cov).max() <= 1e-12
+    inc = explicit_incidence(g, cliques)
+    rest = [g.nodes.index(v) for v in lim.nodes]
+    iu = inc[g.nodes.index(u), rest]
+    assert np.array_equal(coeffs, 2.0 * (iu[:, None] + iu[None, :] - inc[np.ix_(rest, rest)]))
     theta = precision_matrix(fam, u)
     assert np.abs(cov @ theta - np.eye(len(cov))).max() <= 1e-8
+    assert np.abs(theta - np.linalg.inv(cov)).max() <= 1e-10 * max(1.0, np.abs(theta).max())
+    adjacent = np.array([[a == b or g.has_edge(a, b) for b in lim.nodes] for a in lim.nodes])
+    assert np.all(theta[~adjacent] == 0.0)
 
 
 @PROPS
