@@ -180,6 +180,14 @@ def fit_delta(g: BlockGraph, spacings: Mapping[str, np.ndarray], *,
     )
 
 
+def _weight(name: str, w) -> float:
+    """A least-squares weight: finite and non-negative."""
+    w = float(w)
+    if not 0.0 <= w < np.inf:
+        raise ValueError(f"{name} must be finite and non-negative, got {w}")
+    return w
+
+
 def fit_delta_from_covariances(g: BlockGraph, covs: Mapping[str, np.ndarray],
                                means: Mapping[str, np.ndarray] | None = None, *,
                                mean_weight: float = 1.0,
@@ -190,6 +198,12 @@ def fit_delta_from_covariances(g: BlockGraph, covs: Mapping[str, np.ndarray],
         raise ValueError("need covariance estimates for at least one anchor")
     edges = g.edges_sorted()
     n_edges = len(edges)
+    weights = {}
+    for u in covs:
+        if anchor_weights and u not in anchor_weights:
+            raise ValueError(f"anchor_weights has no weight for anchor {u!r}")
+        weights[u] = _weight(f"weight of anchor {u!r}", anchor_weights[u]) if anchor_weights else 1.0
+    mean_weight = _weight("mean_weight", mean_weight)
 
     design_rows, target_rows = [], []
     for u, cov_hat in covs.items():
@@ -198,7 +212,7 @@ def fit_delta_from_covariances(g: BlockGraph, covs: Mapping[str, np.ndarray],
         cov_hat = np.asarray(cov_hat, dtype=float)
         if cov_hat.shape != (m, m):
             raise ValueError(f"anchor {u!r}: covariance must be {m}x{m}")
-        w = float(anchor_weights[u]) if anchor_weights else 1.0
+        w = weights[u]
         design_rows.append(np.sqrt(w) * coeffs.reshape(m * m, n_edges))
         target_rows.append(np.sqrt(w) * cov_hat.reshape(m * m))
         if means is not None:

@@ -12,12 +12,12 @@ indices in sorted identifier order, which fixes matrix layouts across runs.
 The structure every other module reads is one block-cut tree, rooted at
 the first node and built in linear time and memory: the clique order from
 the root, each clique's root-side separator and its other members (its
-targets), and each node's parent, depth and preorder subtree interval.
+targets), and each node's parent, parent clique and depth. Other modules
+read it through the parent pointers and the clique order away from a node.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -83,7 +83,6 @@ class BlockGraph:
         self._adj = [sorted(neigh) for neigh in adj]
         self._adj_sets = [frozenset(neigh) for neigh in self._adj]
 
-        self._check_connected()
         blocks = self._biconnected_components()
         self._validate_blocks(blocks)
 
@@ -106,69 +105,53 @@ class BlockGraph:
 
     # -- construction internals ------------------------------------------
 
-    def _check_connected(self):
-        n = len(self.nodes)
-        seen = [False] * n
-        queue = deque([0])
-        seen[0] = True
-        count = 1
-        while queue:
-            v = queue.popleft()
-            for w in self._adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    queue.append(w)
-        if count != n:
-            missing = [self.nodes[i] for i, s in enumerate(seen) if not s]
-            raise DisconnectedGraphError(
-                f"graph is not connected; unreachable from {self.nodes[0]}: {missing[:5]}"
-            )
-
     def _biconnected_components(self) -> list[set[int]]:
-        """Hopcroft-Tarjan, iterative; returns node sets of the blocks."""
+        """Hopcroft-Tarjan, iterative, from the root; returns node sets of
+        the blocks. A node the search never reaches makes the graph
+        disconnected."""
         n = len(self.nodes)
         disc = [-1] * n
         low = [0] * n
         comps: list[list[tuple[int, int]]] = []
         estack: list[tuple[int, int]] = []
-        timer = 0
-        for root in range(n):
-            if disc[root] != -1:
-                continue
-            disc[root] = low[root] = timer
-            timer += 1
-            stack = [(root, -1, iter(self._adj[root]))]
-            while stack:
-                v, parent, it = stack[-1]
-                pushed = False
-                for w in it:
-                    if w == parent:
-                        continue
-                    if disc[w] == -1:
-                        estack.append((v, w))
-                        disc[w] = low[w] = timer
-                        timer += 1
-                        stack.append((w, v, iter(self._adj[w])))
-                        pushed = True
-                        break
-                    if disc[w] < disc[v]:
-                        estack.append((v, w))
-                        if disc[w] < low[v]:
-                            low[v] = disc[w]
-                if pushed:
+        disc[ROOT] = low[ROOT] = 0
+        timer = 1
+        stack = [(ROOT, -1, iter(self._adj[ROOT]))]
+        while stack:
+            v, parent, it = stack[-1]
+            pushed = False
+            for w in it:
+                if w == parent:
                     continue
-                stack.pop()
-                if stack:
-                    u = stack[-1][0]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-                    if low[v] >= disc[u]:
-                        comp = []
-                        while estack[-1] != (u, v):
-                            comp.append(estack.pop())
+                if disc[w] == -1:
+                    estack.append((v, w))
+                    disc[w] = low[w] = timer
+                    timer += 1
+                    stack.append((w, v, iter(self._adj[w])))
+                    pushed = True
+                    break
+                if disc[w] < disc[v]:
+                    estack.append((v, w))
+                    if disc[w] < low[v]:
+                        low[v] = disc[w]
+            if pushed:
+                continue
+            stack.pop()
+            if stack:
+                u = stack[-1][0]
+                if low[v] < low[u]:
+                    low[u] = low[v]
+                if low[v] >= disc[u]:
+                    comp = []
+                    while estack[-1] != (u, v):
                         comp.append(estack.pop())
-                        comps.append(comp)
+                    comp.append(estack.pop())
+                    comps.append(comp)
+        if timer != n:
+            missing = [self.nodes[i] for i in range(n) if disc[i] == -1]
+            raise DisconnectedGraphError(
+                f"graph is not connected; unreachable from {self.nodes[ROOT]}: {missing[:5]}"
+            )
         out = []
         for comp in comps:
             nodes: set[int] = set()
@@ -192,11 +175,8 @@ class BlockGraph:
         Cliques are discovered breadth first from the root. Each clique's
         root-side separator is the member it was reached through; its other
         members, its targets, hang below that separator: their parent is
-        the separator, their parent clique is this clique. In preorder the
-        children of a node are laid out clique by clique, so every node's
-        subtree and every clique's targets with their subtrees cover one
-        contiguous interval. The block-cut tree is a tree, so a clique is
-        reached exactly once.
+        the separator, their parent clique is this clique. The block-cut
+        tree is a tree, so a clique is reached exactly once.
         """
         n, k = len(self.nodes), len(self.cliques)
         self._sep = [ROOT] * k              # root-side separator of each clique
@@ -217,35 +197,6 @@ class BlockGraph:
                         self._up_clique[t] = ci
                         self._depth[t] = self._depth[v] + 1
                         visit.append(t)
-
-        self._size = [1] * n                # subtree sizes
-        for v in reversed(visit[1:]):
-            self._size[self._up[v]] += self._size[v]
-        self._pre = [0] * n                 # preorder position; subtree = [pre, pre + size)
-        self._lo = [0] * k                  # clique interval [lo, hi) below its separator
-        self._hi = [0] * k
-        for v in visit:
-            pos = self._pre[v] + 1
-            for ci in self._cliques_at[v]:
-                if ci == self._up_clique[v]:
-                    continue
-                self._lo[ci] = pos
-                for t in self._members[ci]:
-                    if t != v:
-                        self._pre[t] = pos
-                        pos += self._size[t]
-                self._hi[ci] = pos
-
-    def _preorder(self) -> list[int]:
-        """Node indices by preorder position, the coordinates of the ranges
-        that _branch and _beyond return."""
-        order = [ROOT] * len(self.nodes)
-        for v, k in enumerate(self._pre):
-            order[k] = v
-        return order
-
-    def _inside(self, x: int, ranges: tuple[tuple[int, int], ...]) -> bool:
-        return any(lo <= self._pre[x] < hi for lo, hi in ranges)
 
     def _path(self, a: int, b: int) -> list[int]:
         """Node indices of the unique shortest path from a to b.
@@ -272,29 +223,6 @@ class BlockGraph:
             tail.pop()
         return head + tail[::-1]
 
-    def _branch(self, ci: int, c: int) -> tuple[tuple[int, int], ...]:
-        """Preorder ranges of the nodes whose paths enter clique ci through
-        its member c."""
-        if c != self._sep[ci]:
-            return ((self._pre[c], self._pre[c] + self._size[c]),)
-        return ((0, self._lo[ci]), (self._hi[ci], len(self.nodes)))
-
-    def _beyond(self, ci: int, c: int) -> tuple[tuple[int, int], ...]:
-        """Preorder ranges of the nodes whose paths from clique ci's member
-        c start with an edge of ci: the complement of c's branch."""
-        if c != self._sep[ci]:
-            return ((0, self._pre[c]), (self._pre[c] + self._size[c], len(self.nodes)))
-        return ((self._lo[ci], self._hi[ci]),)
-
-    def _separator(self, ci: int, x: int) -> int:
-        """The member of clique ci through which paths from node x enter it;
-        x itself if x is a member."""
-        return next(c for c in self._members[ci] if self._inside(x, self._branch(ci, c)))
-
-    def _first_clique(self, a: int, x: int) -> int:
-        """The clique that holds the first edge of the path from a to x != a."""
-        return next(ci for ci in self._cliques_at[a] if self._inside(x, self._beyond(ci, a)))
-
     def _anchored(self, u: int) -> tuple[list[int], list[int]]:
         """Cliques ordered away from node u, and each one's separator toward u.
 
@@ -313,6 +241,18 @@ class BlockGraph:
             u = self._up[u]
         on_chain = set(chain)
         return chain + [ci for ci in self._order if ci not in on_chain], sep
+
+    def _first_cliques(self, a: int) -> list[int]:
+        """For every node x, the clique at a that holds the first edge of the
+        path from a to x; -1 for a itself."""
+        order, sep = self._anchored(a)
+        label = [-1] * len(self.nodes)
+        for ci in order:
+            s = sep[ci]
+            for t in self._members[ci]:
+                if t != s:
+                    label[t] = ci if s == a else label[s]
+        return label
 
     # -- queries ----------------------------------------------------------
 
@@ -360,15 +300,17 @@ class BlockGraph:
         """The clique holding edge (a, b); KeyError if it is not an edge."""
         if not self.has_edge(a, b):
             raise KeyError(canonical_edge(a, b))
-        return self._first_clique(self._index[a], self._index[b])
+        ia, ib = self._index[a], self._index[b]
+        # an edge joins a parent and its child, or two targets of one clique
+        return self._up_clique[ib] if self._up[ib] == ia else self._up_clique[ia]
 
     def separator_node(self, u: str, C: Iterable[str]) -> str:
         """u itself if u is in C, else the single node of C through which
-        every path from u into C passes."""
+        every path from u into C passes: the first member of C on the path
+        from u to any member."""
         ci = self.clique_index(C)
-        if u in self.cliques[ci]:
-            return u
-        return self.nodes[self._separator(ci, self.index(u))]
+        path = self._path(self.index(u), self._members[ci][0])
+        return self.nodes[next(x for x in path if self.nodes[x] in self.cliques[ci])]
 
     def cliques_at(self, v: str) -> tuple[int, ...]:
         """Indices of the maximal cliques containing v."""

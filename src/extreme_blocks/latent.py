@@ -73,10 +73,10 @@ def recover_path_sums(g: BlockGraph, p_obs: PathSumMatrix, mask: ObservationMask
 
     Observable edges read off directly; edges at latent nodes come from the
     three-anchor equations, repeated one node outward along latent chains.
-    Each anchor is the smallest observable node in a direction, found in
-    the direction's preorder ranges of the block-cut tree. The
-    reconstruction is validated by restricting back and comparing to the
-    input.
+    Each anchor is the smallest observable node in a direction, read off
+    the latent node's labels: for every node, the clique at the latent
+    node that holds the first edge of the path to it. The reconstruction
+    is validated by restricting back and comparing to the input.
     """
     if tuple(p_obs.nodes) != mask.observed:
         raise ValueError("path-sum matrix nodes must match the observed set")
@@ -94,21 +94,18 @@ def recover_path_sums(g: BlockGraph, p_obs: PathSumMatrix, mask: ObservationMask
     observed = [g.index(v) for v in mask.observed]
     row = np.full(n, -1)            # row of each observed node in p_obs
     row[observed] = np.arange(len(observed))
-    by_pre = np.array(g._preorder())  # observed nodes by preorder position; n if latent
-    by_pre[row[by_pre] < 0] = n
-
-    def first_observed(ranges) -> int:
-        """Smallest observed node in the preorder ranges; n if none."""
-        return min((int(by_pre[lo:hi].min()) for lo, hi in ranges if hi > lo), default=n)
 
     def p(i: int, j: int) -> float:  # the upper triangle, as given
         ri, rj = sorted((row[i], row[j]))
         return float(vals[ri, rj])
 
-    # per latent node and clique at it: the smallest observable node whose
-    # path from the latent node starts in that clique
-    dirs = {a: {ci: first_observed(g._beyond(ci, a)) for ci in g._cliques_at[a]}
-            for a in (g.index(v) for v in mask.latent)}
+    # per latent node: the first clique toward every node, and per clique at
+    # it the smallest observable node whose path starts in that clique
+    label = {a: g._first_cliques(a) for a in (g.index(v) for v in mask.latent)}
+    dirs = {a: {ci: n for ci in g._cliques_at[a]} for a in label}
+    for a, lab in label.items():
+        for x in reversed(observed):
+            dirs[a][lab[x]] = x
 
     delta2: dict[tuple[str, str], float] = {}
     for a, b in g.edges_sorted():
@@ -119,7 +116,8 @@ def recover_path_sums(g: BlockGraph, p_obs: PathSumMatrix, mask: ObservationMask
         # orient the edge so the first endpoint is latent
         lat, other = (ia, ib) if row[ia] < 0 else (ib, ia)
         ci_edge = g.clique_of_edge(a, b)
-        ibar = other if row[other] >= 0 else first_observed(g._branch(ci_edge, other))
+        ibar = other if row[other] >= 0 else next(
+            (x for x in observed if label[other][x] != ci_edge), n)
         if ibar == n:
             raise InconsistentInputError(
                 f"no observable anchor beyond edge ({g.nodes[lat]}, {g.nodes[other]}); "
@@ -132,7 +130,7 @@ def recover_path_sums(g: BlockGraph, p_obs: PathSumMatrix, mask: ObservationMask
         else:
             # chain case: resolve p(other, ibar) with the same scheme one
             # node further out, then subtract
-            ci_toward = g._first_clique(other, ibar)
+            ci_toward = label[other][ibar]
             others_b = [ci for ci in g._cliques_at[other] if ci != ci_toward and dirs[other][ci] < n]
             value = p_lat_ibar - _distance_to_anchor(g, other, ibar, others_b, dirs[other], p, tol)
         if value <= 0:

@@ -107,8 +107,8 @@ def validate_delta(g: BlockGraph, edge_params: Mapping) -> DeltaFamily:
     if missing:
         raise MissingEdgeParamError(f"missing parameters for edges {missing[:5]}")
     for e, val in params.items():
-        if not val > 0:
-            raise NonPositiveParamError(f"delta^2 must be positive; edge {e} has {val}")
+        if not 0 < val < np.inf:
+            raise NonPositiveParamError(f"delta^2 must be positive and finite; edge {e} has {val}")
 
     fam = DeltaFamily(g, params)
     for ci, clique in enumerate(g.cliques):
@@ -303,9 +303,13 @@ class GraphCheckReport:
 
 
 def extremal_graph_check(d: DeltaFamily, tolerance: float = 1e-9) -> GraphCheckReport:
-    """Verify the graphical zero pattern: for every anchor u and every
-    non-adjacent pair i, j != u, the precision entry must vanish.
+    """Largest |Theta_u| entry between non-adjacent nodes i, j != u, over
+    every anchor u.
 
+    This scans the structural Theta_u of `precision_matrix`, which sums
+    per-clique terms and never writes an entry between non-adjacent
+    nodes, so it reports 0.0 on every family. It does not read P and does
+    not test the zero pattern of Sigma_u's inverse: a wrong P goes unseen.
     The worst entry is the first largest one, scanning anchors in node
     order and each anchor's pairs i < j row by row.
     """

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import SingularBlockError
+from .errors import SingularBlockError, UnknownNodeError
 from .model import DeltaFamily, increment_blocks
 from .sim_keys import PARETO_STREAM_TAG, philox_stream
 
@@ -53,7 +53,10 @@ class FieldSample:
     matrix: np.ndarray
 
     def column(self, v: str) -> np.ndarray:
-        return self.matrix[:, self.nodes.index(v)]
+        try:
+            return self.matrix[:, self.nodes.index(v)]
+        except ValueError:
+            raise UnknownNodeError(f"unknown node {v!r}") from None
 
 
 def _ln_increments(d: DeltaFamily, u: str, n: int, seed: int, threads: int = 1):

@@ -1,6 +1,14 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from extreme_blocks import build_block_graph, validate_delta
+
+# subprocesses started by the tests import the package from this checkout
+# too, also when pytest put src/ on the path (pyproject's `pythonpath`)
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]))
 
 # the example graph with four cliques {0,1,2}, {2,3}, {2,4,5,6}, {6,7}
 FIG1_NODES = [str(i) for i in range(8)]

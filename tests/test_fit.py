@@ -223,6 +223,28 @@ class TestFitDelta:
             for e, v in fam.edge_params.items():
                 assert res.delta2_hat[e] == pytest.approx(v, abs=1e-7)
 
+    @pytest.mark.parametrize("weights, name", [
+        ({"anchor_weights": {"1": -1.0, "2": 1.0}}, "anchor '1'"),
+        ({"anchor_weights": {"1": float("nan"), "2": 1.0}}, "anchor '1'"),
+        ({"anchor_weights": {"1": 1.0, "2": float("inf")}}, "anchor '2'"),
+        ({"anchor_weights": {"1": 1.0}}, "anchor '2'"),
+        ({"mean_weight": -1.0}, "mean_weight"),
+        ({"mean_weight": float("nan")}, "mean_weight"),
+        ({"mean_weight": float("inf")}, "mean_weight"),
+        ({"anchor_weights": {"1": 0.0, "2": 1.0}, "mean_weight": 0.0}, None),
+    ])
+    def test_weights_validated(self, fig2_graph, fig2_family, weights, name):
+        limits = {u: gaussian_limit(fig2_family, u) for u in ("1", "2")}
+        covs = {u: lim.cov for u, lim in limits.items()}
+        means = {u: lim.mean for u, lim in limits.items()}
+        if name is None:  # zero weights are allowed
+            res = fit_delta_from_covariances(fig2_graph, covs, means, **weights)
+            for e, v in FIG2_DELTA.items():
+                assert res.delta2_hat[e] == pytest.approx(v, abs=1e-9)
+            return
+        with pytest.raises(ValueError, match=name):
+            fit_delta_from_covariances(fig2_graph, covs, means, **weights)
+
     def test_underdetermined_reports_null_edges(self, fig2_graph, fig2_family, monkeypatch):
         import extreme_blocks.fit as fit_mod
         real = fit_mod.sigma_coefficient_matrix

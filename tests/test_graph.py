@@ -81,6 +81,12 @@ class TestBuild:
         with pytest.raises(DisconnectedGraphError):
             build_block_graph(["a", "b", "c"], [("a", "b")])
 
+    def test_disconnected_wins_over_non_block(self):
+        # a 4-cycle a-b-c-d is no block graph, and e is unreachable
+        cycle = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]
+        with pytest.raises(DisconnectedGraphError, match="'e'"):
+            build_block_graph("abcde", cycle)
+
     def test_self_loop_rejected(self):
         with pytest.raises(NotBlockGraphError):
             build_block_graph(["a", "b"], [("a", "b"), ("a", "a")])

@@ -63,8 +63,9 @@ class TestValidateDelta:
 
     def test_nonpositive_param(self):
         g = build_block_graph("ab", [("a", "b")])
-        with pytest.raises(NonPositiveParamError):
-            validate_delta(g, {("a", "b"): 0.0})
+        for value in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(NonPositiveParamError, match="positive and finite"):
+                validate_delta(g, {("a", "b"): value})
 
 
 class TestPathSums:

@@ -6,6 +6,7 @@ import pytest
 from extreme_blocks import (
     DeltaFamily,
     SingularBlockError,
+    UnknownNodeError,
     build_block_graph,
     clique_limit_params,
     gaussian_limit,
@@ -81,6 +82,11 @@ class TestLimitField:
     def test_anchor_column_is_one(self, fig2_family):
         fs = sample_limit_field(fig2_family, "4", 100, 1)
         assert np.all(fs.column("4") == 1.0)
+
+    def test_unknown_column_raises(self, fig2_family):
+        fs = sample_limit_field(fig2_family, "4", 10, 1)
+        with pytest.raises(UnknownNodeError, match="'x'"):
+            fs.column("x")
 
     def test_fig1_path_factorization(self, fig1_family):
         draw = sample_increments(fig1_family, "7", 321)

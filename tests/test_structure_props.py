@@ -89,6 +89,11 @@ def test_path_queries_match_explicit_paths(case):
             # the member of the clique nearest to u
             expect = min(clique, key=lambda c: len(paths[c]))
             assert g.separator_node(u, clique) == expect
+    for a, b in g.edges:
+        # the entry of the clique list that holds both ends
+        expect = next(set(c) for c in cliques if a in c and b in c)
+        assert g.cliques[g.clique_of_edge(a, b)] == expect
+        assert g.cliques[g.clique_of_edge(b, a)] == expect
 
 
 @PROPS
