@@ -48,6 +48,13 @@ def _default_threads() -> int:
         return 1
 
 
+def _tolerance(raw: str) -> float:
+    value = float(raw)
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {raw!r}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser, *names):
     if "graph" in names:
         p.add_argument("--graph", required=True, help="graph JSON file")
@@ -66,7 +73,7 @@ def _add_common(p: argparse.ArgumentParser, *names):
         p.add_argument("--threads", type=int, default=_default_threads(),
                        help="worker threads (default: EXTREME_BLOCKS_THREADS or 1)")
     if "tol" in names:
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
+        p.add_argument("--tol", type=_tolerance, default=None, help="tolerance override")
     if "out" in names:
         p.add_argument("--out", default=".", help="output directory")
     if "format" in names:

@@ -22,7 +22,7 @@ from .errors import (
     UnknownNodeError,
 )
 from .graph import BlockGraph, Edge
-from .model import sigma_coefficient_matrix
+from .model import _anchor, _path_incidence
 
 
 @dataclass(frozen=True)
@@ -205,10 +205,11 @@ def fit_delta_from_covariances(g: BlockGraph, covs: Mapping[str, np.ndarray],
         weights[u] = _weight(f"weight of anchor {u!r}", anchor_weights[u]) if anchor_weights else 1.0
     mean_weight = _weight("mean_weight", mean_weight)
 
+    incidence = _path_incidence(g)
+    m = len(g.nodes) - 1
     design_rows, target_rows = [], []
     for u, cov_hat in covs.items():
-        coeffs = sigma_coefficient_matrix(g, u)
-        m = len(g.nodes) - 1
+        coeffs = _anchor(incidence, g.index(u))[1]  # sigma_coefficient_matrix(g, u)
         cov_hat = np.asarray(cov_hat, dtype=float)
         if cov_hat.shape != (m, m):
             raise ValueError(f"anchor {u!r}: covariance must be {m}x{m}")

@@ -36,8 +36,8 @@ def load_graph_json(path: str | Path) -> tuple[list[str], list[tuple[str, str]]]
     """Parse {"nodes": [...], "edges": [[a, b], ...]}; duplicates rejected."""
     with open(path) as fh:
         doc = json.load(fh)
-    if not isinstance(doc, dict) or "nodes" not in doc or "edges" not in doc:
-        raise ValueError("graph file must be an object with 'nodes' and 'edges'")
+    if not isinstance(doc, dict) or not all(isinstance(doc.get(k), list) for k in ("nodes", "edges")):
+        raise ValueError("graph file must be an object with 'nodes' and 'edges' lists")
     nodes = [str(v) for v in doc["nodes"]]
     if len(set(nodes)) != len(nodes):
         raise ValueError("duplicate node identifiers")
@@ -63,7 +63,7 @@ def load_params_json(path: str | Path) -> dict[Edge, float]:
     """Parse {"edges": [{"a": ..., "b": ..., "delta2": ...}, ...]}."""
     with open(path) as fh:
         doc = json.load(fh)
-    if not isinstance(doc, dict) or "edges" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("edges"), list):
         raise ValueError("parameter file must be an object with an 'edges' list")
     params: dict[Edge, float] = {}
     for item in doc["edges"]:
@@ -166,16 +166,16 @@ def read_samples_csv(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
             raise ValueError("empty samples file")
         nodes = tuple(header.split(","))
         data = []
-        for line in fh:
-            line = line.strip()
-            if line:
-                data.append([float(x) for x in line.split(",")])
+        for lineno, line in enumerate(fh, start=2):
+            cells = line.strip().split(",")
+            if cells == [""]:
+                continue
+            if len(cells) != len(nodes):
+                raise ValueError(f"line {lineno} has {len(cells)} values for {len(nodes)} header nodes")
+            data.append([float(x) for x in cells])
     if not data:
         raise ValueError("samples file has no data rows")
-    mat = np.array(data)
-    if mat.shape[1] != len(nodes):
-        raise ValueError("samples row width does not match header")
-    return nodes, mat
+    return nodes, np.array(data)
 
 
 # -- compact binary matrix ----------------------------------------------------

@@ -78,6 +78,8 @@ def recover_path_sums(g: BlockGraph, p_obs: PathSumMatrix, mask: ObservationMask
     node that holds the first edge of the path to it. The reconstruction
     is validated by restricting back and comparing to the input.
     """
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
     if tuple(p_obs.nodes) != mask.observed:
         raise ValueError("path-sum matrix nodes must match the observed set")
     vals = p_obs.values

@@ -10,8 +10,8 @@ precision matrices Theta_u whose zero pattern encodes the graph.
 
 One fill sums per-clique blocks along shortest paths: on Delta_C it gives
 P, on unit blocks per edge the path-edge incidence, whose anchoring gives
-Sigma_u's coefficients in delta^2 as anchoring P gives Sigma_u. Theta_u is
-a sum of per-clique terms Psi_C^-1 over the cliques ordered away from u.
+Sigma_u's coefficients in delta^2 as anchoring P gives Sigma_u. One sum
+of zero-row-sum clique precisions gives every Theta_u by deleting u.
 """
 
 from __future__ import annotations
@@ -240,33 +240,35 @@ def increment_blocks(d: DeltaFamily, u: str) -> list[tuple[list[str], np.ndarray
     return out
 
 
-def precision_matrix(d: DeltaFamily, u: str) -> np.ndarray:
-    """Inverse of the anchored covariance, built clique by clique.
-
-    ln A_t = ln A_s + ln Z_t for the targets T of each clique C and its
-    separator s toward u, with independent increments of covariance
-    Psi_C. With K = Psi_C^-1, each clique adds K to the (T, T) block,
-    -K 1 to the (T, s) entries and 1'K 1 to (s, s); the s terms vanish
-    when s = u. Entries between non-adjacent nodes are never written, so
-    the zero pattern is exact.
-    """
+def _clique_precisions(d: DeltaFamily, iu: int) -> np.ndarray:
+    """Sum of the clique precisions without node iu's row and column; iu = n
+    names no node and keeps them all. With K = Psi_C^-1 at a member s,
+    clique C adds K on its other members, -K 1 between them and s, and
+    1'K 1 at (s, s); the rows sum to zero, so leaving out any member t
+    leaves Psi_C^-1 at t. Here s = iu in the cliques at iu and the first
+    member elsewhere. Entries between non-adjacent nodes are never
+    written: the zero pattern is exact."""
     g = d.graph
-    iu = g.index(u)
-    theta = np.zeros((len(g.nodes) - 1,) * 2)
-    order, sep = g._anchored(iu)
-    for ci in order:
-        s = sep[ci]
+    n = len(g.nodes)
+    theta = np.zeros((n - (iu < n),) * 2)
+    for ci, members in enumerate(g._members):
+        s = iu if iu in members else members[0]
         try:
             k = np.linalg.inv(_increment_law(d, ci, s)[1])
         except np.linalg.LinAlgError as exc:  # cannot occur for a valid family
             raise SingularBlockError(f"increment block of clique {sorted(g.cliques[ci])} is singular") from exc
-        idx = [t - (t > iu) for t in g._members[ci] if t != s]
-        theta[np.ix_(idx, idx)] += k  # a target's diagonal also collects the cliques it separates
+        idx = [t - (t > iu) for t in members if t != s]
+        theta[np.ix_(idx, idx)] += k  # a node's diagonal collects every clique at it
         if s != iu:
             js, col = s - (s > iu), k.sum(axis=1)
             theta[idx, js] = theta[js, idx] = -col
             theta[js, js] += col.sum()
     return theta
+
+
+def precision_matrix(d: DeltaFamily, u: str) -> np.ndarray:
+    """Theta_u, the inverse of Sigma_u: the clique precisions without u."""
+    return _clique_precisions(d, d.graph.index(u))
 
 
 def check_cnd(m: np.ndarray | PathSumMatrix) -> bool:
@@ -306,42 +308,28 @@ def extremal_graph_check(d: DeltaFamily, tolerance: float = 1e-9) -> GraphCheckR
     """Largest |Theta_u| entry between non-adjacent nodes i, j != u, over
     every anchor u.
 
-    This scans the structural Theta_u of `precision_matrix`, which sums
-    per-clique terms and never writes an entry between non-adjacent
-    nodes, so it reports 0.0 on every family. It does not read P and does
-    not test the zero pattern of Sigma_u's inverse: a wrong P goes unseen.
-    The worst entry is the first largest one, scanning anchors in node
-    order and each anchor's pairs i < j row by row.
+    Each Theta_u is the clique-precision sum with u deleted, so this scans
+    that sum once, at non-adjacent i < j; the sum never writes such an
+    entry, so the check reports 0.0 on every family. It does not read P
+    and does not test the zero pattern of Sigma_u's inverse: a wrong P
+    goes unseen. A nonzero entry is reported at the first largest pair
+    row by row and the first anchor outside that pair.
     """
     g = d.graph
     n = len(g.nodes)
-    non_edge = np.triu(np.ones((n, n), dtype=bool), 1)
-    for a, b in g.edges:
-        ia, ib = g.index(a), g.index(b)
-        non_edge[ia, ib] = non_edge[ib, ia] = False
-    worst = 0.0
-    arg = None
-    for iu, u in enumerate(g.nodes):
-        rest = [i for i in range(n) if i != iu]
-        vals = np.abs(precision_matrix(d, u))
-        vals[~(non_edge[np.ix_(rest, rest)] & (vals > 0))] = 0.0  # NaN never counts
-        k = int(np.argmax(vals)) if vals.size else 0
-        if vals.size and vals.flat[k] > worst:
-            worst = float(vals.flat[k])
-            a, b = divmod(k, len(rest))
-            arg = (u, g.nodes[rest[a]], g.nodes[rest[b]])
-    return GraphCheckReport(worst, tolerance, arg)
+    vals = np.triu(np.abs(_clique_precisions(d, n)), 1)
+    for members in g._members:  # every edge lies in one clique
+        vals[np.ix_(members, members)] = 0.0
+    i, j = divmod(int(np.argmax(vals)), n)
+    if vals[i, j] == 0.0:
+        return GraphCheckReport(0.0, tolerance, None)
+    u = next(v for v in range(n) if v not in (i, j))
+    return GraphCheckReport(float(vals[i, j]), tolerance, (g.nodes[u], g.nodes[i], g.nodes[j]))
 
 
-def sigma_coefficient_matrix(g: BlockGraph, u: str) -> np.ndarray:
-    """Coefficients of Sigma_u as a linear map of the sorted delta^2 vector.
-
-    Returns an array of shape (m, m, |E|) with m = |V| - 1 such that
-    Sigma_u = coeffs @ delta2_vector. The path fill run on unit blocks,
-    one per edge, marks the edges on each shortest path; anchoring those
-    marks as Sigma_u anchors P gives coefficients in {0, +/-2, 4}.
-    """
-    iu = g.index(u)
+def _path_incidence(g: BlockGraph) -> np.ndarray:
+    """Path fill on unit blocks, one per edge: entry (i, j, e) is 1 when
+    the e-th sorted edge lies on the shortest path from i to j."""
     column = {e: k for k, e in enumerate(g.edges_sorted())}
     blocks = []
     for members in g._members:
@@ -351,4 +339,14 @@ def sigma_coefficient_matrix(g: BlockGraph, u: str) -> np.ndarray:
                 e = column[g.nodes[members[x]], g.nodes[members[y]]]
                 b[x, y, e] = b[y, x, e] = 1.0
         blocks.append(b)
-    return _anchor(_path_fill(g, blocks, (len(column),)), iu)[1]
+    return _path_fill(g, blocks, (len(column),))
+
+
+def sigma_coefficient_matrix(g: BlockGraph, u: str) -> np.ndarray:
+    """Coefficients of Sigma_u as a linear map of the sorted delta^2 vector.
+
+    Returns an array of shape (m, m, |E|) with m = |V| - 1 such that
+    Sigma_u = coeffs @ delta2_vector: the path-edge incidence anchored as
+    P is for Sigma_u, with coefficients in {0, +/-2, 4}.
+    """
+    return _anchor(_path_incidence(g), g.index(u))[1]

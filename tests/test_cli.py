@@ -331,6 +331,25 @@ def test_recover_inconsistent_input_exit_three(tmp_path, capsys):
     assert diag["error"] == "InconsistentInputError"
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-9", "abc"])
+def test_tol_must_be_finite_and_positive(fig2_files, tmp_path, capsys, tol):
+    gpath, ppath = fig2_files
+    model = ["--graph", str(gpath), "--params", str(ppath)]
+    commands = [
+        ["params", *model, "--anchor", "1", "--out", str(tmp_path / "p")],
+        ["stdf", *model, "--subset", "1,2"],
+        ["pareto-cdf", *model, "--subset", "1,2", "--point", "2,3"],
+        ["ec", *model, "--subset", "1,2"],
+        ["recover", "--graph", str(gpath), "--latent", "2", "--pathsums", str(tmp_path / "m.csv"),
+         "--out", str(tmp_path / "r")],
+    ]
+    for argv in commands:
+        assert run([*argv, f"--tol={tol}"]) == 1
+        diag = json.loads(capsys.readouterr().out.strip())
+        assert diag["error"] == "UsageError" and "--tol" in diag["message"]
+    assert not (tmp_path / "p").exists()
+
+
 def test_threads_default_from_environment(monkeypatch, fig1_files, tmp_path):
     from extreme_blocks.cli import build_parser
     monkeypatch.setenv("EXTREME_BLOCKS_THREADS", "3")

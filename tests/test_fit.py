@@ -247,21 +247,36 @@ class TestFitDelta:
 
     def test_underdetermined_reports_null_edges(self, fig2_graph, fig2_family, monkeypatch):
         import extreme_blocks.fit as fit_mod
-        real = fit_mod.sigma_coefficient_matrix
+        real = fit_mod._path_incidence
         dead_edge = ("5", "6")
         edges = fig2_graph.edges_sorted()
         dead_idx = edges.index(dead_edge)
 
-        def crippled(g, u):
-            coeffs = real(g, u).copy()
-            coeffs[:, :, dead_idx] = 0.0
-            return coeffs
+        def crippled(g):
+            incidence = real(g)
+            incidence[:, :, dead_idx] = 0.0
+            return incidence
 
-        monkeypatch.setattr(fit_mod, "sigma_coefficient_matrix", crippled)
+        monkeypatch.setattr(fit_mod, "_path_incidence", crippled)
         covs = {u: gaussian_limit(fig2_family, u).cov for u in fig2_graph.nodes}
         with pytest.raises(UnderdeterminedError) as err:
             fit_delta_from_covariances(fig2_graph, covs)
         assert dead_edge in err.value.null_edges
+
+    def test_path_incidence_filled_once(self, fig2_graph, fig2_family, monkeypatch):
+        # one path fill per fit, anchored per anchor, not one fill per anchor
+        import extreme_blocks.model as model
+        calls = []
+        real = model._path_fill
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        covs = {u: gaussian_limit(fig2_family, u).cov for u in fig2_graph.nodes}
+        monkeypatch.setattr(model, "_path_fill", counted)
+        fit_delta_from_covariances(fig2_graph, covs)
+        assert len(calls) == 1
 
     def test_spacings_pipeline(self, fig2_graph, fig2_family):
         spacings = {}

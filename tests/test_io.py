@@ -30,6 +30,17 @@ class TestGraphJson:
         with pytest.raises(ValueError):
             ebio.load_graph_json(path)
 
+    @pytest.mark.parametrize("doc", [
+        '{"nodes": 5, "edges": []}',
+        '{"nodes": ["a", "b"], "edges": 7}',
+        '{"nodes": "abc", "edges": []}',
+    ])
+    def test_non_list_fields_rejected(self, tmp_path, doc):
+        path = tmp_path / "g.json"
+        path.write_text(doc)
+        with pytest.raises(ValueError, match="'nodes' and 'edges' lists"):
+            ebio.load_graph_json(path)
+
 
 class TestParamsJson:
     def test_round_trip(self, tmp_path):
@@ -38,6 +49,13 @@ class TestParamsJson:
         ebio.dump_params_json(path, params)
         back = ebio.load_params_json(path)
         assert back == params
+
+    @pytest.mark.parametrize("doc", ['{}', '{"edges": 3}', '{"edges": {"a": "x"}}'])
+    def test_missing_edges_list_rejected(self, tmp_path, doc):
+        path = tmp_path / "p.json"
+        path.write_text(doc)
+        with pytest.raises(ValueError, match="'edges' list"):
+            ebio.load_params_json(path)
 
     def test_duplicate_edge_rejected(self, tmp_path):
         path = tmp_path / "p.json"
@@ -113,6 +131,12 @@ class TestSamplesCsv:
         path = tmp_path / "s.csv"
         path.write_text("x,y\n")
         with pytest.raises(ValueError):
+            ebio.read_samples_csv(path)
+
+    def test_ragged_row_named(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("x,y\n1,2\n3,4,5\n6,7\n")
+        with pytest.raises(ValueError, match="line 3 has 3 values for 2 header nodes"):
             ebio.read_samples_csv(path)
 
 

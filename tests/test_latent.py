@@ -81,6 +81,14 @@ class TestRecoverPathSums:
         with pytest.raises(InconsistentInputError):
             recover_path_sums(fig4_graph, PathSumMatrix(obs.nodes, bad), mask)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+    def test_bad_tolerance_rejected(self, fig4_graph, fig4_family, tol):
+        # a NaN or infinite tol would pass every consistency check
+        p = path_sum_matrix(fig4_family)
+        mask = ObservationMask.from_latent(fig4_graph, ["3"])
+        with pytest.raises(ValueError, match="tol"):
+            recover_path_sums(fig4_graph, p.restrict(mask.observed), mask, tol=tol)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_random_round_trip(self, seed):
         rng = np.random.default_rng(70 + seed)

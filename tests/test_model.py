@@ -290,6 +290,36 @@ class TestExtremalGraphCheck:
                         worst, arg = val, (u, rest[a], rest[b])
         return GraphCheckReport(worst, tolerance, arg)
 
+    def test_one_increment_law_per_clique(self, fig1_family, monkeypatch):
+        import extreme_blocks.model as model
+        calls = []
+        real = model._increment_law
+
+        def counted(d, ci, s):
+            calls.append(ci)
+            return real(d, ci, s)
+
+        monkeypatch.setattr(model, "_increment_law", counted)
+        assert extremal_graph_check(fig1_family) == GraphCheckReport(0.0, 1e-9, None)
+        assert sorted(calls) == list(range(len(fig1_family.graph.cliques)))
+
+    def test_nonzero_entry_charged_to_first_anchor_outside_pair(self, fig2_family, monkeypatch):
+        # a valid family never writes a non-edge entry; plant one to see it reported
+        import extreme_blocks.model as model
+        g = fig2_family.graph
+        b = next(j for j in range(2, len(g.nodes)) if not g.has_edge(g.nodes[0], g.nodes[j]))
+        real = model._clique_precisions
+
+        def planted(d, iu):
+            theta = real(d, iu)
+            theta[0, b] = theta[b, 0] = -0.5
+            return theta
+
+        monkeypatch.setattr(model, "_clique_precisions", planted)
+        report = extremal_graph_check(fig2_family, tolerance=0.1)
+        assert report == GraphCheckReport(0.5, 0.1, (g.nodes[1], g.nodes[0], g.nodes[b]))
+        assert not report.passed
+
     def test_matches_pair_loop_on_figures(self, fig1_family, fig2_family):
         for fam in (fig1_family, fig2_family):
             assert extremal_graph_check(fam) == self.pair_loop_report(fam)
