@@ -21,9 +21,9 @@ from .fit import SampleSet, fit_delta, log_spacings, rank_transform
 from .graph import build_block_graph
 from .latent import ObservationMask, check_identifiable, recover_edge_params, recover_path_sums
 from .model import (
+    GaussianLimit,
     PathSumMatrix,
     extremal_graph_check,
-    gaussian_limit,
     path_sum_matrix,
     precision_matrix,
     validate_delta,
@@ -141,7 +141,7 @@ def cmd_params(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     p = path_sum_matrix(fam)
-    lim = gaussian_limit(fam, u)
+    lim = GaussianLimit.from_path_sums(p, u)
     theta = precision_matrix(fam, u)
     tol = args.tol if args.tol is not None else 1e-9
     report = extremal_graph_check(fam, tolerance=tol)

@@ -24,7 +24,7 @@ from .errors import (
     NonPositiveCoordinateError,
     SubsetTooSmallError,
 )
-from .model import PathSumMatrix, clique_limit_params, psi_from_matrix
+from .model import PathSumMatrix, _anchor, clique_limit_params
 from .mvn import MvnSpec, MvnResult, mvn_cdf, std_normal_cdf
 
 __all__ = [
@@ -93,9 +93,8 @@ def stdf_hr_detailed(p: PathSumMatrix | StdfQuery,
     m = support.size
     total, err = 0.0, 0.0
     for si in range(m):
-        rest = [i for i in range(m) if i != si]
-        args = 2.0 * mat[si, rest] + (logy[si] - logy[rest])
-        psi = psi_from_matrix(mat, si, rest)
+        row, psi = _anchor(mat, si)
+        args = 2.0 * row + (logy[si] - np.delete(logy, si))
         term = mvn_cdf(MvnSpec(args, psi, rel_tol=rel_tol), seed=seed)
         total += float(ys[si]) * term.value
         err += float(ys[si]) * term.error

@@ -228,7 +228,7 @@ def fit_delta_from_covariances(g: BlockGraph, covs: Mapping[str, np.ndarray],
     svals = np.linalg.svd(design, compute_uv=False)
     rank = int(np.sum(svals > 1e-10 * svals[0]))
     if rank < n_edges:
-        _, _, vt = np.linalg.svd(design)
+        _, _, vt = np.linalg.svd(design, full_matrices=False)
         null = vt[rank:]
         involved = np.any(np.abs(null) > 1e-8, axis=0)
         raise UnderdeterminedError([e for e, bad in zip(edges, involved) if bad])

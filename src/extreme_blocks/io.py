@@ -8,6 +8,7 @@ code); semantic validation happens in the domain modules.
 
 from __future__ import annotations
 
+import itertools
 import json
 import struct
 from pathlib import Path
@@ -22,12 +23,6 @@ BINARY_MAGIC = b"EBLK1"
 
 def fmt17(x: float) -> str:
     return format(float(x), ".17g")
-
-
-def _row_template(cols: int) -> str:
-    """printf template for one row of `cols` numbers; "%.17g" formats a
-    float exactly as fmt17 does."""
-    return ",".join(["%.17g"] * cols)
 
 
 # -- JSON inputs -----------------------------------------------------------
@@ -99,13 +94,19 @@ def load_mask_json(path: str | Path) -> list[str]:
 
 # -- matrices as CSV with identifier headers --------------------------------
 
+def _write_rows(path: str | Path, header: str, prefixes: Iterable[str], matrix: np.ndarray):
+    """Write the header line, then each matrix row after its prefix, one
+    row at a time: neither the lines nor the matrix as lists are held.
+    "%.17g" formats a float exactly as fmt17 does."""
+    template = "%s" + ",".join(["%.17g"] * matrix.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for prefix, row in zip(prefixes, matrix):
+            fh.write(template % (prefix, *row.tolist()))
+
+
 def write_matrix_csv(path: str | Path, nodes: Sequence[str], values: np.ndarray):
-    values = np.asarray(values, dtype=float)
-    lines = ["," + ",".join(nodes)]
-    row = "%s," + _row_template(values.shape[1])
-    for v, vals in zip(nodes, values.tolist()):
-        lines.append(row % (v, *vals))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_rows(path, "," + ",".join(nodes), [f"{v}," for v in nodes], np.asarray(values, dtype=float))
 
 
 def read_matrix_csv(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
@@ -152,11 +153,7 @@ def load_matrix_json(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
 
 def write_samples_csv(path: str | Path, nodes: Sequence[str], matrix: np.ndarray):
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    with open(path, "w") as fh:
-        fh.write(",".join(nodes) + "\n")
-        template = _row_template(matrix.shape[1]) + "\n"
-        for row in matrix.tolist():
-            fh.write(template % tuple(row))
+    _write_rows(path, ",".join(nodes), itertools.repeat(""), matrix)
 
 
 def read_samples_csv(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:

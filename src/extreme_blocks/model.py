@@ -8,6 +8,10 @@ covariances), forms the shortest-path-sum matrix P, the log-scale limit
 parameters (mu_u, Sigma_u) for any anchor node, and the structurally exact
 precision matrices Theta_u whose zero pattern encodes the graph.
 
+One map, `_anchor`, turns a conditionally negative definite matrix M and
+a node s into the covariance 2*(m_si + m_sj - m_ij): on Delta_C it gives
+a clique's increment law (validation, sampling, Theta_u), on P it gives
+Sigma_u, on a restricted P each stdf term, and on any M the CND test.
 One fill sums per-clique blocks along shortest paths: on Delta_C it gives
 P, on unit blocks per edge the path-edge incidence, whose anchoring gives
 Sigma_u's coefficients in delta^2 as anchoring P gives Sigma_u. One sum
@@ -42,16 +46,6 @@ def _is_pd(m: np.ndarray, rel: float = PD_REL_TOL) -> bool:
         return True
     w = np.linalg.eigvalsh((m + m.T) / 2.0)
     return w[0] > 0 and w[0] > rel * w[-1]
-
-
-def psi_from_matrix(m: np.ndarray, s: int, rest: Iterable[int]) -> np.ndarray:
-    """Increment covariance built from a symmetric parameter matrix.
-
-    Entry (i, j) is 2*(m[s,i] + m[s,j] - m[i,j]) for i, j in `rest`.
-    """
-    idx = np.asarray(list(rest), dtype=np.intp)
-    row = m[s, idx]
-    return 2.0 * (row[:, None] + row[None, :] - m[np.ix_(idx, idx)])
 
 
 class DeltaFamily:
@@ -114,9 +108,8 @@ def validate_delta(g: BlockGraph, edge_params: Mapping) -> DeltaFamily:
     for ci, clique in enumerate(g.cliques):
         if len(clique) < 2:
             continue
-        members, m = fam.clique_matrix(ci)
-        psi = psi_from_matrix(m, 0, range(1, len(members)))
-        if not _is_pd(psi):
+        _, m = fam.clique_matrix(ci)
+        if not _is_pd(_anchor(m, 0)[1]):
             raise NotCNDError(clique)
     return fam
 
@@ -172,9 +165,9 @@ def _path_fill(g: BlockGraph, blocks: list[np.ndarray], tail: tuple[int, ...] = 
 
 
 def _anchor(p: np.ndarray, iu: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row iu of a path-sum array and 2*(p[iu,i] + p[iu,j] - p[i,j]) over
+    """Row iu of a symmetric array and 2*(p[iu,i] + p[iu,j] - p[i,j]) over
     i, j != iu; trailing axes ride along."""
-    rest = np.delete(np.arange(len(p)), iu)
+    rest = [i for i in range(len(p)) if i != iu]  # cheaper than np.delete on clique-sized arrays
     pu = p[iu, rest]
     return pu, 2.0 * (pu[:, None] + pu[None, :] - p[np.ix_(rest, rest)])
 
@@ -196,21 +189,25 @@ class GaussianLimit:
     mean: np.ndarray
     cov: np.ndarray
 
+    @classmethod
+    def from_path_sums(cls, p: PathSumMatrix, u: str) -> "GaussianLimit":
+        """The limit anchored at u, read off a path-sum matrix already filled."""
+        iu = p.index(u)
+        pu, cov = _anchor(p.values, iu)
+        return cls(u, p.nodes[:iu] + p.nodes[iu + 1:], -2.0 * pu, cov)
+
 
 def gaussian_limit(d: DeltaFamily, u: str) -> GaussianLimit:
-    g = d.graph
-    iu = g.index(u)
-    pu, cov = _anchor(path_sum_matrix(d).values, iu)
-    return GaussianLimit(u, g.nodes[:iu] + g.nodes[iu + 1:], -2.0 * pu, cov)
+    d.graph.index(u)  # an unknown anchor fails before the fill
+    return GaussianLimit.from_path_sums(path_sum_matrix(d), u)
 
 
 def _increment_law(d: DeltaFamily, ci: int, s: int) -> tuple[np.ndarray, np.ndarray]:
     """Mean and covariance of clique ci's log-increments from member s
     (a dense index) to its other members, in sorted member order."""
     _, m = d.clique_matrix(ci)
-    si = d.graph._members[ci].index(s)
-    rest = [i for i in range(len(m)) if i != si]
-    return -2.0 * m[si, rest], psi_from_matrix(m, si, rest)
+    row, psi = _anchor(m, d.graph._members[ci].index(s))
+    return -2.0 * row, psi
 
 
 def clique_limit_params(d: DeltaFamily, C: Iterable[str], s: str) -> tuple[np.ndarray, np.ndarray]:
@@ -221,23 +218,6 @@ def clique_limit_params(d: DeltaFamily, C: Iterable[str], s: str) -> tuple[np.nd
     if s not in d.graph.cliques[ci]:
         raise NodeNotInCliqueError(f"node {s!r} not in clique {tuple(sorted(d.graph.cliques[ci]))}")
     return _increment_law(d, ci, d.graph.index(s))
-
-
-def increment_blocks(d: DeltaFamily, u: str) -> list[tuple[list[str], np.ndarray, np.ndarray]]:
-    """Per-clique increment laws relative to anchor u.
-
-    Returns one (targets, mean, covariance) triple per clique, where
-    targets = C minus its separator toward u, sorted; the targets across
-    cliques partition V minus u.
-    """
-    g = d.graph
-    _, sep = g._anchored(g.index(u))
-    out = []
-    for ci, members in enumerate(g._members):
-        targets = [g.nodes[t] for t in members if t != sep[ci]]
-        mean, psi = _increment_law(d, ci, sep[ci])
-        out.append((targets, mean, psi))
-    return out
 
 
 def _clique_precisions(d: DeltaFamily, iu: int) -> np.ndarray:
@@ -274,8 +254,9 @@ def precision_matrix(d: DeltaFamily, u: str) -> np.ndarray:
 def check_cnd(m: np.ndarray | PathSumMatrix) -> bool:
     """True iff a'Ma < 0 for every nonzero a with sum(a) = 0.
 
-    Tested by contracting -M with the basis e_k - e_d of the zero-sum
-    subspace and checking positive definiteness.
+    Tested by anchoring M at its last index d: the anchored matrix less
+    2*m_dd is -2 B'MB for the basis B of columns e_k - e_d of the zero-sum
+    subspace, and its positive definiteness decides.
     """
     if isinstance(m, PathSumMatrix):
         m = m.values
@@ -284,11 +265,10 @@ def check_cnd(m: np.ndarray | PathSumMatrix) -> bool:
         raise NotSymmetricError("expected a square matrix")
     if not np.allclose(m, m.T, rtol=0, atol=1e-12 * max(1.0, float(np.abs(m).max()))):
         raise NotSymmetricError("matrix is not symmetric")
-    n = m.shape[0]
-    if n < 2:
+    d = m.shape[0] - 1
+    if d < 1:
         return True
-    basis = np.vstack([np.eye(n - 1), -np.ones((1, n - 1))])
-    return _is_pd(-(basis.T @ m @ basis))
+    return _is_pd(_anchor(m, d)[1] - 2.0 * m[d, d])
 
 
 @dataclass(frozen=True)

@@ -128,8 +128,11 @@ def mvn_cdf(spec: MvnSpec, seed: int = 0,
     Dimension 1 delegates to :func:`std_normal_cdf` exactly. Otherwise the
     lattice size doubles until the three-standard-error estimate meets
     rel_tol relative accuracy or the point budget is exhausted, in which
-    case the best estimate is returned with ``converged=False``.
+    case the best estimate is returned with ``converged=False``. A
+    rel_tol that is not finite and positive raises ValueError.
     """
+    if not 0.0 < spec.rel_tol < math.inf:
+        raise ValueError(f"rel_tol must be finite and positive, got {spec.rel_tol}")
     upper = np.atleast_1d(np.asarray(spec.upper, dtype=float))
     cov = np.atleast_2d(np.asarray(spec.cov, dtype=float))
     d = upper.shape[0]

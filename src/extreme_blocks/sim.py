@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import SingularBlockError, UnknownNodeError
-from .model import DeltaFamily, increment_blocks
+from .model import DeltaFamily, _increment_law
 from .sim_keys import PARETO_STREAM_TAG, philox_stream
 
 __all__ = [
@@ -60,50 +60,52 @@ class FieldSample:
 
 
 def _ln_increments(d: DeltaFamily, u: str, n: int, seed: int, threads: int = 1):
-    """(|V|, n) log-increments by node: row v holds the n draws of ln Z for
-    the edge into v from its clique's separator toward u; row u is zero.
+    """(order, sep, lnz): the cliques ordered away from u with each one's
+    separator toward u, from one walk of the anchored block-cut tree, and
+    the (|V|, n) log-increments by node. Row t holds the n draws of ln Z
+    for the edge into t from its clique's separator; row u is zero.
 
-    Returns the per-clique increment laws too.
+    Clique ci's targets are its members other than sep[ci]; their draws
+    follow the clique's increment law at sep[ci], by dense index.
     """
     g = d.graph
-    blocks = increment_blocks(d, u)
+    order, sep = g._anchored(g.index(u))
     out = np.zeros((len(g.nodes), n))
 
     def fill(ci: int):
-        targets, mean, psi = blocks[ci]
+        targets = [t for t in g._members[ci] if t != sep[ci]]
+        mean, psi = _increment_law(d, ci, sep[ci])
         try:
             chol = np.linalg.cholesky(psi)
         except np.linalg.LinAlgError as exc:
             raise SingularBlockError(
-                f"increment covariance for targets {targets} is not factorizable") from exc
+                f"increment covariance for targets {[g.nodes[t] for t in targets]} "
+                "is not factorizable") from exc
         rng = philox_stream(seed, ci)
         z = rng.standard_normal((n, len(targets)))
-        lnz = mean[None, :] + z @ chol.T
-        out[[g.index(v) for v in targets]] = lnz.T
+        out[targets] = (mean[None, :] + z @ chol.T).T
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, range(len(blocks))))
+            list(pool.map(fill, range(len(g._members))))
     else:
-        for ci in range(len(blocks)):
+        for ci in range(len(g._members)):
             fill(ci)
-    return blocks, out
+    return order, sep, out
 
 
 def sample_increments(d: DeltaFamily, u: str, rng_seed: int) -> IncrementDraw:
     """Draw the increment vector Z once: jointly normal on the log scale
     within each clique, independent across cliques, then exponentiated."""
     g = d.graph
-    _, sep = g._anchored(g.index(u))
-    blocks, lnz = _ln_increments(d, u, 1, rng_seed)
+    _, sep, lnz = _ln_increments(d, u, 1, rng_seed)
     values: dict[tuple[str, str], float] = {}
     groups = []
-    for ci, (targets, _, _) in enumerate(blocks):
-        s = g.nodes[sep[ci]]
-        edges = tuple((s, v) for v in targets)
-        for s_, v in edges:
-            values[(s_, v)] = float(np.exp(lnz[g.index(v), 0]))
-        groups.append(edges)
+    for ci, members in enumerate(g._members):
+        s = sep[ci]
+        edges = {(g.nodes[s], g.nodes[t]): float(np.exp(lnz[t, 0])) for t in members if t != s}
+        values.update(edges)
+        groups.append(tuple(edges))
     return IncrementDraw(u, values, tuple(groups))
 
 
@@ -119,11 +121,9 @@ def sample_limit_field(d: DeltaFamily, u: str, n: int, rng_seed: int,
     if n < 1:
         raise ValueError("need at least one draw")
     g = d.graph
-    order, sep = g._anchored(g.index(u))
-    blocks, ln_a = _ln_increments(d, u, n, rng_seed, threads)
+    order, sep, ln_a = _ln_increments(d, u, n, rng_seed, threads)
     for ci in order:
-        idx = [g.index(v) for v in blocks[ci][0]]
-        ln_a[idx] += ln_a[sep[ci]]
+        ln_a[[t for t in g._members[ci] if t != sep[ci]]] += ln_a[sep[ci]]
     return FieldSample(u, g.nodes, np.ascontiguousarray(np.exp(ln_a).T))
 
 
@@ -150,8 +150,8 @@ def mc_stdf(d: DeltaFamily, u: str,
         vec = np.asarray(x, dtype=float)
         if vec.shape != (len(g.nodes),):
             raise ValueError("weight vector does not match the node count")
-    if np.any(vec < 0):
-        raise ValueError("weights must be nonnegative")
+    if np.any(vec < 0) or np.any(~np.isfinite(vec)):
+        raise ValueError("weights must be finite and nonnegative")
     field = sample_limit_field(d, u, n, rng_seed, threads)
     maxima = (field.matrix * vec[None, :]).max(axis=1)
     est = float(maxima.mean())

@@ -104,6 +104,22 @@ class TestParams:
         ebio.write_matrix_csv(out / "P2.csv", nodes, values)
         assert (out / "P2.csv").read_bytes() == raw
 
+    def test_path_sums_filled_once(self, fig2_files, tmp_path, monkeypatch):
+        # P and the anchored limit come from one fill
+        import extreme_blocks.model as model
+        calls = []
+        real = model._path_fill
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(model, "_path_fill", counted)
+        gpath, ppath = fig2_files
+        assert run(["params", "--graph", str(gpath), "--params", str(ppath),
+                    "--anchor", "1", "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 1
+
     def test_unknown_anchor_exit_two(self, fig2_files, tmp_path):
         gpath, ppath = fig2_files
         assert run(["params", "--graph", str(gpath), "--params", str(ppath),

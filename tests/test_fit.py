@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from extreme_blocks import (
     sample_pareto_conditioned,
 )
 from conftest import FIG2_DELTA
-from gen import random_block_graph, random_delta
+from gen import clique_tree_edges, random_block_graph, random_delta
 
 
 class TestRankTransform:
@@ -262,6 +263,21 @@ class TestFitDelta:
         with pytest.raises(UnderdeterminedError) as err:
             fit_delta_from_covariances(fig2_graph, covs)
         assert dead_edge in err.value.null_edges
+
+    def test_rank_deficient_fit_stays_small(self):
+        # zero weights on every anchor leave no information; the null space
+        # comes from the thin SVD, not from the square U of the tall design
+        g = build_block_graph(*clique_tree_edges(np.random.default_rng(5), 21))
+        covs = {u: np.eye(20) for u in g.nodes}
+        tracemalloc.start()
+        try:
+            with pytest.raises(UnderdeterminedError):
+                fit_delta_from_covariances(g, covs, anchor_weights={u: 0.0 for u in g.nodes})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # U alone, 8400 x 8400 float64, takes 564 MB
+        assert peak < 64e6
 
     def test_path_incidence_filled_once(self, fig2_graph, fig2_family, monkeypatch):
         # one path fill per fit, anchored per anchor, not one fill per anchor

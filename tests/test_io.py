@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,22 @@ class TestSamplesCsv:
         path.write_text("x,y\n1,2\n3,4,5\n6,7\n")
         with pytest.raises(ValueError, match="line 3 has 3 values for 2 header nodes"):
             ebio.read_samples_csv(path)
+
+
+@pytest.mark.parametrize("write", [ebio.write_matrix_csv, ebio.write_samples_csv])
+def test_csv_rows_streamed(tmp_path, write):
+    n = 400
+    values = np.random.default_rng(3).standard_normal((n, n))
+    nodes = [f"v{i}" for i in range(n)]
+    tracemalloc.start()
+    try:
+        write(tmp_path / "m.csv", nodes, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the matrix as nested lists takes about 5 MB, its formatted lines more
+    assert peak < 1e6
+    assert len((tmp_path / "m.csv").read_text().splitlines()) == n + 1
 
 
 class TestBinaryMatrix:

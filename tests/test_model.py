@@ -17,7 +17,7 @@ from extreme_blocks import (
     sample_limit_field,
     validate_delta,
 )
-from extreme_blocks.model import psi_from_matrix, sigma_coefficient_matrix
+from extreme_blocks.model import _anchor, _increment_law, sigma_coefficient_matrix
 from conftest import FIG2_DELTA
 from gen import random_block_graph, random_delta, random_tree
 
@@ -32,20 +32,20 @@ class TestValidateDelta:
         g = build_block_graph("ab", [("a", "b")])
         fam = validate_delta(g, {("a", "b"): 0.7})
         members, m = fam.clique_matrix(0)
-        assert np.allclose(psi_from_matrix(m, 0, [1]), [[2.8]])
+        assert np.allclose(_anchor(m, 0)[1], [[2.8]])
 
     def test_unit_triangle_valid(self):
         g, params = triangle(1.0, 1.0, 1.0)
         fam = validate_delta(g, params)
         _, m = fam.clique_matrix(0)
-        psi = psi_from_matrix(m, 0, [1, 2])
+        psi = _anchor(m, 0)[1]
         assert np.allclose(psi, [[4.0, 2.0], [2.0, 4.0]])
         assert np.allclose(np.linalg.eigvalsh(psi), [2.0, 6.0])
 
     def test_violating_triangle_rejected(self):
         g, params = triangle(1.0, 1.0, 5.0)
         # psi anchored at node 1 is [[4, -6], [-6, 4]] with eigenvalues -2, 10
-        psi = psi_from_matrix(np.array([[0, 1, 1], [1, 0, 5.0], [1, 5.0, 0]]), 0, [1, 2])
+        psi = _anchor(np.array([[0, 1, 1], [1, 0, 5.0], [1, 5.0, 0]]), 0)[1]
         assert np.allclose(np.linalg.eigvalsh(psi), [-2.0, 10.0])
         with pytest.raises(NotCNDError) as err:
             validate_delta(g, params)
@@ -208,10 +208,9 @@ class TestPrecision:
         rng = np.random.default_rng(7)
         g = random_tree(rng, 9)
         fam = random_delta(g, rng)
-        from extreme_blocks.model import increment_blocks
-        for u in g.nodes:
-            for targets, _, psi in increment_blocks(fam, u):
-                assert psi.shape == (1, 1)
+        for ci, members in enumerate(g._members):
+            for s in members:
+                assert _increment_law(fam, ci, s)[1].shape == (1, 1)
         # dense inversion oracle agrees with the structural build
         for u in g.nodes:
             lim = gaussian_limit(fam, u)

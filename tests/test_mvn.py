@@ -92,6 +92,13 @@ class TestMvnCdf:
         assert not res.converged
         assert res.error > 0
 
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("rel_tol", [math.nan, 0.0, -1.0, math.inf])
+    def test_bad_rel_tol_rejected(self, d, rel_tol):
+        # a tolerance no estimate can meet would spend the whole point budget
+        with pytest.raises(ValueError, match="rel_tol"):
+            mvn_cdf(MvnSpec(np.zeros(d), np.eye(d), rel_tol=rel_tol))
+
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(2)
         a = rng.standard_normal((5, 5))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from extreme_blocks import (
+    BlockGraph,
     DeltaFamily,
     SingularBlockError,
     UnknownNodeError,
@@ -11,10 +12,12 @@ from extreme_blocks import (
     clique_limit_params,
     gaussian_limit,
     mc_stdf,
+    path_sum_matrix,
     sample_increments,
     sample_limit_field,
     sample_pareto_conditioned,
     std_normal_cdf,
+    stdf_hr_detailed,
     validate_delta,
 )
 
@@ -136,6 +139,70 @@ class TestLimitField:
         b = sample_limit_field(fig2_family, "1", 100, 2).matrix
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("draw", [
+        lambda fam: sample_limit_field(fam, "3", 5, 1),
+        lambda fam: sample_limit_field(fam, "3", 5, 1, threads=2),
+        lambda fam: sample_increments(fam, "3", 1),
+    ], ids=["field", "field-threads", "increments"])
+    def test_one_anchored_walk_per_draw(self, fig1_family, monkeypatch, draw):
+        calls = []
+        real = BlockGraph._anchored
+
+        def counted(self, u):
+            calls.append(u)
+            return real(self, u)
+
+        monkeypatch.setattr(BlockGraph, "_anchored", counted)
+        draw(fig1_family)
+        assert calls == [fig1_family.graph.index("3")]
+
+
+class TestPinnedOutputs:
+    """Seeded outputs on Fig. 1, recorded as literals: a change to the
+    Philox keys, the clique order, the targets or the increment laws
+    changes them."""
+
+    def test_field(self, fig1_family):
+        expect = [
+            [0.1929637691786705, 0.4549481445517294, 0.3947285987544601, 1.0,
+             0.08030999179021246, 0.1560814208450299, 0.0579380687728469, 0.0031911035322808243],
+            [0.471986690772045, 0.08659650067123192, 1.19345116502782, 1.0,
+             0.4875752259480273, 0.53864041537878, 0.07980313009812268, 0.14821236643889674],
+        ]
+        got = sample_limit_field(fig1_family, "3", 2, 20211209).matrix
+        np.testing.assert_allclose(got, expect, rtol=1e-12, atol=0)
+
+    def test_increments(self, fig1_family):
+        expect = {
+            ("2", "0"): 1.2505949638693934, ("2", "1"): 0.4920796246213013,
+            ("2", "3"): 0.7032938825871431, ("6", "2"): 0.09661295892536541,
+            ("6", "4"): 0.7736189183316944, ("6", "5"): 0.284539894964543,
+            ("6", "7"): 0.06970567168032067,
+        }
+        draw = sample_increments(fig1_family, "6", 7)
+        assert list(draw.values) == list(expect)
+        assert draw.groups == (
+            (("2", "0"), ("2", "1")), (("2", "3"),),
+            (("6", "2"), ("6", "4"), ("6", "5")), (("6", "7"),))
+        np.testing.assert_allclose(list(draw.values.values()), list(expect.values()),
+                                   rtol=1e-12, atol=0)
+
+    def test_pareto(self, fig1_family):
+        expect = [
+            [1.542161669642312, 4.91037198622993, 2.3338011244820405, 0.1186174009649322,
+             0.2436045135668934, 0.2798521890667274, 0.869494891993206, 0.5182549922223167],
+            [1.5591460544605928, 0.016364281681272855, 0.11203974597302342, 0.11832727623422122,
+             0.01895388128924703, 0.04373399056418288, 0.005632212178408663, 0.000285483063565213],
+        ]
+        got = sample_pareto_conditioned(fig1_family, "0", 2, 11)
+        np.testing.assert_allclose(got, expect, rtol=1e-12, atol=0)
+
+    def test_stdf(self, fig1_family):
+        value, err = stdf_hr_detailed(path_sum_matrix(fig1_family),
+                                      {"0": 1.0, "3": 0.5, "4": 2.0, "7": 0.8}, rel_tol=1e-4)
+        np.testing.assert_allclose([value, err], [3.3044611819795735, 0.00012106296397417827],
+                                   rtol=1e-12, atol=0)
+
 
 class TestParetoConditioned:
     def test_anchor_marginally_unit_pareto(self, fig2_family):
@@ -182,6 +249,11 @@ class TestMcStdf:
         e1, s1 = mc_stdf(fig2_family, "1", x, 150000, 31)
         e2, s2 = mc_stdf(fig2_family, "4", x, 150000, 32)
         assert abs(e1 - e2) <= 4 * math.hypot(s1, s2)
+
+    @pytest.mark.parametrize("x", [{"1": 1.0, "2": math.nan}, [1.0, math.inf, 0, 0, 0, 0]])
+    def test_non_finite_weights_rejected(self, fig2_family, x):
+        with pytest.raises(ValueError, match="finite"):
+            mc_stdf(fig2_family, "1", x, 10, 1)
 
     def test_log_field_moments_are_gaussian(self, fig2_family):
         from scipy.stats import kurtosis, skew
