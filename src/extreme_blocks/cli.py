@@ -71,7 +71,7 @@ def _add_common(p: argparse.ArgumentParser, *names):
                        help="random seed (mandatory for stochastic commands)")
     if "threads" in names:
         p.add_argument("--threads", type=int, default=_default_threads(),
-                       help="worker threads (default: EXTREME_BLOCKS_THREADS or 1)")
+                       help="worker threads, at most the CPU count (default: EXTREME_BLOCKS_THREADS or 1)")
     if "tol" in names:
         p.add_argument("--tol", type=_tolerance, default=None, help="tolerance override")
     if "out" in names:
@@ -210,9 +210,9 @@ def cmd_stdf(args) -> int:
         w = [1.0] * len(subset)
     rel_tol = args.tol if args.tol is not None else 1e-6
     p = path_sum_matrix(fam)
-    value, err = stdf_hr_detailed(p, dict(zip(subset, w)), rel_tol=rel_tol, seed=args.seed)
-    _emit({"query": {"subset": subset, "weights": w}, "value": value,
-           "error_estimate": err, "seed": args.seed})
+    res = stdf_hr_detailed(p, dict(zip(subset, w)), rel_tol=rel_tol, seed=args.seed)
+    _emit({"query": {"subset": subset, "weights": w}, "value": res.value,
+           "error_estimate": res.error, "converged": res.converged, "seed": args.seed})
     return 0
 
 

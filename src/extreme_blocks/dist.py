@@ -77,28 +77,32 @@ def _as_query(p: PathSumMatrix, values: Mapping[str, float] | Sequence[float]) -
 
 def stdf_hr_detailed(p: PathSumMatrix | StdfQuery,
                      weights: Mapping[str, float] | Sequence[float] | None = None,
-                     *, rel_tol: float = 1e-6, seed: int = 0) -> tuple[float, float]:
-    """stdf value together with the accumulated quadrature error bound."""
+                     *, rel_tol: float = 1e-6, seed: int = 0) -> MvnResult:
+    """stdf value with its quadrature error and point count summed over the
+    MVN terms, converged only when every term converged; unpacks as
+    (value, error)."""
     q = p if isinstance(p, StdfQuery) else _as_query(p, weights)
     y = q.weights
     support = np.flatnonzero(y > 0)
     if support.size == 0:
         raise AllZeroWeightsError("stdf query needs at least one positive weight")
     if support.size == 1:
-        return float(y[support[0]]), 0.0
+        return MvnResult(float(y[support[0]]), 0.0, True, 0)
 
     mat = q.param.values[np.ix_(support, support)]
     ys = y[support]
     logy = np.log(ys)
     m = support.size
-    total, err = 0.0, 0.0
+    total, err, converged, points = 0.0, 0.0, True, 0
     for si in range(m):
         row, psi = _anchor(mat, si)
         args = 2.0 * row + (logy[si] - np.delete(logy, si))
         term = mvn_cdf(MvnSpec(args, psi, rel_tol=rel_tol), seed=seed)
         total += float(ys[si]) * term.value
         err += float(ys[si]) * term.error
-    return total, err
+        converged &= term.converged
+        points += term.points
+    return MvnResult(total, err, converged, points)
 
 
 def stdf_hr(p: PathSumMatrix | StdfQuery,
@@ -110,7 +114,7 @@ def stdf_hr(p: PathSumMatrix | StdfQuery,
     over the support of the weight vector. Satisfies
     max(y) <= value <= sum(y).
     """
-    return stdf_hr_detailed(p, weights, rel_tol=rel_tol, seed=seed)[0]
+    return stdf_hr_detailed(p, weights, rel_tol=rel_tol, seed=seed).value
 
 
 def hr_cdf(p: PathSumMatrix,

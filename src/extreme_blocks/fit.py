@@ -4,7 +4,8 @@ Pipeline: standardize margins to unit Pareto by ranks, collect log-spacings
 above per-anchor thresholds, form empirical covariances, and match them to
 the model covariances, which are linear in the squared edge parameters.
 The resulting nonnegativity-constrained linear least-squares problem is
-solved by a Lawson-Hanson active-set iteration.
+reduced by one thin SVD of its design to |E| equations and solved by a
+Lawson-Hanson active-set iteration.
 """
 
 from __future__ import annotations
@@ -225,15 +226,14 @@ def fit_delta_from_covariances(g: BlockGraph, covs: Mapping[str, np.ndarray],
     design = np.vstack(design_rows)
     target = np.concatenate(target_rows)
 
-    svals = np.linalg.svd(design, compute_uv=False)
+    # design = U S V'; S V' x = U' target has the same least-squares minimizers
+    u_mat, svals, vt = np.linalg.svd(design, full_matrices=False)
     rank = int(np.sum(svals > 1e-10 * svals[0]))
     if rank < n_edges:
-        _, _, vt = np.linalg.svd(design, full_matrices=False)
-        null = vt[rank:]
-        involved = np.any(np.abs(null) > 1e-8, axis=0)
+        involved = np.any(np.abs(vt[rank:]) > 1e-8, axis=0)
         raise UnderdeterminedError([e for e, bad in zip(edges, involved) if bad])
 
-    delta2 = nnls_active_set(design, target, kkt_tol=kkt_tol)
+    delta2 = nnls_active_set(svals[:, None] * vt, u_mat.T @ target, kkt_tol=kkt_tol)
     resid = design @ delta2 - target
     diagnostics = {}
     if row_counts:

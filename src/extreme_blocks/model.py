@@ -20,7 +20,7 @@ of zero-row-sum clique precisions gives every Theta_u by deleting u.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -120,11 +120,15 @@ class PathSumMatrix:
 
     nodes: tuple[str, ...]
     values: np.ndarray
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_index", {v: i for i, v in enumerate(self.nodes)})
 
     def index(self, v: str) -> int:
         try:
-            return self.nodes.index(v)
-        except ValueError:
+            return self._index[v]
+        except KeyError:
             raise UnknownNodeError(f"unknown node {v!r}") from None
 
     def entry(self, a: str, b: str) -> float:
@@ -220,35 +224,32 @@ def clique_limit_params(d: DeltaFamily, C: Iterable[str], s: str) -> tuple[np.nd
     return _increment_law(d, ci, d.graph.index(s))
 
 
-def _clique_precisions(d: DeltaFamily, iu: int) -> np.ndarray:
-    """Sum of the clique precisions without node iu's row and column; iu = n
-    names no node and keeps them all. With K = Psi_C^-1 at a member s,
-    clique C adds K on its other members, -K 1 between them and s, and
-    1'K 1 at (s, s); the rows sum to zero, so leaving out any member t
-    leaves Psi_C^-1 at t. Here s = iu in the cliques at iu and the first
-    member elsewhere. Entries between non-adjacent nodes are never
-    written: the zero pattern is exact."""
+def _clique_precisions(d: DeltaFamily) -> np.ndarray:
+    """Sum of the clique precisions over all nodes. With K = Psi_C^-1 at
+    the first member s, clique C adds K on its other members, -K 1 between
+    them and s, and 1'K 1 at (s, s); the rows sum to zero, so leaving out
+    any member t leaves Psi_C^-1 at t. Entries between non-adjacent nodes
+    are never written: the zero pattern is exact."""
     g = d.graph
-    n = len(g.nodes)
-    theta = np.zeros((n - (iu < n),) * 2)
+    theta = np.zeros((len(g.nodes),) * 2)
     for ci, members in enumerate(g._members):
-        s = iu if iu in members else members[0]
+        s, idx = members[0], members[1:]
         try:
             k = np.linalg.inv(_increment_law(d, ci, s)[1])
         except np.linalg.LinAlgError as exc:  # cannot occur for a valid family
             raise SingularBlockError(f"increment block of clique {sorted(g.cliques[ci])} is singular") from exc
-        idx = [t - (t > iu) for t in members if t != s]
+        col = k.sum(axis=1)
         theta[np.ix_(idx, idx)] += k  # a node's diagonal collects every clique at it
-        if s != iu:
-            js, col = s - (s > iu), k.sum(axis=1)
-            theta[idx, js] = theta[js, idx] = -col
-            theta[js, js] += col.sum()
+        theta[idx, s] = theta[s, idx] = -col
+        theta[s, s] += col.sum()
     return theta
 
 
 def precision_matrix(d: DeltaFamily, u: str) -> np.ndarray:
     """Theta_u, the inverse of Sigma_u: the clique precisions without u."""
-    return _clique_precisions(d, d.graph.index(u))
+    iu = d.graph.index(u)
+    rest = [i for i in range(len(d.graph.nodes)) if i != iu]
+    return _clique_precisions(d)[np.ix_(rest, rest)]
 
 
 def check_cnd(m: np.ndarray | PathSumMatrix) -> bool:
@@ -297,7 +298,7 @@ def extremal_graph_check(d: DeltaFamily, tolerance: float = 1e-9) -> GraphCheckR
     """
     g = d.graph
     n = len(g.nodes)
-    vals = np.triu(np.abs(_clique_precisions(d, n)), 1)
+    vals = np.triu(np.abs(_clique_precisions(d)), 1)
     for members in g._members:  # every edge lies in one clique
         vals[np.ix_(members, members)] = 0.0
     i, j = divmod(int(np.argmax(vals)), n)

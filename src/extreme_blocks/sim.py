@@ -10,6 +10,7 @@ and reproducible regardless of how many workers execute them.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -86,7 +87,8 @@ def _ln_increments(d: DeltaFamily, u: str, n: int, seed: int, threads: int = 1):
         out[targets] = (mean[None, :] + z @ chol.T).T
 
     if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        # more workers than CPUs gain nothing; draws do not depend on the count
+        with ThreadPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as pool:
             list(pool.map(fill, range(len(g._members))))
     else:
         for ci in range(len(g._members)):

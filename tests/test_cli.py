@@ -175,6 +175,26 @@ class TestEvaluations:
         assert rec["value"] == pytest.approx(2 * std_normal_cdf(math.sqrt(1.44)),
                                              abs=1e-12)
         assert rec["seed"] == 0
+        assert rec["converged"] is True
+
+    def test_stdf_record_flags_an_unconverged_term(self, fig1_files, capsys, monkeypatch):
+        import dataclasses
+        import extreme_blocks.dist as dist
+        real = dist.mvn_cdf
+        terms = []
+
+        def second_short(spec, seed=0):
+            res = real(spec, seed=seed)
+            terms.append(res)
+            return dataclasses.replace(res, converged=False) if len(terms) == 2 else res
+
+        monkeypatch.setattr(dist, "mvn_cdf", second_short)
+        gpath, ppath = fig1_files
+        assert run(["stdf", "--graph", str(gpath), "--params", str(ppath),
+                    "--subset", "0,3,4", "--tol", "1e-3"]) == 0
+        rec = json.loads(capsys.readouterr().out.strip())
+        assert len(terms) == 3
+        assert rec["converged"] is False
 
     def test_pareto_cdf_record(self, tmp_path, capsys):
         gpath = tmp_path / "e.json"

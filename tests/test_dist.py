@@ -6,6 +6,7 @@ from scipy.stats import norm
 
 from extreme_blocks import (
     AllZeroWeightsError,
+    MvnResult,
     NonPositiveCoordinateError,
     SubsetTooSmallError,
     build_block_graph,
@@ -17,6 +18,7 @@ from extreme_blocks import (
     path_sum_matrix,
     std_normal_cdf,
     stdf_hr,
+    stdf_hr_detailed,
     validate_delta,
 )
 from gen import random_block_graph, random_delta
@@ -42,6 +44,30 @@ class TestStdf:
 
     def test_unit_weight_vector(self, fig2_psum):
         assert stdf_hr(fig2_psum, {"3": 1.0}) == 1.0
+        assert stdf_hr_detailed(fig2_psum, {"3": 1.0}) == MvnResult(1.0, 0.0, True, 0)
+
+    @pytest.mark.parametrize("short", [None, 1])
+    def test_detailed_sums_the_terms(self, fig2_psum, monkeypatch, short):
+        import dataclasses
+        import extreme_blocks.dist as dist
+        terms = []
+        real = dist.mvn_cdf
+
+        def record(spec, seed=0):
+            res = real(spec, seed=seed)
+            if len(terms) == short:
+                res = dataclasses.replace(res, converged=False)
+            terms.append(res)
+            return res
+
+        monkeypatch.setattr(dist, "mvn_cdf", record)
+        res = stdf_hr_detailed(fig2_psum, {"1": 1.0, "3": 0.7, "5": 1.3}, rel_tol=1e-4)
+        assert len(terms) == 3
+        assert res.converged is (short is None)
+        assert res.points == sum(t.points for t in terms) > 0
+        value, err = res
+        assert (value, err) == (res.value, res.error)
+        assert value == pytest.approx(sum(w * t.value for w, t in zip((1.0, 0.7, 1.3), terms)))
 
     def test_all_zero_weights(self, edge_setup):
         _, _, p = edge_setup

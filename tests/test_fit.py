@@ -152,6 +152,33 @@ class TestNnls:
 
 
 class TestFitDelta:
+    def test_one_svd_and_edge_space_nnls(self, fig2_graph, fig2_family, monkeypatch):
+        # the thin SVD of the design serves the rank test and reduces NNLS
+        # to |E| equations in the |E| unknowns
+        import extreme_blocks.fit as fit_mod
+        svds, systems = [], []
+        real_svd, real_nnls = np.linalg.svd, fit_mod.nnls_active_set
+
+        def svd(a, *args, **kwargs):
+            svds.append(a.shape)
+            return real_svd(a, *args, **kwargs)
+
+        def nnls(a, b, **kwargs):
+            systems.append((a.shape, b.shape))
+            return real_nnls(a, b, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        monkeypatch.setattr(fit_mod, "nnls_active_set", nnls)
+        limits = {u: gaussian_limit(fig2_family, u) for u in fig2_graph.nodes}
+        res = fit_delta_from_covariances(fig2_graph, {u: lim.cov for u, lim in limits.items()},
+                                         {u: lim.mean for u, lim in limits.items()})
+        n_edges = len(fig2_graph.edges)
+        assert len(svds) == 1
+        assert systems == [((n_edges, n_edges), (n_edges,))]
+        assert res.objective <= 1e-18
+        for e, v in FIG2_DELTA.items():
+            assert res.delta2_hat[e] == pytest.approx(v, abs=1e-9)
+
     def test_exact_moments_recover_exactly(self, fig2_graph, fig2_family):
         covs = {u: gaussian_limit(fig2_family, u).cov for u in fig2_graph.nodes}
         res = fit_delta_from_covariances(fig2_graph, covs)

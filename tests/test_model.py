@@ -309,8 +309,8 @@ class TestExtremalGraphCheck:
         b = next(j for j in range(2, len(g.nodes)) if not g.has_edge(g.nodes[0], g.nodes[j]))
         real = model._clique_precisions
 
-        def planted(d, iu):
-            theta = real(d, iu)
+        def planted(d):
+            theta = real(d)
             theta[0, b] = theta[b, 0] = -0.5
             return theta
 
@@ -382,5 +382,11 @@ def test_duplicate_edge_param_rejected(fig2_graph):
 def test_restrict_unknown_node_typed_error(fig2_family):
     from extreme_blocks import UnknownNodeError
     p = path_sum_matrix(fig2_family)
-    with pytest.raises(UnknownNodeError):
+    with pytest.raises(UnknownNodeError, match="unknown node 'zz'"):
         p.restrict(["1", "zz"])
+    sub = p.restrict(["5", "2", "4"])
+    for q in (p, sub):
+        assert [q.index(v) for v in q.nodes] == list(range(len(q.nodes)))
+    assert sub.entry("2", "5") == p.entry("5", "2")
+    with pytest.raises(UnknownNodeError, match="unknown node '1'"):
+        sub.index("1")

@@ -92,6 +92,27 @@ class TestMvnCdf:
         assert not res.converged
         assert res.error > 0
 
+    @pytest.mark.parametrize("rel_tol, max_points", [(1e-6, 1 << 21), (1e-14, 1 << 15)],
+                             ids=["converged", "budget"])
+    def test_each_lattice_point_evaluated_once(self, monkeypatch, rel_tol, max_points):
+        # a doubling evaluates only the points it adds, also past the
+        # 2**14-row blocks
+        import extreme_blocks.mvn as mvn
+        rows = []
+        real = mvn._integrand
+
+        def counted(L, b, w):
+            rows.append(w.shape[0])
+            return real(L, b, w)
+
+        monkeypatch.setattr(mvn, "_integrand", counted)
+        cov = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
+        res = mvn_cdf(MvnSpec(np.array([0.4, -0.2, 1.1]), cov, rel_tol=rel_tol),
+                      randomizations=5, start_points=256, max_points=max_points)
+        assert res.points > 5 * 256  # the lattice doubled
+        assert sum(rows) == res.points
+        assert res.converged == (rel_tol == 1e-6)
+
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("rel_tol", [math.nan, 0.0, -1.0, math.inf])
     def test_bad_rel_tol_rejected(self, d, rel_tol):

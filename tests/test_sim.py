@@ -123,6 +123,32 @@ class TestLimitField:
         b = sample_limit_field(fig1_family, "7", 2000, 5, threads=4).matrix
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("cpus, threads, workers", [(2, 10_000, 2), (None, 48, 1), (8, 3, 3)])
+    def test_workers_capped_at_cpu_count(self, fig1_family, monkeypatch, cpus, threads, workers):
+        # a stand-in pool records the requested workers and runs the cliques
+        # in the calling thread, so no thread is started
+        import extreme_blocks.sim as sim
+        requested = []
+
+        class Inline:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(sim, "ThreadPoolExecutor", Inline)
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: cpus)
+        a = sample_limit_field(fig1_family, "7", 50, 5, threads=threads).matrix
+        assert requested == [workers]
+        assert np.array_equal(a, sample_limit_field(fig1_family, "7", 50, 5).matrix)
+
     def test_unfactorizable_block_raises(self):
         # delta^2 of 1, 1 and 10 on a triangle is not conditionally
         # negative definite: the increment covariance is indefinite
