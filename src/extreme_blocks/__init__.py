@@ -51,9 +51,11 @@ from .mvn import MvnResult, MvnSpec, mvn_cdf, std_normal_cdf
 from .dist import (
     StdfQuery,
     extremal_coefficient,
+    extremal_coefficient_detailed,
     hr_cdf,
     nu_from_stdf,
     pareto_cdf,
+    pareto_cdf_detailed,
     stdf_hr,
     stdf_hr_detailed,
 )

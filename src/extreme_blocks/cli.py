@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import io as ebio
-from .dist import extremal_coefficient, pareto_cdf, stdf_hr_detailed
+from .dist import extremal_coefficient_detailed, pareto_cdf_detailed, stdf_hr_detailed
 from .errors import ExtremeBlocksError, NotIdentifiableError
 from .fit import SampleSet, fit_delta, log_spacings, rank_transform
 from .graph import build_block_graph
@@ -224,9 +224,9 @@ def cmd_pareto_cdf(args) -> int:
         raise ValueError("--point length must match --subset")
     rel_tol = args.tol if args.tol is not None else 1e-6
     p = path_sum_matrix(fam)
-    value = pareto_cdf(p, dict(zip(subset, z)), rel_tol=rel_tol, seed=args.seed)
-    _emit({"query": {"subset": subset, "point": z}, "value": value,
-           "error_estimate": 3.0 * rel_tol, "seed": args.seed})
+    res = pareto_cdf_detailed(p, dict(zip(subset, z)), rel_tol=rel_tol, seed=args.seed)
+    _emit({"query": {"subset": subset, "point": z}, "value": res.value,
+           "error_estimate": res.error, "converged": res.converged, "seed": args.seed})
     return 0
 
 
@@ -235,9 +235,9 @@ def cmd_ec(args) -> int:
     subset = _subset_weights(args, g)
     rel_tol = args.tol if args.tol is not None else 1e-6
     p = path_sum_matrix(fam)
-    value = extremal_coefficient(p, subset, rel_tol=rel_tol, seed=args.seed)
-    _emit({"query": {"subset": subset}, "value": value,
-           "error_estimate": rel_tol * value, "seed": args.seed})
+    res = extremal_coefficient_detailed(p, subset, rel_tol=rel_tol, seed=args.seed)
+    _emit({"query": {"subset": subset}, "value": res.value,
+           "error_estimate": res.error, "converged": res.converged, "seed": args.seed})
     return 0
 
 

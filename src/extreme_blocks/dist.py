@@ -33,7 +33,9 @@ __all__ = [
     "stdf_hr_detailed",
     "hr_cdf",
     "pareto_cdf",
+    "pareto_cdf_detailed",
     "extremal_coefficient",
+    "extremal_coefficient_detailed",
     "clique_limit_params",
     "nu_from_stdf",
     "std_normal_cdf",
@@ -128,6 +130,24 @@ def hr_cdf(p: PathSumMatrix,
     return math.exp(-ell)
 
 
+def pareto_cdf_detailed(p: PathSumMatrix,
+                        z: Mapping[str, float] | Sequence[float],
+                        *, rel_tol: float = 1e-6, seed: int = 0) -> MvnResult:
+    """Pareto CDF value with the first-order error of its three stdf terms,
+    (e_floor + e_z + |v| e_one) / l(1) for the unclamped ratio v; points are
+    summed and converged holds only when every term converged."""
+    sub, zz = _as_values(p, z)
+    if np.any(zz <= 0):
+        raise NonPositiveCoordinateError("Pareto CDF needs strictly positive coordinates")
+    floor, at_z, one = (stdf_hr_detailed(StdfQuery(sub, y), rel_tol=rel_tol, seed=seed)
+                        for y in (1.0 / np.minimum(zz, 1.0), 1.0 / zz, np.ones_like(zz)))
+    val = (floor.value - at_z.value) / one.value
+    return MvnResult(min(max(val, 0.0), 1.0),
+                     (floor.error + at_z.error + abs(val) * one.error) / one.value,
+                     floor.converged and at_z.converged and one.converged,
+                     floor.points + at_z.points + one.points)
+
+
 def pareto_cdf(p: PathSumMatrix,
                z: Mapping[str, float] | Sequence[float],
                *, rel_tol: float = 1e-6, seed: int = 0) -> float:
@@ -137,25 +157,25 @@ def pareto_cdf(p: PathSumMatrix,
 
     which in stdf terms is [l(1/min(z,1)) - l(1/z)] / l(1).
     """
-    sub, zz = _as_values(p, z)
-    if np.any(zz <= 0):
-        raise NonPositiveCoordinateError("Pareto CDF needs strictly positive coordinates")
-    ell_floor = stdf_hr(StdfQuery(sub, 1.0 / np.minimum(zz, 1.0)), rel_tol=rel_tol, seed=seed)
-    ell_z = stdf_hr(StdfQuery(sub, 1.0 / zz), rel_tol=rel_tol, seed=seed)
-    ell_one = stdf_hr(StdfQuery(sub, np.ones_like(zz)), rel_tol=rel_tol, seed=seed)
-    val = (ell_floor - ell_z) / ell_one
-    return min(max(val, 0.0), 1.0)
+    return pareto_cdf_detailed(p, z, rel_tol=rel_tol, seed=seed).value
+
+
+def extremal_coefficient_detailed(p: PathSumMatrix, A: Iterable[str],
+                                  *, rel_tol: float = 1e-6, seed: int = 0) -> MvnResult:
+    """Extremal coefficient as the stdf's MvnResult (value, error, points,
+    converged)."""
+    subset = sorted(set(A))
+    if len(subset) < 2:
+        raise SubsetTooSmallError("extremal coefficient needs at least two nodes")
+    sub = p.restrict(subset)
+    return stdf_hr_detailed(StdfQuery(sub, np.ones(len(subset))), rel_tol=rel_tol, seed=seed)
 
 
 def extremal_coefficient(p: PathSumMatrix, A: Iterable[str],
                          *, rel_tol: float = 1e-6, seed: int = 0) -> float:
     """stdf at the 0/1 indicator of the subset A; ranges from 1
     (comonotone) to |A| (independence)."""
-    subset = sorted(set(A))
-    if len(subset) < 2:
-        raise SubsetTooSmallError("extremal coefficient needs at least two nodes")
-    sub = p.restrict(subset)
-    return stdf_hr(StdfQuery(sub, np.ones(len(subset))), rel_tol=rel_tol, seed=seed)
+    return extremal_coefficient_detailed(p, A, rel_tol=rel_tol, seed=seed).value
 
 
 def nu_from_stdf(ell: Callable[[np.ndarray], float],

@@ -4,8 +4,9 @@ Pipeline: standardize margins to unit Pareto by ranks, collect log-spacings
 above per-anchor thresholds, form empirical covariances, and match them to
 the model covariances, which are linear in the squared edge parameters.
 The resulting nonnegativity-constrained linear least-squares problem is
-reduced by one thin SVD of its design to |E| equations and solved by a
-Lawson-Hanson active-set iteration.
+never stacked: each anchor's rows are folded into one (|E|+1)-square
+triangular factor of [design | target], whose SVD decides identifiability
+and on which a Lawson-Hanson active-set iteration runs.
 """
 
 from __future__ import annotations
@@ -189,6 +190,16 @@ def _weight(name: str, w) -> float:
     return w
 
 
+def _moment(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
+    """An empirical moment: of the given shape, every entry finite."""
+    value = np.asarray(value, dtype=float)
+    if value.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {value.shape}")
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"{name} has a non-finite entry")
+    return value
+
+
 def fit_delta_from_covariances(g: BlockGraph, covs: Mapping[str, np.ndarray],
                                means: Mapping[str, np.ndarray] | None = None, *,
                                mean_weight: float = 1.0,
@@ -199,47 +210,46 @@ def fit_delta_from_covariances(g: BlockGraph, covs: Mapping[str, np.ndarray],
         raise ValueError("need covariance estimates for at least one anchor")
     edges = g.edges_sorted()
     n_edges = len(edges)
-    weights = {}
+    m = len(g.nodes) - 1
+    weights, moments = {}, {}
     for u in covs:
         if anchor_weights and u not in anchor_weights:
             raise ValueError(f"anchor_weights has no weight for anchor {u!r}")
         weights[u] = _weight(f"weight of anchor {u!r}", anchor_weights[u]) if anchor_weights else 1.0
+        if means is not None and u not in means:
+            raise ValueError(f"means has no mean for anchor {u!r}")
+        moments[u] = (_moment(f"covariance of anchor {u!r}", covs[u], (m, m)),
+                      None if means is None else _moment(f"mean of anchor {u!r}", means[u], (m,)))
     mean_weight = _weight("mean_weight", mean_weight)
 
     incidence = _path_incidence(g)
-    m = len(g.nodes) - 1
-    design_rows, target_rows = [], []
-    for u, cov_hat in covs.items():
+    # [[R, c], [0, rho]]: the triangular factor of [design | target], one anchor's rows at a time
+    factor = np.zeros((n_edges + 1, n_edges + 1))
+    for u, (cov_hat, mean_hat) in moments.items():
         coeffs = _anchor(incidence, g.index(u))[1]  # sigma_coefficient_matrix(g, u)
-        cov_hat = np.asarray(cov_hat, dtype=float)
-        if cov_hat.shape != (m, m):
-            raise ValueError(f"anchor {u!r}: covariance must be {m}x{m}")
-        w = weights[u]
-        design_rows.append(np.sqrt(w) * coeffs.reshape(m * m, n_edges))
-        target_rows.append(np.sqrt(w) * cov_hat.reshape(m * m))
-        if means is not None:
+        rows = [np.sqrt(weights[u]) * np.column_stack([coeffs.reshape(m * m, n_edges),
+                                                       cov_hat.reshape(m * m)])]
+        if mean_hat is not None:
             # mu_u = -2 p_u. and Sigma_u's diagonal is 4 p_u.
-            lam = np.sqrt(w * mean_weight)
-            design_rows.append(lam * (-0.5 * np.diagonal(coeffs).T))
-            target_rows.append(lam * np.asarray(means[u], dtype=float))
+            rows.append(np.sqrt(weights[u] * mean_weight) * np.column_stack(
+                [-0.5 * np.diagonal(coeffs).T, mean_hat]))
+        factor = np.linalg.qr(np.vstack([factor, *rows]), mode="r")
+    r, c, rho = factor[:-1, :-1], factor[:-1, -1], factor[-1, -1]
 
-    design = np.vstack(design_rows)
-    target = np.concatenate(target_rows)
-
-    # design = U S V'; S V' x = U' target has the same least-squares minimizers
-    u_mat, svals, vt = np.linalg.svd(design, full_matrices=False)
+    # R has the design's singular values and least-squares minimizers
+    _, svals, vt = np.linalg.svd(r)
     rank = int(np.sum(svals > 1e-10 * svals[0]))
     if rank < n_edges:
         involved = np.any(np.abs(vt[rank:]) > 1e-8, axis=0)
         raise UnderdeterminedError([e for e, bad in zip(edges, involved) if bad])
 
-    delta2 = nnls_active_set(svals[:, None] * vt, u_mat.T @ target, kkt_tol=kkt_tol)
-    resid = design @ delta2 - target
+    delta2 = nnls_active_set(r, c, kkt_tol=kkt_tol)
+    resid = r @ delta2 - c
     diagnostics = {}
     if row_counts:
         diagnostics = {u: {"rows": row_counts[u]} for u in row_counts}
     return FitResult(
         delta2_hat={e: float(v) for e, v in zip(edges, delta2)},
-        objective=float(resid @ resid),
+        objective=float(resid @ resid + rho * rho),
         diagnostics=diagnostics,
     )

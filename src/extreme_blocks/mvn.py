@@ -131,10 +131,16 @@ def mvn_cdf(spec: MvnSpec, seed: int = 0,
     three-standard-error estimate meets rel_tol relative accuracy or the
     point budget is exhausted, in which case the best estimate is returned
     with ``converged=False``; ``points`` counts every evaluation. A rel_tol
-    that is not finite and positive raises ValueError.
+    that is not finite and positive, fewer than two randomizations (no
+    spread to estimate the error from) or fewer than one start point raise
+    ValueError.
     """
     if not 0.0 < spec.rel_tol < math.inf:
         raise ValueError(f"rel_tol must be finite and positive, got {spec.rel_tol}")
+    if randomizations < 2:
+        raise ValueError(f"randomizations must be at least 2, got {randomizations}")
+    if start_points < 1:
+        raise ValueError(f"start_points must be at least 1, got {start_points}")
     upper = np.atleast_1d(np.asarray(spec.upper, dtype=float))
     cov = np.atleast_2d(np.asarray(spec.cov, dtype=float))
     d = upper.shape[0]

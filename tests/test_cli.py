@@ -163,6 +163,24 @@ class TestSimulate:
         assert np.array(doc["matrix"]).shape == (5, 8)
 
 
+@pytest.fixture()
+def second_term_short(monkeypatch):
+    """Marks the second MVN term a query evaluates as unconverged; lists
+    every term evaluated."""
+    import dataclasses
+    import extreme_blocks.dist as dist
+    real = dist.mvn_cdf
+    terms = []
+
+    def second_short(spec, seed=0):
+        res = real(spec, seed=seed)
+        terms.append(res)
+        return dataclasses.replace(res, converged=False) if len(terms) == 2 else res
+
+    monkeypatch.setattr(dist, "mvn_cdf", second_short)
+    return terms
+
+
 class TestEvaluations:
     def test_stdf_single_edge(self, tmp_path, capsys):
         gpath = tmp_path / "e.json"
@@ -177,23 +195,12 @@ class TestEvaluations:
         assert rec["seed"] == 0
         assert rec["converged"] is True
 
-    def test_stdf_record_flags_an_unconverged_term(self, fig1_files, capsys, monkeypatch):
-        import dataclasses
-        import extreme_blocks.dist as dist
-        real = dist.mvn_cdf
-        terms = []
-
-        def second_short(spec, seed=0):
-            res = real(spec, seed=seed)
-            terms.append(res)
-            return dataclasses.replace(res, converged=False) if len(terms) == 2 else res
-
-        monkeypatch.setattr(dist, "mvn_cdf", second_short)
+    def test_stdf_record_flags_an_unconverged_term(self, fig1_files, capsys, second_term_short):
         gpath, ppath = fig1_files
         assert run(["stdf", "--graph", str(gpath), "--params", str(ppath),
                     "--subset", "0,3,4", "--tol", "1e-3"]) == 0
         rec = json.loads(capsys.readouterr().out.strip())
-        assert len(terms) == 3
+        assert len(second_term_short) == 3
         assert rec["converged"] is False
 
     def test_pareto_cdf_record(self, tmp_path, capsys):
@@ -205,6 +212,9 @@ class TestEvaluations:
                     "--subset", "a,b", "--point", "2,2"]) == 0
         rec = json.loads(capsys.readouterr().out.strip())
         assert rec["value"] == pytest.approx(0.5, abs=1e-9)
+        # all three stdf terms are two-node closed forms
+        assert rec["error_estimate"] == 0.0
+        assert rec["converged"] is True
 
     def test_ec_record(self, fig2_files, capsys):
         gpath, ppath = fig2_files
@@ -213,6 +223,23 @@ class TestEvaluations:
         rec = json.loads(capsys.readouterr().out.strip())
         assert rec["value"] == pytest.approx(
             2 * std_normal_cdf(math.sqrt(FIG2_DELTA[("1", "2")])), abs=1e-10)
+        assert rec["error_estimate"] == 0.0
+        assert rec["converged"] is True
+
+    @pytest.mark.parametrize("command, extra", [
+        ("ec", []),
+        ("pareto-cdf", ["--point", "2,0.5,3"]),
+    ])
+    def test_record_flags_an_unconverged_term(self, fig1_files, capsys, second_term_short,
+                                              command, extra):
+        gpath, ppath = fig1_files
+        assert run([command, "--graph", str(gpath), "--params", str(ppath),
+                    "--subset", "0,3,4", "--tol", "1e-3", *extra]) == 0
+        rec = json.loads(capsys.readouterr().out.strip())
+        # pareto-cdf evaluates three stdfs of three terms each
+        assert len(second_term_short) == (3 if command == "ec" else 9)
+        assert rec["converged"] is False
+        assert 0.0 < rec["error_estimate"] <= 1e-3 * (3 if command == "ec" else 10)
 
 
 class TestFitCommand:

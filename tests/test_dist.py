@@ -10,11 +10,14 @@ from extreme_blocks import (
     NonPositiveCoordinateError,
     SubsetTooSmallError,
     build_block_graph,
+    StdfQuery,
     extremal_coefficient,
+    extremal_coefficient_detailed,
     hr_cdf,
     mc_stdf,
     nu_from_stdf,
     pareto_cdf,
+    pareto_cdf_detailed,
     path_sum_matrix,
     std_normal_cdf,
     stdf_hr,
@@ -178,6 +181,22 @@ class TestParetoCdf:
         with pytest.raises(NonPositiveCoordinateError):
             pareto_cdf(p, [-1.0, 2.0])
 
+    def test_detailed_propagates_its_three_terms(self, fig2_psum):
+        z = {"1": 2.0, "3": 0.5, "5": 3.0}
+        res = pareto_cdf_detailed(fig2_psum, z, rel_tol=1e-3, seed=4)
+        assert pareto_cdf(fig2_psum, z, rel_tol=1e-3, seed=4) == res.value
+        sub = fig2_psum.restrict(z)
+        zz = np.array([z[v] for v in sub.nodes])
+        floor, at_z, one = (stdf_hr_detailed(StdfQuery(sub, y), rel_tol=1e-3, seed=4)
+                            for y in (1.0 / np.minimum(zz, 1.0), 1.0 / zz, np.ones(3)))
+        v = (floor.value - at_z.value) / one.value
+        assert res.value == v
+        assert res.error == pytest.approx((floor.error + at_z.error + v * one.error) / one.value,
+                                          rel=1e-12)
+        assert res.error > 0
+        assert res.points == floor.points + at_z.points + one.points
+        assert res.converged
+
 
 class TestExtremalCoefficient:
     def test_pair_closed_form(self, fig2_psum):
@@ -196,6 +215,12 @@ class TestExtremalCoefficient:
     def test_subset_too_small(self, fig2_psum):
         with pytest.raises(SubsetTooSmallError):
             extremal_coefficient(fig2_psum, ["4"])
+
+    def test_detailed_is_the_indicator_stdf(self, fig2_psum):
+        res = extremal_coefficient_detailed(fig2_psum, ["5", "1", "3"], rel_tol=1e-3, seed=2)
+        assert res == stdf_hr_detailed(fig2_psum, {"1": 1.0, "3": 1.0, "5": 1.0},
+                                       rel_tol=1e-3, seed=2)
+        assert extremal_coefficient(fig2_psum, ["1", "3", "5"], rel_tol=1e-3, seed=2) == res.value
 
     def test_triple_vs_monte_carlo(self):
         g = build_block_graph("123", [("1", "2"), ("1", "3"), ("2", "3")])

@@ -153,8 +153,9 @@ class TestNnls:
 
 class TestFitDelta:
     def test_one_svd_and_edge_space_nnls(self, fig2_graph, fig2_family, monkeypatch):
-        # the thin SVD of the design serves the rank test and reduces NNLS
-        # to |E| equations in the |E| unknowns
+        # the anchors fold into one triangular factor [[R, c], [0, rho]];
+        # the SVD of R serves the rank test and NNLS runs on R x ~ c,
+        # |E| equations in the |E| unknowns
         import extreme_blocks.fit as fit_mod
         svds, systems = [], []
         real_svd, real_nnls = np.linalg.svd, fit_mod.nnls_active_set
@@ -293,7 +294,8 @@ class TestFitDelta:
 
     def test_rank_deficient_fit_stays_small(self):
         # zero weights on every anchor leave no information; the null space
-        # comes from the thin SVD, not from the square U of the tall design
+        # comes from the SVD of the (|E|, |E|) factor R, not from the tall
+        # design, which is never stacked
         g = build_block_graph(*clique_tree_edges(np.random.default_rng(5), 21))
         covs = {u: np.eye(20) for u in g.nodes}
         tracemalloc.start()
@@ -303,8 +305,83 @@ class TestFitDelta:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # U alone, 8400 x 8400 float64, takes 564 MB
+        # the square U of the 8400-row design alone would take 564 MB
         assert peak < 64e6
+
+    def test_exact_fit_memory_stays_small(self):
+        # a stacked design and its thin U would trace about 130 MB here;
+        # the fit holds the incidence, one anchor's rows and the factor
+        g = build_block_graph(*clique_tree_edges(np.random.default_rng(5), 41))
+        fam = random_delta(g, np.random.default_rng(6))
+        covs = {u: gaussian_limit(fam, u).cov for u in g.nodes}
+        tracemalloc.start()
+        try:
+            res = fit_delta_from_covariances(g, covs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+        np.testing.assert_allclose(res.as_vector(g), fam.as_vector(), rtol=1e-9)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_factor_matches_stacked_design(self, seed):
+        # reference: the stacked design of every anchor's coefficient rows
+        # (plus the -1/2-diagonal mean rows), solved by scipy's NNLS
+        from extreme_blocks.model import sigma_coefficient_matrix
+        rng = np.random.default_rng(300 + seed)
+        g = random_block_graph(rng, max_nodes=12)
+        fam = random_delta(g, rng)
+        m = len(g.nodes) - 1
+        covs, means = {}, {}
+        for u in g.nodes:
+            lim = gaussian_limit(fam, u)
+            noise = rng.normal(0.0, 0.3, (m, m))
+            covs[u] = lim.cov + (noise + noise.T) / 2
+            means[u] = lim.mean + rng.normal(0.0, 0.3, m)
+        weights = {u: float(w) for u, w in zip(g.nodes, rng.uniform(0.2, 3.0, len(g.nodes)))}
+        mean_weight = float(rng.uniform(0.2, 3.0))
+        for given in (None, means):
+            rows, target = [], []
+            for u in g.nodes:
+                coeffs = sigma_coefficient_matrix(g, u)
+                rows.append(np.sqrt(weights[u]) * coeffs.reshape(m * m, -1))
+                target.append(np.sqrt(weights[u]) * covs[u].reshape(-1))
+                if given is not None:
+                    lam = np.sqrt(weights[u] * mean_weight)
+                    rows.append(lam * -0.5 * np.diagonal(coeffs).T)
+                    target.append(lam * given[u])
+            design, target = np.vstack(rows), np.concatenate(target)
+            expect = scipy.optimize.nnls(design, target)[0]
+            resid = design @ expect - target
+            res = fit_delta_from_covariances(g, covs, given, anchor_weights=weights,
+                                             mean_weight=mean_weight)
+            got = res.as_vector(g)
+            np.testing.assert_allclose(got, expect, rtol=1e-9, atol=1e-9 * np.abs(expect).max())
+            assert res.objective == pytest.approx(resid @ resid, rel=1e-9)
+
+    @pytest.mark.parametrize("moment, anchor, spoil", [
+        ("covs", "1", "nan"),
+        ("covs", "2", "inf"),
+        ("covs", "2", "shape"),
+        ("means", "1", "nan"),
+        ("means", "2", "-inf"),
+        ("means", "1", "shape"),
+        ("means", "1", "missing"),
+    ])
+    def test_moments_validated(self, fig2_graph, fig2_family, moment, anchor, spoil):
+        # a non-finite entry would spread through the factor without a sound
+        limits = {u: gaussian_limit(fig2_family, u) for u in ("1", "2")}
+        given = {"covs": {u: lim.cov.copy() for u, lim in limits.items()},
+                 "means": {u: lim.mean.copy() for u, lim in limits.items()}}
+        spoiled = given[moment]
+        if spoil == "missing":
+            del spoiled[anchor]
+        elif spoil == "shape":
+            spoiled[anchor] = spoiled[anchor][:-1]
+        else:
+            spoiled[anchor].flat[1] = float(spoil)
+        with pytest.raises(ValueError, match=f"anchor '{anchor}'"):
+            fit_delta_from_covariances(fig2_graph, given["covs"], given["means"])
 
     def test_path_incidence_filled_once(self, fig2_graph, fig2_family, monkeypatch):
         # one path fill per fit, anchored per anchor, not one fill per anchor

@@ -120,6 +120,16 @@ class TestMvnCdf:
         with pytest.raises(ValueError, match="rel_tol"):
             mvn_cdf(MvnSpec(np.zeros(d), np.eye(d), rel_tol=rel_tol))
 
+    @pytest.mark.parametrize("lattice, name", [
+        ({"start_points": 0}, "start_points"),  # would never grow the lattice
+        ({"start_points": -4}, "start_points"),  # would report negative points
+        ({"randomizations": 1}, "randomizations"),  # no spread, so a nan error
+        ({"randomizations": 0}, "randomizations"),  # no shift to average
+    ])
+    def test_bad_lattice_rejected(self, lattice, name):
+        with pytest.raises(ValueError, match=name):
+            mvn_cdf(MvnSpec(np.zeros(2), np.eye(2)), **lattice)
+
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(2)
         a = rng.standard_normal((5, 5))
