@@ -12,6 +12,7 @@ from .errors import (
     AllZeroWeightsError,
     ConstantColumnError,
     DifferentiationUnstableError,
+    DimensionCapError,
     DisconnectedGraphError,
     ExtremeBlocksError,
     InconsistentInputError,
@@ -53,6 +54,7 @@ from .dist import (
     extremal_coefficient,
     extremal_coefficient_detailed,
     hr_cdf,
+    hr_cdf_detailed,
     nu_from_stdf,
     pareto_cdf,
     pareto_cdf_detailed,

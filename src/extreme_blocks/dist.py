@@ -32,6 +32,7 @@ __all__ = [
     "stdf_hr",
     "stdf_hr_detailed",
     "hr_cdf",
+    "hr_cdf_detailed",
     "pareto_cdf",
     "pareto_cdf_detailed",
     "extremal_coefficient",
@@ -119,15 +120,24 @@ def stdf_hr(p: PathSumMatrix | StdfQuery,
     return stdf_hr_detailed(p, weights, rel_tol=rel_tol, seed=seed).value
 
 
+def hr_cdf_detailed(p: PathSumMatrix,
+                    x: Mapping[str, float] | Sequence[float],
+                    *, rel_tol: float = 1e-6, seed: int = 0) -> MvnResult:
+    """Max-stable CDF value exp(-l) with the first-order error exp(-l) e_l
+    of its stdf term, and that term's points and converged flag."""
+    sub, point = _as_values(p, x)
+    if np.any(point <= 0):
+        raise NonPositiveCoordinateError("max-stable CDF needs strictly positive coordinates")
+    ell = stdf_hr_detailed(StdfQuery(sub, 1.0 / point), rel_tol=rel_tol, seed=seed)
+    h = math.exp(-ell.value)
+    return MvnResult(h, h * ell.error, ell.converged, ell.points)
+
+
 def hr_cdf(p: PathSumMatrix,
            x: Mapping[str, float] | Sequence[float],
            *, rel_tol: float = 1e-6, seed: int = 0) -> float:
     """Max-stable CDF H(x) = exp(-l(1/x)) at a strictly positive point."""
-    sub, point = _as_values(p, x)
-    if np.any(point <= 0):
-        raise NonPositiveCoordinateError("max-stable CDF needs strictly positive coordinates")
-    ell = stdf_hr(StdfQuery(sub, 1.0 / point), rel_tol=rel_tol, seed=seed)
-    return math.exp(-ell)
+    return hr_cdf_detailed(p, x, rel_tol=rel_tol, seed=seed).value
 
 
 def pareto_cdf_detailed(p: PathSumMatrix,
@@ -135,17 +145,22 @@ def pareto_cdf_detailed(p: PathSumMatrix,
                         *, rel_tol: float = 1e-6, seed: int = 0) -> MvnResult:
     """Pareto CDF value with the first-order error of its three stdf terms,
     (e_floor + e_z + |v| e_one) / l(1) for the unclamped ratio v; points are
-    summed and converged holds only when every term converged."""
+    summed over the stdfs evaluated and converged holds only when every term
+    converged. When every z >= 1 the floor term is l(1) itself and is
+    evaluated once."""
     sub, zz = _as_values(p, z)
     if np.any(zz <= 0):
         raise NonPositiveCoordinateError("Pareto CDF needs strictly positive coordinates")
-    floor, at_z, one = (stdf_hr_detailed(StdfQuery(sub, y), rel_tol=rel_tol, seed=seed)
-                        for y in (1.0 / np.minimum(zz, 1.0), 1.0 / zz, np.ones_like(zz)))
+    ys = [1.0 / zz, np.ones_like(zz)]
+    if np.any(zz < 1.0):  # otherwise 1/min(z, 1) is exactly the ones of l(1)
+        ys.insert(0, 1.0 / np.minimum(zz, 1.0))
+    terms = [stdf_hr_detailed(StdfQuery(sub, y), rel_tol=rel_tol, seed=seed) for y in ys]
+    floor, at_z, one = terms if len(terms) == 3 else (terms[1], *terms)
     val = (floor.value - at_z.value) / one.value
     return MvnResult(min(max(val, 0.0), 1.0),
                      (floor.error + at_z.error + abs(val) * one.error) / one.value,
-                     floor.converged and at_z.converged and one.converged,
-                     floor.points + at_z.points + one.points)
+                     all(t.converged for t in terms),
+                     sum(t.points for t in terms))
 
 
 def pareto_cdf(p: PathSumMatrix,

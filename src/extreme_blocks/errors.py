@@ -2,7 +2,8 @@
 
 Two broad families matter for the CLI exit-code contract: validation
 failures (bad graphs, parameters, masks, domains) and numerical failures
-(singular blocks, unstable differentiation, rank-deficient designs).
+(singular blocks, unstable differentiation, rank-deficient designs,
+MVN terms past the dimension cap).
 Usage problems (bad flags, unparseable files) never reach this module.
 """
 
@@ -105,6 +106,10 @@ class NumericalError(ExtremeBlocksError):
 
 class NotPDError(NumericalError):
     pass
+
+
+class DimensionCapError(NumericalError):
+    """An MVN term has more dimensions than the lattice rule supports."""
 
 
 class SingularBlockError(NumericalError):

@@ -3,9 +3,11 @@
 The multivariate case uses the separation-of-variables transform to the
 unit cube with greedy variable reordering by expected truncation, then
 integrates with a randomized rank-1 lattice rule (square-root-of-primes
-generators, baker's transform) over K independent random shifts; a
-doubled lattice evaluates only its new points. The reported error
-estimate is three standard errors across the shifts.
+generators, baker's transform) over K independent random shifts. The
+lattice starts at 256 points per shift and a doubling evaluates only its
+new points; each block of new lattice points is evaluated for all K
+shifts in one integrand call of at most 2**14 points in total. The
+reported error estimate is three standard errors across the shifts.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .errors import NotPDError
+from .errors import DimensionCapError, NotPDError
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -122,7 +124,7 @@ def _integrand(L: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def mvn_cdf(spec: MvnSpec, seed: int = 0,
             randomizations: int = 10,
-            start_points: int = 2048,
+            start_points: int = 256,
             max_points: int = 1 << 21) -> MvnResult:
     """Estimate P(X <= upper) for X ~ N(0, cov).
 
@@ -133,7 +135,7 @@ def mvn_cdf(spec: MvnSpec, seed: int = 0,
     with ``converged=False``; ``points`` counts every evaluation. A rel_tol
     that is not finite and positive, fewer than two randomizations (no
     spread to estimate the error from) or fewer than one start point raise
-    ValueError.
+    ValueError; more than DIMENSION_CAP dimensions raise DimensionCapError.
     """
     if not 0.0 < spec.rel_tol < math.inf:
         raise ValueError(f"rel_tol must be finite and positive, got {spec.rel_tol}")
@@ -147,7 +149,7 @@ def mvn_cdf(spec: MvnSpec, seed: int = 0,
     if cov.shape != (d, d):
         raise NotPDError(f"covariance shape {cov.shape} does not match dimension {d}")
     if d > DIMENSION_CAP:
-        raise NotPDError(f"dimension {d} exceeds the supported cap of {DIMENSION_CAP}")
+        raise DimensionCapError(f"dimension {d} exceeds the supported cap of {DIMENSION_CAP}")
     if not np.allclose(cov, cov.T, rtol=0, atol=1e-12 * max(1.0, float(np.abs(cov).max()))):
         raise NotPDError("covariance matrix is not symmetric")
 
@@ -166,15 +168,17 @@ def mvn_cdf(spec: MvnSpec, seed: int = 0,
     rng = np.random.Generator(np.random.Philox(key=int(seed) & ((1 << 128) - 1)))
     shifts = rng.random((randomizations, d - 1))
 
-    # i*q + shift for i <= n is a prefix of the doubled lattice: sum the new half
+    # i*q + shift for i <= n is a prefix of the doubled lattice: sum the new
+    # half, a block of lattice points at a time under every shift at once
     sums = np.zeros(randomizations)
+    block = max(1, (1 << 14) // randomizations)
     done, n = 0, start_points
     while True:
-        for r in range(randomizations):
-            for lo in range(done, n, 1 << 14):
-                i = np.arange(lo + 1, min(lo + (1 << 14), n) + 1, dtype=float)[:, None]
-                w = np.abs(2.0 * np.modf(i * q[None, :] + shifts[r])[0] - 1.0)
-                sums[r] += float(_integrand(L, b, w).sum())
+        for lo in range(done, n, block):
+            iq = np.arange(lo + 1, min(lo + block, n) + 1, dtype=float)[:, None] * q
+            w = np.abs(2.0 * np.modf(iq + shifts[:, None, :])[0] - 1.0)
+            f = _integrand(L, b, w.reshape(-1, d - 1))
+            sums += f.reshape(randomizations, -1).sum(axis=1)
         done = n
         means = sums / n
         value = float(means.mean())

@@ -18,13 +18,26 @@ import pytest
 RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
 
 
-@pytest.mark.parametrize("workload", ["structure-n301", "tail-queries", "fit-sweep"])
-def test_workload_smoke(workload):
+def run_smoke(workload, trace):
     proc = subprocess.run(
         [sys.executable, str(RUN), "--workload", workload, "--seed", "1",
-         "--seconds", "0.5", "--trace", "0", "--smoke"],
+         "--seconds", "0.5", "--trace", str(trace), "--smoke"],
         capture_output=True, text=True, timeout=300,
         env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})  # leave perfbench/ untouched
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, proc.stdout.strip().splitlines()[-2][-2000:]
+    return result
+
+
+@pytest.mark.parametrize("workload", ["structure-n301", "tail-queries", "fit-sweep"])
+def test_workload_smoke(workload):
+    run_smoke(workload, 0)
+
+
+def test_traced_tail_queries_see_every_mvn_term():
+    # the trace wraps mvn.mvn_cdf where dist looks it up; a query path
+    # that bypassed it would leave the MVN metrics at 0
+    metrics = run_smoke("tail-queries", 1)["metrics"]
+    for name in ("mvn.calls", "mvn.points", "dist.stdf_calls"):
+        assert metrics[name]["value"] > 0, name

@@ -242,6 +242,21 @@ class TestEvaluations:
         assert 0.0 < rec["error_estimate"] <= 1e-3 * (3 if command == "ec" else 10)
 
 
+    def test_stdf_over_the_dimension_cap_exits_three(self, tmp_path, capsys):
+        # 27 nodes give anchored MVN terms of dimension 26; the path graph's
+        # covariances are fine, only the lattice rule is capped
+        nodes = [f"v{i}" for i in range(27)]
+        gpath = tmp_path / "path.json"
+        ppath = tmp_path / "path_params.json"
+        ebio.dump_graph_json(gpath, nodes, list(zip(nodes, nodes[1:])))
+        ebio.dump_params_json(ppath, {e: 0.5 for e in zip(nodes, nodes[1:])})
+        assert run(["stdf", "--graph", str(gpath), "--params", str(ppath),
+                    "--subset", ",".join(nodes)]) == 3
+        diag = json.loads(capsys.readouterr().out.strip())
+        assert diag["error"] == "DimensionCapError"
+        assert "cap of 25" in diag["message"]
+
+
 class TestFitCommand:
     def test_sweep_outputs(self, fig2_files, tmp_path, capsys):
         gpath, ppath = fig2_files

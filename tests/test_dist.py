@@ -14,6 +14,7 @@ from extreme_blocks import (
     extremal_coefficient,
     extremal_coefficient_detailed,
     hr_cdf,
+    hr_cdf_detailed,
     mc_stdf,
     nu_from_stdf,
     pareto_cdf,
@@ -156,6 +157,40 @@ class TestHrCdf:
         with pytest.raises(NonPositiveCoordinateError):
             hr_cdf(p, [1.0, 0.0])
 
+    def test_detailed_two_node_closed_form(self, edge_setup):
+        # l(y) = y1 Phi(a + ln(y1/y2)/2a) + y2 Phi(a + ln(y2/y1)/2a), a = sqrt(p12) = 1
+        _, _, p = edge_setup
+        y1, y2 = 1 / 1.5, 1 / 0.8
+        ell = (y1 * std_normal_cdf(1 + math.log(y1 / y2) / 2)
+               + y2 * std_normal_cdf(1 + math.log(y2 / y1) / 2))
+        res = hr_cdf_detailed(p, [1.5, 0.8])
+        assert res.value == pytest.approx(math.exp(-ell), abs=1e-12)
+        assert hr_cdf(p, [1.5, 0.8]) == res.value
+        # both terms are univariate, hence exact
+        assert (res.error, res.converged, res.points) == (0.0, True, 0)
+
+    def test_detailed_flags_an_unconverged_term(self, fig2_psum, monkeypatch):
+        import dataclasses
+        import extreme_blocks.dist as dist
+        x = {"1": 1.0, "3": 1.4, "5": 0.8}
+        ell = stdf_hr_detailed(fig2_psum, {v: 1 / t for v, t in x.items()}, rel_tol=1e-4)
+        terms = []
+        real = dist.mvn_cdf
+
+        def second_short(spec, seed=0):
+            res = real(spec, seed=seed)
+            terms.append(res)
+            return dataclasses.replace(res, converged=False) if len(terms) == 2 else res
+
+        monkeypatch.setattr(dist, "mvn_cdf", second_short)
+        res = hr_cdf_detailed(fig2_psum, x, rel_tol=1e-4)
+        assert len(terms) == 3
+        assert res.converged is False
+        assert res.value == math.exp(-ell.value)
+        assert res.error == pytest.approx(res.value * ell.error, rel=1e-15)
+        assert res.error > 0
+        assert res.points == ell.points > 0
+
 
 class TestParetoCdf:
     def test_at_ones_is_zero(self, fig2_psum):
@@ -195,6 +230,31 @@ class TestParetoCdf:
                                           rel=1e-12)
         assert res.error > 0
         assert res.points == floor.points + at_z.points + one.points
+        assert res.converged
+
+    def test_detailed_reuses_l1_when_every_z_at_least_one(self, fig2_psum, monkeypatch):
+        # 1/min(z, 1) is then exactly ones: the floor term is l(1) itself
+        import extreme_blocks.dist as dist
+        z = {"1": 2.0, "3": 1.0, "5": 3.0}
+        sub = fig2_psum.restrict(z)
+        zz = np.array([z[v] for v in sub.nodes])
+        floor, at_z, one = (stdf_hr_detailed(StdfQuery(sub, y), rel_tol=1e-3, seed=4)
+                            for y in (1.0 / np.minimum(zz, 1.0), 1.0 / zz, np.ones(3)))
+        assert floor == one
+        calls = []
+        real = dist.stdf_hr_detailed
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dist, "stdf_hr_detailed", counted)
+        res = pareto_cdf_detailed(fig2_psum, z, rel_tol=1e-3, seed=4)
+        assert len(calls) == 2
+        v = (floor.value - at_z.value) / one.value
+        assert res.value == v > 0
+        assert res.error == (floor.error + at_z.error + v * one.error) / one.value
+        assert res.points == at_z.points + one.points
         assert res.converged
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from extreme_blocks import MvnSpec, NotPDError, mvn_cdf, std_normal_cdf
+from extreme_blocks import DimensionCapError, MvnSpec, NotPDError, mvn_cdf, std_normal_cdf
 
 # frozen from a 30-digit erf evaluation
 PHI_1 = 0.8413447460685429485852
@@ -12,6 +12,34 @@ PHI_HALF = 0.6914624612740131036377
 
 def orthant_exact(rho):
     return 0.25 + math.asin(rho) / (2 * math.pi)
+
+
+def trivariate_orthant_exact(rho):
+    # P(X <= 0) for equicorrelated trivariate normals
+    return 0.125 + 3 * math.asin(rho) / (4 * math.pi)
+
+
+def per_shift_cdf(spec, seed, randomizations=10, start_points=2048, max_points=1 << 21):
+    """Reference copy of the lattice loop that ran each random shift in its
+    own integrand calls of at most 2**14 rows; returns (value, error, points)."""
+    import extreme_blocks.mvn as mvn
+    d = len(spec.upper)
+    L, b = mvn._ordered_cholesky(spec.cov, spec.upper)
+    q = np.sqrt(np.array(mvn._PRIMES[: d - 1], dtype=float))
+    shifts = np.random.Generator(np.random.Philox(key=seed)).random((randomizations, d - 1))
+    sums, done, n = np.zeros(randomizations), 0, start_points
+    while True:
+        for r in range(randomizations):
+            for lo in range(done, n, 1 << 14):
+                i = np.arange(lo + 1, min(lo + (1 << 14), n) + 1, dtype=float)[:, None]
+                w = np.abs(2.0 * np.modf(i * q[None, :] + shifts[r])[0] - 1.0)
+                sums[r] += float(mvn._integrand(L, b, w).sum())
+        done, means = n, sums / n
+        value = float(means.mean())
+        err = 3.0 * float(means.std(ddof=1)) / math.sqrt(randomizations)
+        if err <= spec.rel_tol * value or n >= max_points:
+            return value, err, n * randomizations
+        n *= 2
 
 
 class TestStdNormal:
@@ -82,7 +110,8 @@ class TestMvnCdf:
             mvn_cdf(MvnSpec(np.zeros(2), cov))
 
     def test_dimension_cap(self):
-        with pytest.raises(NotPDError):
+        # the covariance is fine; only the lattice rule's dimension is capped
+        with pytest.raises(DimensionCapError, match="cap of 25"):
             mvn_cdf(MvnSpec(np.zeros(26), np.eye(26)))
 
     def test_tolerance_flag_when_budget_exhausted(self):
@@ -111,7 +140,28 @@ class TestMvnCdf:
                       randomizations=5, start_points=256, max_points=max_points)
         assert res.points > 5 * 256  # the lattice doubled
         assert sum(rows) == res.points
+        # one call covers every shift of a block, at most 2**14 points in all
+        assert rows[0] == 5 * 256
+        assert max(rows) <= 1 << 14
         assert res.converged == (rel_tol == 1e-6)
+
+    @pytest.mark.parametrize("rel_tol", [1e-4, 1e-5])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("seed", [0, 5, 7, 9, 2024])
+    def test_matches_the_per_shift_loop(self, d, seed, rel_tol):
+        # evaluating all shifts of a block in one call changes only the
+        # order in which each shift's points are summed
+        rng = np.random.default_rng([d, seed])
+        a = rng.standard_normal((d, d))
+        cov = a @ a.T + d * np.eye(d)
+        spec = MvnSpec(rng.standard_normal(d) + 0.5, cov, rel_tol=rel_tol)
+        value, err, points = per_shift_cdf(spec, seed)
+        res = mvn_cdf(spec, seed=seed, start_points=2048)
+        assert res.points == points
+        assert res.value == pytest.approx(value, rel=1e-14, abs=0)
+        # the error is a spread of per-shift means a few ulps of the value
+        # apart, so its own relative change can reach 1e-11
+        assert abs(res.error - err) <= 1e-15 * value
 
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("rel_tol", [math.nan, 0.0, -1.0, math.inf])
@@ -154,11 +204,44 @@ class TestMvnCdf:
 class TestTrivariateOrthant:
     @pytest.mark.parametrize("rho", [-0.3, 0.2, 0.6])
     def test_equicorrelated_closed_form(self, rho):
-        # P(X <= 0) for equicorrelated trivariate normals has the closed
-        # form 1/8 + 3*arcsin(rho)/(4*pi)
         cov = np.full((3, 3), rho)
         np.fill_diagonal(cov, 1.0)
         res = mvn_cdf(MvnSpec(np.zeros(3), cov, rel_tol=1e-6))
-        exact = 0.125 + 3 * math.asin(rho) / (4 * math.pi)
+        exact = trivariate_orthant_exact(rho)
         assert res.converged
         assert abs(res.value - exact) <= 1e-6 * exact
+
+
+class TestDefaultStartAccuracy:
+    """The 256-point start stops at the first lattice whose three-standard-
+    error estimate meets the tolerance. Against closed forms it misses the
+    tolerance no more often than the former 2048-point start: the estimate
+    covers about 98.5% of queries (a t law with 9 degrees of freedom), so
+    both starts miss now and then, e.g. the rho=0.9 orthant at seed 4 and
+    rel_tol 1e-5 by 1.5 times, at the same lattice size."""
+
+    @staticmethod
+    def misses(upper, cov, exact, rel_tol, start_points):
+        out = 0
+        for seed in range(6):
+            res = mvn_cdf(MvnSpec(upper, cov, rel_tol=rel_tol), seed=seed,
+                          start_points=start_points)
+            assert res.converged
+            assert abs(res.value - exact) <= 2 * rel_tol * exact
+            out += abs(res.value - exact) > rel_tol * exact
+        return out
+
+    @pytest.mark.parametrize("rel_tol", [1e-4, 1e-5])
+    @pytest.mark.parametrize("rho", [-0.3, 0.2, 0.6])
+    def test_trivariate_orthants(self, rho, rel_tol):
+        cov = np.full((3, 3), rho)
+        np.fill_diagonal(cov, 1.0)
+        args = np.zeros(3), cov, trivariate_orthant_exact(rho), rel_tol
+        assert self.misses(*args, 256) <= self.misses(*args, 2048)
+
+    @pytest.mark.parametrize("rel_tol", [1e-4, 1e-5])
+    @pytest.mark.parametrize("rho", [-0.9, -0.5, 0.5, 0.9])
+    def test_bivariate_arcsine(self, rho, rel_tol):
+        cov = np.array([[1.0, rho], [rho, 1.0]])
+        args = np.zeros(2), cov, orthant_exact(rho), rel_tol
+        assert self.misses(*args, 256) <= self.misses(*args, 2048)
