@@ -81,8 +81,11 @@ def _as_query(p: PathSumMatrix, values: Mapping[str, float] | Sequence[float]) -
 def stdf_hr_detailed(p: PathSumMatrix | StdfQuery,
                      weights: Mapping[str, float] | Sequence[float] | None = None,
                      *, rel_tol: float = 1e-6, seed: int = 0) -> MvnResult:
-    """stdf value with its quadrature error and point count summed over the
-    MVN terms, converged only when every term converged; unpacks as
+    """stdf value with its quadrature error, points and converged flag.
+
+    The m anchored MVN terms are one weighted stack, evaluated by one
+    :func:`mvn_cdf` call on a shared lattice, so the error is that of the
+    pooled estimate rather than a sum of per-term errors; unpacks as
     (value, error)."""
     q = p if isinstance(p, StdfQuery) else _as_query(p, weights)
     y = q.weights
@@ -95,17 +98,11 @@ def stdf_hr_detailed(p: PathSumMatrix | StdfQuery,
     mat = q.param.values[np.ix_(support, support)]
     ys = y[support]
     logy = np.log(ys)
-    m = support.size
-    total, err, converged, points = 0.0, 0.0, True, 0
-    for si in range(m):
-        row, psi = _anchor(mat, si)
-        args = 2.0 * row + (logy[si] - np.delete(logy, si))
-        term = mvn_cdf(MvnSpec(args, psi, rel_tol=rel_tol), seed=seed)
-        total += float(ys[si]) * term.value
-        err += float(ys[si]) * term.error
-        converged &= term.converged
-        points += term.points
-    return MvnResult(total, err, converged, points)
+    anchored = [_anchor(mat, si) for si in range(support.size)]
+    upper = np.array([2.0 * row + (logy[si] - np.delete(logy, si))
+                      for si, (row, _) in enumerate(anchored)])
+    cov = np.array([psi for _, psi in anchored])
+    return mvn_cdf(MvnSpec(upper, cov, rel_tol=rel_tol, weights=ys), seed=seed)
 
 
 def stdf_hr(p: PathSumMatrix | StdfQuery,
@@ -144,10 +141,10 @@ def pareto_cdf_detailed(p: PathSumMatrix,
                         z: Mapping[str, float] | Sequence[float],
                         *, rel_tol: float = 1e-6, seed: int = 0) -> MvnResult:
     """Pareto CDF value with the first-order error of its three stdf terms,
-    (e_floor + e_z + |v| e_one) / l(1) for the unclamped ratio v; points are
-    summed over the stdfs evaluated and converged holds only when every term
-    converged. When every z >= 1 the floor term is l(1) itself and is
-    evaluated once."""
+    (e_floor + e_z + |v| e_one) / l(1) for the unclamped ratio v, where each
+    e is a stdf's pooled error; points are summed over the stdfs evaluated
+    and converged holds only when every stdf converged. When every z >= 1
+    the floor term is l(1) itself and is evaluated once."""
     sub, zz = _as_values(p, z)
     if np.any(zz <= 0):
         raise NonPositiveCoordinateError("Pareto CDF needs strictly positive coordinates")

@@ -4,9 +4,9 @@ Pipeline: standardize margins to unit Pareto by ranks, collect log-spacings
 above per-anchor thresholds, form empirical covariances, and match them to
 the model covariances, which are linear in the squared edge parameters.
 The resulting nonnegativity-constrained linear least-squares problem is
-never stacked: each anchor's rows are folded into one (|E|+1)-square
-triangular factor of [design | target], whose SVD decides identifiability
-and on which a Lawson-Hanson active-set iteration runs.
+never stacked: each anchor's upper-triangle rows are folded into one
+(|E|+1)-square triangular factor of [design | target], whose SVD decides
+identifiability and on which a Lawson-Hanson active-set iteration runs.
 """
 
 from __future__ import annotations
@@ -223,12 +223,19 @@ def fit_delta_from_covariances(g: BlockGraph, covs: Mapping[str, np.ndarray],
     mean_weight = _weight("mean_weight", mean_weight)
 
     incidence = _path_incidence(g)
+    # Sigma_u is symmetric, so rows (i, j) and (j, i) fold as one upper-triangle
+    # row scaled by sqrt(2) against their mean; what the mean leaves of an
+    # asymmetric Sigma_hat_u is a constant of the objective
+    iu, ju = np.triu_indices(m)
+    fold = np.where(iu == ju, 1.0, np.sqrt(2.0))[:, None]
+    asymmetry = 0.0
     # [[R, c], [0, rho]]: the triangular factor of [design | target], one anchor's rows at a time
     factor = np.zeros((n_edges + 1, n_edges + 1))
     for u, (cov_hat, mean_hat) in moments.items():
         coeffs = _anchor(incidence, g.index(u))[1]  # sigma_coefficient_matrix(g, u)
-        rows = [np.sqrt(weights[u]) * np.column_stack([coeffs.reshape(m * m, n_edges),
-                                                       cov_hat.reshape(m * m)])]
+        target = 0.5 * (cov_hat + cov_hat.T)
+        asymmetry += weights[u] * float(np.sum((cov_hat - cov_hat.T) ** 2)) / 4.0
+        rows = [np.sqrt(weights[u]) * fold * np.column_stack([coeffs[iu, ju], target[iu, ju]])]
         if mean_hat is not None:
             # mu_u = -2 p_u. and Sigma_u's diagonal is 4 p_u.
             rows.append(np.sqrt(weights[u] * mean_weight) * np.column_stack(
@@ -250,6 +257,6 @@ def fit_delta_from_covariances(g: BlockGraph, covs: Mapping[str, np.ndarray],
         diagnostics = {u: {"rows": row_counts[u]} for u in row_counts}
     return FitResult(
         delta2_hat={e: float(v) for e, v in zip(edges, delta2)},
-        objective=float(resid @ resid + rho * rho),
+        objective=float(resid @ resid + rho * rho + asymmetry),
         diagnostics=diagnostics,
     )

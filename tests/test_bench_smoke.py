@@ -41,3 +41,6 @@ def test_traced_tail_queries_see_every_mvn_term():
     metrics = run_smoke("tail-queries", 1)["metrics"]
     for name in ("mvn.calls", "mvn.points", "dist.stdf_calls"):
         assert metrics[name]["value"] > 0, name
+    # every stdf of the workload has at least two positive weights, so
+    # each makes exactly one mvn_cdf call for all of its terms
+    assert metrics["mvn.calls"]["value"] == metrics["dist.stdf_calls"]["value"]

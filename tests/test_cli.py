@@ -164,21 +164,21 @@ class TestSimulate:
 
 
 @pytest.fixture()
-def second_term_short(monkeypatch):
-    """Marks the second MVN term a query evaluates as unconverged; lists
-    every term evaluated."""
+def first_stdf_short(monkeypatch):
+    """Marks the MVN call of the first stdf a query evaluates as
+    unconverged (one call per stdf); lists every call's result."""
     import dataclasses
     import extreme_blocks.dist as dist
     real = dist.mvn_cdf
-    terms = []
+    stdfs = []
 
-    def second_short(spec, seed=0):
+    def first_short(spec, seed=0):
         res = real(spec, seed=seed)
-        terms.append(res)
-        return dataclasses.replace(res, converged=False) if len(terms) == 2 else res
+        stdfs.append(res)
+        return dataclasses.replace(res, converged=False) if len(stdfs) == 1 else res
 
-    monkeypatch.setattr(dist, "mvn_cdf", second_short)
-    return terms
+    monkeypatch.setattr(dist, "mvn_cdf", first_short)
+    return stdfs
 
 
 class TestEvaluations:
@@ -195,12 +195,12 @@ class TestEvaluations:
         assert rec["seed"] == 0
         assert rec["converged"] is True
 
-    def test_stdf_record_flags_an_unconverged_term(self, fig1_files, capsys, second_term_short):
+    def test_stdf_record_flags_an_unconverged_term(self, fig1_files, capsys, first_stdf_short):
         gpath, ppath = fig1_files
         assert run(["stdf", "--graph", str(gpath), "--params", str(ppath),
                     "--subset", "0,3,4", "--tol", "1e-3"]) == 0
         rec = json.loads(capsys.readouterr().out.strip())
-        assert len(second_term_short) == 3
+        assert len(first_stdf_short) == 1
         assert rec["converged"] is False
 
     def test_pareto_cdf_record(self, tmp_path, capsys):
@@ -230,14 +230,14 @@ class TestEvaluations:
         ("ec", []),
         ("pareto-cdf", ["--point", "2,0.5,3"]),
     ])
-    def test_record_flags_an_unconverged_term(self, fig1_files, capsys, second_term_short,
+    def test_record_flags_an_unconverged_term(self, fig1_files, capsys, first_stdf_short,
                                               command, extra):
         gpath, ppath = fig1_files
         assert run([command, "--graph", str(gpath), "--params", str(ppath),
                     "--subset", "0,3,4", "--tol", "1e-3", *extra]) == 0
         rec = json.loads(capsys.readouterr().out.strip())
-        # pareto-cdf evaluates three stdfs of three terms each
-        assert len(second_term_short) == (3 if command == "ec" else 9)
+        # pareto-cdf evaluates three stdfs, each one MVN call
+        assert len(first_stdf_short) == (1 if command == "ec" else 3)
         assert rec["converged"] is False
         assert 0.0 < rec["error_estimate"] <= 1e-3 * (3 if command == "ec" else 10)
 

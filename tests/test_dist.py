@@ -7,6 +7,7 @@ from scipy.stats import norm
 from extreme_blocks import (
     AllZeroWeightsError,
     MvnResult,
+    MvnSpec,
     NonPositiveCoordinateError,
     SubsetTooSmallError,
     build_block_graph,
@@ -25,7 +26,7 @@ from extreme_blocks import (
     stdf_hr_detailed,
     validate_delta,
 )
-from gen import random_block_graph, random_delta
+from gen import clique_tree_edges, random_block_graph, random_delta
 
 
 @pytest.fixture(scope="module")
@@ -52,26 +53,42 @@ class TestStdf:
 
     @pytest.mark.parametrize("short", [None, 1])
     def test_detailed_sums_the_terms(self, fig2_psum, monkeypatch, short):
+        # one MVN call stacks the stdf's terms; the first `short` calls come
+        # back unconverged
         import dataclasses
         import extreme_blocks.dist as dist
-        terms = []
-        real = dist.mvn_cdf
+        import extreme_blocks.mvn as mvn
+        calls, rows = [], []
+        real, integrand = dist.mvn_cdf, mvn._integrand
 
         def record(spec, seed=0):
             res = real(spec, seed=seed)
-            if len(terms) == short:
+            if short and len(calls) < short:
                 res = dataclasses.replace(res, converged=False)
-            terms.append(res)
+            calls.append((spec, res))
             return res
 
+        def counted(L, b, w):
+            rows.append(w.shape[0])
+            return integrand(L, b, w)
+
         monkeypatch.setattr(dist, "mvn_cdf", record)
-        res = stdf_hr_detailed(fig2_psum, {"1": 1.0, "3": 0.7, "5": 1.3}, rel_tol=1e-4)
-        assert len(terms) == 3
+        monkeypatch.setattr(mvn, "_integrand", counted)
+        y = (1.0, 0.7, 1.3)
+        res = stdf_hr_detailed(fig2_psum, {"1": y[0], "3": y[1], "5": y[2]}, rel_tol=1e-4)
+        assert len(calls) == 1
+        spec, out = calls[0]
+        assert spec.upper.shape == (3, 2) and spec.cov.shape == (3, 2, 2)
+        assert tuple(spec.weights) == y
+        assert res == out
         assert res.converged is (short is None)
-        assert res.points == sum(t.points for t in terms) > 0
+        # the points are every integrand row, summed over the terms' lattices
+        assert res.points == sum(rows) > 0
         value, err = res
         assert (value, err) == (res.value, res.error)
-        assert value == pytest.approx(sum(w * t.value for w, t in zip((1.0, 0.7, 1.3), terms)))
+        # the pooled value is the weighted sum of the terms evaluated alone
+        terms = [real(MvnSpec(u, c, rel_tol=1e-6)) for u, c in zip(spec.upper, spec.cov)]
+        assert value == pytest.approx(sum(w * t.value for w, t in zip(y, terms)), rel=1e-4)
 
     def test_all_zero_weights(self, edge_setup):
         _, _, p = edge_setup
@@ -177,14 +194,14 @@ class TestHrCdf:
         terms = []
         real = dist.mvn_cdf
 
-        def second_short(spec, seed=0):
+        def short(spec, seed=0):
             res = real(spec, seed=seed)
             terms.append(res)
-            return dataclasses.replace(res, converged=False) if len(terms) == 2 else res
+            return dataclasses.replace(res, converged=False)
 
-        monkeypatch.setattr(dist, "mvn_cdf", second_short)
+        monkeypatch.setattr(dist, "mvn_cdf", short)
         res = hr_cdf_detailed(fig2_psum, x, rel_tol=1e-4)
-        assert len(terms) == 3
+        assert len(terms) == 1  # one MVN call for the stdf's three terms
         assert res.converged is False
         assert res.value == math.exp(-ell.value)
         assert res.error == pytest.approx(res.value * ell.error, rel=1e-15)
@@ -300,6 +317,40 @@ class TestExtremalCoefficient:
         if len(subset) >= 2:
             val = extremal_coefficient(p, subset, rel_tol=1e-5)
             assert 1.0 - 1e-9 <= val <= len(subset) + 1e-9
+
+
+class TestPooledError:
+    """A stdf is one MVN call stopped at the t-quantile error of its pooled
+    estimate; seeded queries meet their tolerance against a reference at a
+    100 times tighter tolerance and another seed."""
+
+    def test_seeded_queries_meet_their_tolerance(self):
+        rng = np.random.default_rng(7)
+        nodes, edges = clique_tree_edges(rng, 12)
+        p = path_sum_matrix(random_delta(build_block_graph(nodes, edges), rng))
+        tol = 1e-3
+        for i in range(100):
+            kind = ("stdf", "ec", "stdf", "ec", "pareto")[i % 5]
+            m = 3 + i % 3
+            sub = sorted(rng.choice(nodes, m, replace=False))
+            values = dict(zip(sub, rng.uniform(0.2, 2.0, m)))
+            seed = int(rng.integers(1 << 31))
+
+            def evaluate(rel_tol, seed):
+                if kind == "stdf":
+                    return stdf_hr_detailed(p, values, rel_tol=rel_tol, seed=seed)
+                if kind == "ec":
+                    return extremal_coefficient_detailed(p, sub, rel_tol=rel_tol, seed=seed)
+                point = {v: 2.0 * x for v, x in values.items()}  # around the threshold 1
+                return pareto_cdf_detailed(p, point, rel_tol=rel_tol, seed=seed)
+
+            res, ref = evaluate(tol, seed), evaluate(tol / 100, seed + 1)
+            assert res.converged, i
+            if kind == "pareto":
+                # rel_tol bounds each of its stdfs, and so the propagated error
+                assert abs(res.value - ref.value) <= res.error, i
+            else:
+                assert abs(res.value - ref.value) <= tol * ref.value, i
 
 
 class TestNuFromStdf:

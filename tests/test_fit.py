@@ -359,6 +359,25 @@ class TestFitDelta:
             np.testing.assert_allclose(got, expect, rtol=1e-9, atol=1e-9 * np.abs(expect).max())
             assert res.objective == pytest.approx(resid @ resid, rel=1e-9)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_asymmetric_covariance_matches_the_full_fold(self, seed):
+        # only the upper triangle is folded, against (c_ij + c_ji) / 2; the
+        # objective still counts every entry of an asymmetric Sigma_hat_u
+        from extreme_blocks.model import sigma_coefficient_matrix
+        rng = np.random.default_rng(700 + seed)
+        g = random_block_graph(rng, max_nodes=10)
+        fam = random_delta(g, rng)
+        m = len(g.nodes) - 1
+        covs = {u: gaussian_limit(fam, u).cov + rng.normal(0.0, 0.3, (m, m)) for u in g.nodes}
+        design = np.vstack([sigma_coefficient_matrix(g, u).reshape(m * m, -1) for u in g.nodes])
+        target = np.concatenate([covs[u].reshape(-1) for u in g.nodes])
+        expect = scipy.optimize.nnls(design, target)[0]
+        resid = design @ expect - target
+        res = fit_delta_from_covariances(g, covs)
+        np.testing.assert_allclose(res.as_vector(g), expect, rtol=1e-9,
+                                   atol=1e-9 * np.abs(expect).max())
+        assert res.objective == pytest.approx(resid @ resid, rel=1e-9)
+
     @pytest.mark.parametrize("moment, anchor, spoil", [
         ("covs", "1", "nan"),
         ("covs", "2", "inf"),

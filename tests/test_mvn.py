@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from extreme_blocks import DimensionCapError, MvnSpec, NotPDError, mvn_cdf, std_normal_cdf
+from extreme_blocks import (
+    DimensionCapError, MvnResult, MvnSpec, NotPDError, mvn_cdf, std_normal_cdf,
+)
 
 # frozen from a 30-digit erf evaluation
 PHI_1 = 0.8413447460685429485852
@@ -21,8 +23,10 @@ def trivariate_orthant_exact(rho):
 
 def per_shift_cdf(spec, seed, randomizations=10, start_points=2048, max_points=1 << 21):
     """Reference copy of the lattice loop that ran each random shift in its
-    own integrand calls of at most 2**14 rows; returns (value, error, points)."""
+    own integrand calls of at most 2**14 rows, with the error at the t
+    quantile; returns (value, error, points)."""
     import extreme_blocks.mvn as mvn
+    from scipy.special import stdtrit
     d = len(spec.upper)
     L, b = mvn._ordered_cholesky(spec.cov, spec.upper)
     q = np.sqrt(np.array(mvn._PRIMES[: d - 1], dtype=float))
@@ -36,7 +40,8 @@ def per_shift_cdf(spec, seed, randomizations=10, start_points=2048, max_points=1
                 sums[r] += float(mvn._integrand(L, b, w).sum())
         done, means = n, sums / n
         value = float(means.mean())
-        err = 3.0 * float(means.std(ddof=1)) / math.sqrt(randomizations)
+        spread = float(means.std(ddof=1)) / math.sqrt(randomizations)
+        err = stdtrit(randomizations - 1, 0.99865) * spread
         if err <= spec.rel_tol * value or n >= max_points:
             return value, err, n * randomizations
         n *= 2
@@ -213,12 +218,9 @@ class TestTrivariateOrthant:
 
 
 class TestDefaultStartAccuracy:
-    """The 256-point start stops at the first lattice whose three-standard-
+    """The 256-point start stops at the first lattice whose t-quantile
     error estimate meets the tolerance. Against closed forms it misses the
-    tolerance no more often than the former 2048-point start: the estimate
-    covers about 98.5% of queries (a t law with 9 degrees of freedom), so
-    both starts miss now and then, e.g. the rho=0.9 orthant at seed 4 and
-    rel_tol 1e-5 by 1.5 times, at the same lattice size."""
+    tolerance no more often than the former 2048-point start."""
 
     @staticmethod
     def misses(upper, cov, exact, rel_tol, start_points):
@@ -245,3 +247,113 @@ class TestDefaultStartAccuracy:
         cov = np.array([[1.0, rho], [rho, 1.0]])
         args = np.zeros(2), cov, orthant_exact(rho), rel_tol
         assert self.misses(*args, 256) <= self.misses(*args, 2048)
+
+
+class TestStackedSpec:
+    """A spec may stack t terms of one dimension with nonnegative weights;
+    mvn_cdf estimates sum_t w_t P(X_t <= upper_t) on one set of shifts."""
+
+    @staticmethod
+    def random_terms(rng, t, d):
+        a = rng.standard_normal((t, d, d))
+        cov = a @ a.transpose(0, 2, 1) + d * np.eye(d)
+        return rng.standard_normal((t, d)) + 0.5, cov
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_one_term_stack_is_the_plain_spec(self, d):
+        upper, cov = self.random_terms(np.random.default_rng(d), 1, d)
+        plain = mvn_cdf(MvnSpec(upper[0], cov[0], rel_tol=1e-5), seed=3)
+        for weights in (None, [1.0]):
+            stacked = mvn_cdf(MvnSpec(upper, cov, rel_tol=1e-5, weights=weights), seed=3)
+            assert stacked == plain
+
+    def test_the_t_quantile_meets_the_tolerance(self):
+        # three standard errors over 10 shifts stopped this query at a true
+        # relative error of 1.51e-5
+        cov = np.array([[1.0, 0.9], [0.9, 1.0]])
+        res = mvn_cdf(MvnSpec(np.zeros(2), cov, rel_tol=1e-5), seed=4)
+        assert res.converged
+        assert abs(res.value - orthant_exact(0.9)) <= 1e-5 * orthant_exact(0.9)
+
+    def test_weighted_sum_of_closed_forms(self):
+        rhos, weights = [-0.5, 0.2, 0.9], np.array([0.3, 1.7, 1.0])
+        cov = np.array([[[1.0, r], [r, 1.0]] for r in rhos])
+        res = mvn_cdf(MvnSpec(np.zeros((3, 2)), cov, rel_tol=1e-6, weights=weights), seed=1)
+        exact = sum(w * orthant_exact(r) for w, r in zip(weights, rhos))
+        assert res.converged
+        assert abs(res.value - exact) <= 1e-6 * exact
+
+    def test_d1_stack_is_exact(self):
+        upper, var, weights = np.array([[0.3], [-1.2]]), np.array([[[4.0]], [[0.5]]]), [2.0, 0.5]
+        res = mvn_cdf(MvnSpec(upper, var, weights=weights))
+        exact = 2.0 * std_normal_cdf(0.15) + 0.5 * std_normal_cdf(-1.2 / math.sqrt(0.5))
+        assert res == MvnResult(exact, 0.0, True, 0)
+
+    def test_terms_that_add_nothing_cost_nothing(self, monkeypatch):
+        # a -inf bound or a zero weight adds exactly 0, and no lattice points
+        import extreme_blocks.mvn as mvn
+        rows = []
+        real = mvn._integrand
+        monkeypatch.setattr(mvn, "_integrand",
+                            lambda L, b, w: rows.append(w.shape[0]) or real(L, b, w))
+        upper, cov = self.random_terms(np.random.default_rng(5), 3, 3)
+        alone = mvn_cdf(MvnSpec(upper[0], cov[0], rel_tol=1e-4), seed=2)
+        upper[1, 2] = -np.inf
+        rows.clear()
+        res = mvn_cdf(MvnSpec(upper, cov, rel_tol=1e-4, weights=[1.0, 1.0, 0.0]), seed=2)
+        assert res == alone
+        assert sum(rows) == res.points
+        nothing = mvn_cdf(MvnSpec(upper[1:], cov[1:], weights=[1.0, 0.0]))
+        assert nothing == MvnResult(0.0, 0.0, True, 0)
+
+    def test_the_noisiest_term_doubles(self, monkeypatch):
+        # a term whose integrand is nearly constant keeps its starting
+        # lattice; the points spent are every integrand row
+        import extreme_blocks.mvn as mvn
+        rows = {}
+        real = mvn._integrand
+
+        def counted(L, b, w):
+            key = float(b.max())
+            rows[key] = rows.get(key, 0) + w.shape[0]
+            return real(L, b, w)
+
+        monkeypatch.setattr(mvn, "_integrand", counted)
+        cov = np.array([[[1.0, 0.6, 0.3], [0.6, 1.0, 0.5], [0.3, 0.5, 1.0]]] * 2)
+        upper = np.array([[0.1, 0.2, 0.3], [9.0, 8.0, 7.0]])
+        res = mvn_cdf(MvnSpec(upper, cov, rel_tol=1e-6), randomizations=5, start_points=256)
+        assert res.converged
+        assert rows[9.0] == 5 * 256
+        assert rows[0.3] > 5 * 256
+        assert res.points == rows[9.0] + rows[0.3]
+
+    def test_unconverged_only_when_no_term_can_double(self):
+        upper, cov = self.random_terms(np.random.default_rng(6), 3, 3)
+        res = mvn_cdf(MvnSpec(upper, cov, rel_tol=1e-14), randomizations=4,
+                      start_points=128, max_points=512)
+        assert not res.converged
+        assert res.points == 3 * 512 * 4
+        assert res.error > 0
+
+    @pytest.mark.parametrize("upper, cov, weights", [
+        (np.zeros((2, 3)), np.stack([np.eye(3)] * 3), None),  # three covariances, two bounds
+        (np.zeros((2, 3)), np.stack([np.eye(2)] * 2), None),  # covariances of another dimension
+        (np.zeros(3), np.stack([np.eye(3)] * 2), None),  # a plain bound on a stack
+        (np.zeros((2, 3)), np.stack([np.eye(3)] * 2), [1.0]),  # one weight for two terms
+        (np.zeros((0, 3)), np.zeros((0, 3, 3)), None),  # no term
+        (np.zeros((2, 3)), np.stack([np.eye(3)] * 2), [1.0, -0.5]),
+        (np.zeros((2, 3)), np.stack([np.eye(3)] * 2), [1.0, math.nan]),
+        (np.zeros((2, 3)), np.stack([np.eye(3)] * 2), [math.inf, 1.0]),
+    ])
+    def test_bad_stack_rejected(self, upper, cov, weights):
+        with pytest.raises(ValueError):
+            mvn_cdf(MvnSpec(upper, cov, weights=weights))
+
+    @pytest.mark.parametrize("bad", [
+        [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]],  # not positive definite
+        [[1.0, 0.2, 0.0], [0.4, 1.0, 0.0], [0.0, 0.0, 1.0]],  # not symmetric
+    ])
+    def test_bad_covariance_in_any_term_rejected(self, bad):
+        cov = np.stack([np.eye(3), np.array(bad), np.eye(3)])
+        with pytest.raises(NotPDError):
+            mvn_cdf(MvnSpec(np.zeros((3, 3)), cov))
