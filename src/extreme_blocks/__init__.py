@@ -11,7 +11,6 @@ data by moment matching, and recovers parameters when nodes are latent.
 from .errors import (
     AllZeroWeightsError,
     ConstantColumnError,
-    DifferentiationUnstableError,
     DimensionCapError,
     DisconnectedGraphError,
     ExtremeBlocksError,
@@ -55,7 +54,7 @@ from .dist import (
     extremal_coefficient_detailed,
     hr_cdf,
     hr_cdf_detailed,
-    nu_from_stdf,
+    nu_hr,
     pareto_cdf,
     pareto_cdf_detailed,
     stdf_hr,

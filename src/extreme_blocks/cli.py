@@ -40,12 +40,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("EXTREME_BLOCKS_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _threads(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {raw!r}")
+    return value
 
 
 def _tolerance(raw: str) -> float:
@@ -70,7 +69,7 @@ def _add_common(p: argparse.ArgumentParser, *names):
         p.add_argument("--seed", type=int, default=0,
                        help="random seed (mandatory for stochastic commands)")
     if "threads" in names:
-        p.add_argument("--threads", type=int, default=_default_threads(),
+        p.add_argument("--threads", type=_threads, default=os.environ.get("EXTREME_BLOCKS_THREADS", "1"),
                        help="worker threads, at most the CPU count (default: EXTREME_BLOCKS_THREADS or 1)")
     if "tol" in names:
         p.add_argument("--tol", type=_tolerance, default=None, help="tolerance override")
@@ -143,8 +142,7 @@ def cmd_params(args) -> int:
     p = path_sum_matrix(fam)
     lim = GaussianLimit.from_path_sums(p, u)
     theta = precision_matrix(fam, u)
-    tol = args.tol if args.tol is not None else 1e-9
-    report = extremal_graph_check(fam, tolerance=tol)
+    report = extremal_graph_check(lim, theta, tolerance=args.tol)
 
     if args.format == "json":
         ebio.dump_matrix_json(out / "P.json", p.nodes, p.values)

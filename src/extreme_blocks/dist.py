@@ -3,8 +3,8 @@
 Everything here is parameterized by a path-sum matrix restricted to the
 node subset of interest: the stable tail dependence function as a sum of
 anchored normal CDF terms, the max-stable and multivariate Pareto CDFs
-derived from it, extremal coefficients, and the conditional-limit margin
-obtained by differentiating the stdf in its first argument.
+derived from it, extremal coefficients, and the conditional-limit law
+nu_u, the normal CDF of the Gaussian limit anchored at u.
 
 Zero weights are handled by restriction: coordinates with weight zero are
 dropped before evaluation, matching the continuous limits of the formulas.
@@ -14,17 +14,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import (
     AllZeroWeightsError,
-    DifferentiationUnstableError,
     NonPositiveCoordinateError,
     SubsetTooSmallError,
 )
-from .model import PathSumMatrix, _anchor, clique_limit_params
+from .model import GaussianLimit, PathSumMatrix, _anchor, clique_limit_params
 from .mvn import MvnSpec, MvnResult, mvn_cdf, std_normal_cdf
 
 __all__ = [
@@ -38,7 +37,7 @@ __all__ = [
     "extremal_coefficient",
     "extremal_coefficient_detailed",
     "clique_limit_params",
-    "nu_from_stdf",
+    "nu_hr",
     "std_normal_cdf",
     "mvn_cdf",
     "MvnSpec",
@@ -190,38 +189,20 @@ def extremal_coefficient(p: PathSumMatrix, A: Iterable[str],
     return extremal_coefficient_detailed(p, A, rel_tol=rel_tol, seed=seed).value
 
 
-def nu_from_stdf(ell: Callable[[np.ndarray], float],
-                 x: Sequence[float],
-                 *, step: float | None = None) -> float:
-    """Conditional-limit CDF mass nu_1([0, x]) from a stdf evaluator.
+def nu_hr(p: PathSumMatrix, u: str, x: Mapping[str, float],
+          *, rel_tol: float = 1e-6, seed: int = 0) -> MvnResult:
+    """Conditional-limit mass nu_u([0, x]) at bounds x on nodes other than u.
 
-    Computes the partial derivative of ell in its first argument at
-    (1, 1/x_2, ..., 1/x_d) by central differences with a two-stage step
-    refinement; the refinements must approach a limit monotonically,
-    otherwise the quotient is deemed unstable. The result is clamped
-    to [0, 1].
+    Given X_u above a high threshold, the field over X_u tends to exp(W)
+    with W ~ N(-2 p_u., Sigma_u), the :class:`GaussianLimit` at u, so the
+    mass is Phi(ln x + 2 p_u.; Sigma_u): one :func:`mvn_cdf` call on the
+    path sums restricted to u and x's nodes. One node is exact and
+    evaluates no points.
     """
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise NonPositiveCoordinateError("evaluation point must be strictly positive")
-    tail = 1.0 / x
-    arg = np.concatenate(([1.0], tail))
-    h0 = (step if step is not None else 1e-5) * max(1.0, float(np.abs(arg).max()))
-
-    def central(h: float) -> float:
-        hi = arg.copy()
-        lo = arg.copy()
-        hi[0] += h
-        lo[0] -= h
-        return (ell(hi) - ell(lo)) / (2.0 * h)
-
-    d1 = central(h0)
-    d2 = central(h0 / 2.0)
-    d3 = central(h0 / 4.0)
-    s12, s23 = d2 - d1, d3 - d2
-    if s12 * s23 < 0 and abs(s23) > 1e-9:
-        raise DifferentiationUnstableError(
-            f"difference quotients do not refine monotonically: {d1}, {d2}, {d3}"
-        )
-    richardson = (4.0 * d3 - d2) / 3.0
-    return min(max(richardson, 0.0), 1.0)
+    if not x or u in x:
+        raise ValueError("x must bound at least one node, and not the anchor")
+    lim = GaussianLimit.from_path_sums(p.restrict([u, *x]), u)
+    bound = np.array([float(x[v]) for v in lim.nodes])
+    if not np.all(bound > 0):
+        raise NonPositiveCoordinateError("nu needs strictly positive bounds")
+    return mvn_cdf(MvnSpec(np.log(bound) - lim.mean, lim.cov, rel_tol=rel_tol), seed=seed)

@@ -2,8 +2,8 @@
 
 Two broad families matter for the CLI exit-code contract: validation
 failures (bad graphs, parameters, masks, domains) and numerical failures
-(singular blocks, unstable differentiation, rank-deficient designs,
-MVN terms past the dimension cap).
+(singular blocks, rank-deficient designs, MVN terms past the dimension
+cap, inconsistent reconstructions).
 Usage problems (bad flags, unparseable files) never reach this module.
 """
 
@@ -113,10 +113,6 @@ class DimensionCapError(NumericalError):
 
 
 class SingularBlockError(NumericalError):
-    pass
-
-
-class DifferentiationUnstableError(NumericalError):
     pass
 
 

@@ -64,9 +64,12 @@ def load_params_json(path: str | Path) -> dict[Edge, float]:
     for item in doc["edges"]:
         try:
             e = canonical_edge(str(item["a"]), str(item["b"]))
-            val = float(item["delta2"])
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"bad parameter entry {item!r}") from exc
+            val = item["delta2"]
+            if isinstance(val, bool) or not isinstance(val, (int, float)):
+                raise TypeError("delta2 must be a JSON number")
+            val = float(val)  # an integer beyond the float range overflows
+        except (KeyError, TypeError, OverflowError) as exc:
+            raise ValueError(f"bad parameter entry {item!r}: {exc}") from exc
         if e in params:
             raise ValueError(f"duplicate parameter for edge {e}")
         params[e] = val

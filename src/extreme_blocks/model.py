@@ -15,7 +15,8 @@ Sigma_u, on a restricted P each stdf term, and on any M the CND test.
 One fill sums per-clique blocks along shortest paths: on Delta_C it gives
 P, on unit blocks per edge the path-edge incidence, whose anchoring gives
 Sigma_u's coefficients in delta^2 as anchoring P gives Sigma_u. One sum
-of zero-row-sum clique precisions gives every Theta_u by deleting u.
+of zero-row-sum clique precisions gives every Theta_u by deleting u, and
+the graph check measures Theta_u Sigma_u - I at one anchor.
 """
 
 from __future__ import annotations
@@ -144,28 +145,25 @@ def _path_fill(g: BlockGraph, blocks: list[np.ndarray], tail: tuple[int, ...] = 
     """Sums of per-clique blocks along shortest paths, in node order.
 
     blocks[ci] has rows and columns in clique ci's sorted member order and
-    any trailing axes `tail`. Nodes are placed clique by clique in the
-    root order of the block-cut tree. The targets t of a clique reach every
-    node k placed before them through the clique's separator s, so
-    P[t, k] = block[s, t] + P[s, k]; among themselves they are one edge
-    apart.
+    any trailing axes `tail`. Cliques are filled in the root order of the
+    block-cut tree. The targets t of a clique reach every node k filled
+    before them through the clique's separator s, so P[t, k] = block[s, t]
+    + P[s, k]; among themselves they are one edge apart. Each target's
+    whole row and column are written; entries toward nodes not yet filled
+    are overwritten when those nodes are.
     """
     n = len(g.nodes)
-    q = np.zeros((n, n, *tail))  # rows and columns in placement order
-    rank = np.zeros(n, dtype=np.intp)
-    placed = 1  # the root
+    q = np.zeros((n, n, *tail))
     for ci in g._order:
         m, members = blocks[ci], g._members[ci]
         si = members.index(g._sep[ci])
         keep = [k for k in range(len(members)) if k != si]
-        lo, hi = placed, placed + len(keep)
-        rank[[members[k] for k in keep]] = np.arange(lo, hi)
-        block = m[si, keep][:, None] + q[rank[members[si]], :lo][None, :]
-        q[lo:hi, :lo] = block
-        q[:lo, lo:hi] = np.swapaxes(block, 0, 1)
-        q[lo:hi, lo:hi] = m[np.ix_(keep, keep)]
-        placed = hi
-    return q[np.ix_(rank, rank)]
+        targets = [members[k] for k in keep]
+        rows = m[si, keep][:, None] + q[members[si]][None, :]
+        rows[:, targets] = m[np.ix_(keep, keep)]
+        q[targets] = rows
+        q[:, targets] = np.swapaxes(rows, 0, 1)
+    return q
 
 
 def _anchor(p: np.ndarray, iu: int) -> tuple[np.ndarray, np.ndarray]:
@@ -274,7 +272,7 @@ def check_cnd(m: np.ndarray | PathSumMatrix) -> bool:
 
 @dataclass(frozen=True)
 class GraphCheckReport:
-    """Worst-case precision-matrix entry over all anchors and non-edges."""
+    """Largest |Theta_u Sigma_u - I| entry at one anchor."""
 
     max_violation: float
     tolerance: float
@@ -285,27 +283,48 @@ class GraphCheckReport:
         return self.max_violation <= self.tolerance
 
 
-def extremal_graph_check(d: DeltaFamily, tolerance: float = 1e-9) -> GraphCheckReport:
-    """Largest |Theta_u| entry between non-adjacent nodes i, j != u, over
-    every anchor u.
+# entries of Theta_u Sigma_u held at once by the graph check
+_CHECK_BLOCK = 1 << 16
 
-    Each Theta_u is the clique-precision sum with u deleted, so this scans
-    that sum once, at non-adjacent i < j; the sum never writes such an
-    entry, so the check reports 0.0 on every family. It does not read P
-    and does not test the zero pattern of Sigma_u's inverse: a wrong P
-    goes unseen. A nonzero entry is reported at the first largest pair
-    row by row and the first anchor outside that pair.
+
+def extremal_graph_check(lim: GaussianLimit, theta: np.ndarray,
+                         tolerance: float | None = None) -> GraphCheckReport:
+    """Measured max |Theta_u Sigma_u - I| for Sigma_u = lim.cov.
+
+    theta carries the graph's zero pattern, so this tests that the P
+    behind Sigma_u has an inverse that vanishes off the edges. One anchor
+    suffices: every Theta_v is the same clique-precision sum with v
+    deleted, and Sigma_u fixes P. Rows of theta are taken a block at a
+    time against the rows of Sigma_u at the block's nonzero columns, so
+    one product block is held beyond the two matrices. The default
+    tolerance is 100 eps max|Sigma_u| max|Theta_u|, the rounding the
+    product can carry; worst is the largest entry's (anchor, i, j).
     """
-    g = d.graph
-    n = len(g.nodes)
-    vals = np.triu(np.abs(_clique_precisions(d)), 1)
-    for members in g._members:  # every edge lies in one clique
-        vals[np.ix_(members, members)] = 0.0
-    i, j = divmod(int(np.argmax(vals)), n)
-    if vals[i, j] == 0.0:
-        return GraphCheckReport(0.0, tolerance, None)
-    u = next(v for v in range(n) if v not in (i, j))
-    return GraphCheckReport(float(vals[i, j]), tolerance, (g.nodes[u], g.nodes[i], g.nodes[j]))
+    cov = lim.cov
+    m = len(lim.nodes)
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != cov.shape:
+        raise ValueError(f"theta shape {theta.shape} does not match Sigma_u {cov.shape}")
+    if m == 0:
+        return GraphCheckReport(0.0, tolerance or 0.0, None)
+    theta_max = max(theta.max(), -theta.min())  # max|theta| with no n x n temporary
+    if not np.isfinite(theta_max):
+        raise ValueError("theta has non-finite entries")
+    if tolerance is None:
+        tolerance = 100.0 * np.finfo(float).eps * max(cov.max(), -cov.min()) * theta_max
+    worst, at = -1.0, (0, 0)
+    step = max(1, _CHECK_BLOCK // m)
+    for lo in range(0, m, step):
+        rows = theta[lo:lo + step]
+        cols = np.flatnonzero(rows.any(axis=0))
+        res = rows[:, cols] @ cov[cols]
+        diag = np.arange(len(rows))
+        res[diag, lo + diag] -= 1.0
+        k = int(np.argmax(np.abs(res, out=res)))
+        if res.flat[k] > worst:
+            worst, at = float(res.flat[k]), (lo + k // m, k % m)
+    i, j = at
+    return GraphCheckReport(worst, float(tolerance), (lim.anchor, lim.nodes[i], lim.nodes[j]))
 
 
 def _path_incidence(g: BlockGraph) -> np.ndarray:

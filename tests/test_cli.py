@@ -436,3 +436,60 @@ def test_threads_default_from_environment(monkeypatch, fig1_files, tmp_path):
         ["simulate", "--graph", str(gpath), "--params", str(ppath),
          "--anchor", "7", "--n", "10", "--seed", "1", "--out", str(tmp_path)])
     assert args.threads == 3
+
+
+@pytest.mark.parametrize("flag, env", [("-3", None), ("0", None), ("1.5", None), ("abc", None),
+                                       (None, "abc"), (None, "-3"), (None, "0")])
+def test_threads_below_one_or_not_integer_rejected(monkeypatch, fig1_files, tmp_path, capsys,
+                                                   flag, env):
+    if env is None:
+        monkeypatch.delenv("EXTREME_BLOCKS_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("EXTREME_BLOCKS_THREADS", env)
+    gpath, ppath = fig1_files
+    argv = ["simulate", "--graph", str(gpath), "--params", str(ppath), "--anchor", "7",
+            "--n", "10", "--seed", "1", "--out", str(tmp_path / "s")]
+    if flag is not None:
+        argv.append(f"--threads={flag}")
+    assert run(argv) == 1
+    diag = json.loads(capsys.readouterr().out.strip())
+    assert diag["error"] == "UsageError" and "--threads" in diag["message"]
+    assert not (tmp_path / "s").exists()
+
+
+def test_params_builds_clique_precisions_once(monkeypatch, fig2_files, tmp_path, capsys):
+    import extreme_blocks.model as model
+    calls = []
+    real = model._clique_precisions
+
+    def counted(d):
+        calls.append(d)
+        return real(d)
+
+    monkeypatch.setattr(model, "_clique_precisions", counted)
+    gpath, ppath = fig2_files
+    assert run(["params", "--graph", str(gpath), "--params", str(ppath),
+                "--anchor", "4", "--out", str(tmp_path / "p")]) == 0
+    assert len(calls) == 1
+    record = json.loads(capsys.readouterr().out.strip())
+    assert record["passed"] is True
+    assert 0.0 <= record["graph_check_max_violation"] <= record["tolerance"] < 1e-9
+
+
+def test_params_tol_overrides_graph_check_tolerance(fig2_files, tmp_path, capsys):
+    gpath, ppath = fig2_files
+    assert run(["params", "--graph", str(gpath), "--params", str(ppath),
+                "--anchor", "4", "--out", str(tmp_path / "p"), "--tol", "1e-300"]) == 0
+    record = json.loads(capsys.readouterr().out.strip())
+    assert record["tolerance"] == 1e-300
+    assert record["passed"] is (record["graph_check_max_violation"] <= 1e-300)
+
+
+def test_validate_rejects_boolean_delta2(tmp_path, capsys):
+    gpath = tmp_path / "g.json"
+    ppath = tmp_path / "p.json"
+    ebio.dump_graph_json(gpath, ["a", "b"], [("a", "b")])
+    ppath.write_text('{"edges": [{"a": "a", "b": "b", "delta2": true}]}')
+    assert run(["validate", "--graph", str(gpath), "--params", str(ppath)]) == 1
+    diag = json.loads(capsys.readouterr().out.strip())
+    assert diag["error"] == "ValueError" and "JSON number" in diag["message"]

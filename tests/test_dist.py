@@ -17,7 +17,7 @@ from extreme_blocks import (
     hr_cdf,
     hr_cdf_detailed,
     mc_stdf,
-    nu_from_stdf,
+    nu_hr,
     pareto_cdf,
     pareto_cdf_detailed,
     path_sum_matrix,
@@ -353,39 +353,56 @@ class TestPooledError:
                 assert abs(res.value - ref.value) <= tol * ref.value, i
 
 
-class TestNuFromStdf:
-    def test_independence_mass_at_origin(self):
-        for x in ([0.5], [2.0, 0.3], [1.0, 1.0, 1.0]):
-            got = nu_from_stdf(lambda arg: float(np.sum(arg)), x)
-            assert got == pytest.approx(1.0, abs=1e-9)
-
-    def test_comonotone_point_mass_at_one(self):
-        assert nu_from_stdf(lambda a: float(np.max(a)), [2.0]) == pytest.approx(1.0, abs=1e-9)
-        assert nu_from_stdf(lambda a: float(np.max(a)), [0.5]) == 0.0
-
+class TestNuHr:
     @pytest.mark.parametrize("delta2", [0.25, 1.0, 2.0])
     def test_hr_bivariate_matches_lognormal(self, delta2):
         g = build_block_graph(["a", "b"], [("a", "b")])
         p = path_sum_matrix(validate_delta(g, {("a", "b"): delta2}))
         for x in (0.4, 1.0, 1.7, 3.0):
-            got = nu_from_stdf(lambda arg: stdf_hr(p, arg), [x])
+            got = nu_hr(p, "a", {"b": x})
             want = norm.cdf((math.log(x) + 2 * delta2) / math.sqrt(4 * delta2))
-            assert abs(got - want) <= 1e-6
+            assert abs(got.value - want) <= 1e-12
+            assert got.error == 0.0 and got.points == 0 and got.converged
 
-    def test_nonpositive_point(self):
-        with pytest.raises(NonPositiveCoordinateError):
-            nu_from_stdf(lambda a: float(np.sum(a)), [0.0])
+    @pytest.mark.parametrize("case", ["fig1", "random"])
+    def test_matches_limit_field_monte_carlo(self, fig1_family, case):
+        from extreme_blocks import sample_limit_field
+        if case == "fig1":
+            fam, u, x = fig1_family, "7", {"0": 0.5, "2": 0.6, "4": 0.8, "6": 1.0}
+        else:
+            rng = np.random.default_rng(31)
+            g = build_block_graph(*clique_tree_edges(rng, 12))
+            fam = random_delta(g, rng)
+            u, *others = rng.choice(g.nodes, 5, replace=False)
+            x = {str(v): float(rng.uniform(0.3, 1.5)) for v in others}
+        n = 200_000
+        field = sample_limit_field(fam, u, n, 2027)
+        cols = [field.nodes.index(v) for v in x]
+        hit = float(np.all(field.matrix[:, cols] <= np.array(list(x.values())), axis=1).mean())
+        res = nu_hr(path_sum_matrix(fam), u, x, rel_tol=1e-5)
+        assert res.converged and res.points > 0
+        assert 0.05 < res.value < 0.95
+        assert abs(hit - res.value) <= 4 * math.sqrt(res.value * (1 - res.value) / n) + res.error
 
-    def test_unstable_quotient_detected(self):
-        from extreme_blocks import DifferentiationUnstableError
-        rng = np.random.default_rng(0)
+    def test_nonpositive_point(self, fig1_family):
+        p = path_sum_matrix(fig1_family)
+        for bad in (0.0, -1.0, math.nan):
+            with pytest.raises(NonPositiveCoordinateError):
+                nu_hr(p, "7", {"6": 1.0, "2": bad})
 
-        def noisy(arg):
-            return float(np.sum(arg)) + float(rng.normal(0, 1e-3))
+    def test_unknown_node(self, fig1_family):
+        from extreme_blocks import UnknownNodeError
+        p = path_sum_matrix(fig1_family)
+        with pytest.raises(UnknownNodeError):
+            nu_hr(p, "7", {"6": 1.0, "x": 1.0})
+        with pytest.raises(UnknownNodeError):
+            nu_hr(p, "x", {"6": 1.0})
 
-        with pytest.raises(DifferentiationUnstableError):
-            for _ in range(50):  # noise makes refinement non-monotone quickly
-                nu_from_stdf(noisy, [1.0])
+    def test_anchor_or_empty_bounds_rejected(self, fig1_family):
+        p = path_sum_matrix(fig1_family)
+        for x in ({}, {"7": 1.0}, {"6": 1.0, "7": 2.0}):
+            with pytest.raises(ValueError, match="anchor"):
+                nu_hr(p, "7", x)
 
 
 class TestMaxStableAttraction:

@@ -59,6 +59,22 @@ class TestParamsJson:
         with pytest.raises(ValueError, match="'edges' list"):
             ebio.load_params_json(path)
 
+    @pytest.mark.parametrize("value, reason", [
+        ("true", "JSON number"), ("false", "JSON number"), ('"1.5"', "JSON number"),
+        ("null", "JSON number"), ("[1]", "JSON number"), ("{}", "JSON number"),
+        ("1" + "0" * 400, "too large"),
+    ], ids=["true", "false", "string", "null", "list", "object", "huge-int"])
+    def test_delta2_not_a_number_rejected(self, tmp_path, value, reason):
+        path = tmp_path / "p.json"
+        path.write_text('{"edges": [{"a": "x", "b": "y", "delta2": %s}]}' % value)
+        with pytest.raises(ValueError, match=reason):
+            ebio.load_params_json(path)
+
+    def test_delta2_integer_accepted(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text('{"edges": [{"a": "x", "b": "y", "delta2": 2}]}')
+        assert ebio.load_params_json(path) == {("x", "y"): 2.0}
+
     def test_duplicate_edge_rejected(self, tmp_path):
         path = tmp_path / "p.json"
         path.write_text('{"edges": [{"a": "x", "b": "y", "delta2": 1},'

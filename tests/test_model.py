@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from extreme_blocks import (
-    GraphCheckReport,
+    GaussianLimit,
     MissingEdgeParamError,
     NonPositiveParamError,
     NotCNDError,
     NotSymmetricError,
+    PathSumMatrix,
     build_block_graph,
     check_cnd,
     clique_limit_params,
@@ -19,7 +20,7 @@ from extreme_blocks import (
 )
 from extreme_blocks.model import _anchor, _increment_law, sigma_coefficient_matrix
 from conftest import FIG2_DELTA
-from gen import random_block_graph, random_delta, random_tree
+from gen import clique_tree_edges, random_block_graph, random_delta, random_tree
 
 
 def triangle(d12, d13, d23):
@@ -250,46 +251,45 @@ class TestCheckCnd:
 
 
 class TestExtremalGraphCheck:
+    @staticmethod
+    def check(fam, u, p=None, tolerance=None):
+        lim = GaussianLimit.from_path_sums(path_sum_matrix(fam) if p is None else p, u)
+        return extremal_graph_check(lim, precision_matrix(fam, u), tolerance)
+
+    @staticmethod
+    def pair_loop_report(fam, u):
+        """Largest |Theta_u Sigma_u - I| entry, one row-column product at a
+        time."""
+        lim = gaussian_limit(fam, u)
+        theta = precision_matrix(fam, u)
+        m = len(lim.nodes)
+        return max(abs(float(np.dot(theta[i], lim.cov[:, j])) - (i == j))
+                   for i in range(m) for j in range(m))
+
     def test_fig2_random_delta(self, fig2_graph):
         fam = random_delta(fig2_graph, np.random.default_rng(3))
-        report = extremal_graph_check(fam)
-        assert report.passed
-        assert report.max_violation <= 1e-9
+        for u in fig2_graph.nodes:
+            report = self.check(fam, u)
+            assert report.passed
+            assert report.worst[0] == u
 
-    def test_complete_graph_vacuous(self):
+    def test_complete_graph_residual_measured(self):
         from itertools import combinations
         nodes = list("abcd")
         g = build_block_graph(nodes, combinations(nodes, 2))
         fam = random_delta(g, np.random.default_rng(4))
-        report = extremal_graph_check(fam)
-        assert report.max_violation == 0.0
-        assert report.worst is None
+        report = self.check(fam, "b")
+        assert report.passed
+        assert report.worst[0] == "b" and "b" not in report.worst[1:]
 
     def test_tree_random_delta(self):
         rng = np.random.default_rng(5)
         g = random_tree(rng, 8)
         fam = random_delta(g, rng)
-        assert extremal_graph_check(fam).passed
-
-    @staticmethod
-    def pair_loop_report(fam, tolerance=1e-9):
-        """The check as a scan over anchors and then pairs i < j row by
-        row, keeping the first largest entry."""
-        g = fam.graph
-        worst, arg = 0.0, None
-        for u in g.nodes:
-            rest = [v for v in g.nodes if v != u]
-            theta = precision_matrix(fam, u)
-            for a in range(len(rest)):
-                for b in range(a + 1, len(rest)):
-                    if g.has_edge(rest[a], rest[b]):
-                        continue
-                    val = abs(float(theta[a, b]))
-                    if val > worst:
-                        worst, arg = val, (u, rest[a], rest[b])
-        return GraphCheckReport(worst, tolerance, arg)
+        assert all(self.check(fam, u).passed for u in g.nodes)
 
     def test_one_increment_law_per_clique(self, fig1_family, monkeypatch):
+        # the check reads the matrices it is given and builds nothing itself
         import extreme_blocks.model as model
         calls = []
         real = model._increment_law
@@ -299,36 +299,82 @@ class TestExtremalGraphCheck:
             return real(d, ci, s)
 
         monkeypatch.setattr(model, "_increment_law", counted)
-        assert extremal_graph_check(fig1_family) == GraphCheckReport(0.0, 1e-9, None)
+        assert self.check(fig1_family, "7").passed
         assert sorted(calls) == list(range(len(fig1_family.graph.cliques)))
 
-    def test_nonzero_entry_charged_to_first_anchor_outside_pair(self, fig2_family, monkeypatch):
-        # a valid family never writes a non-edge entry; plant one to see it reported
-        import extreme_blocks.model as model
+    def test_planted_path_sum_fails(self, fig2_family):
         g = fig2_family.graph
-        b = next(j for j in range(2, len(g.nodes)) if not g.has_edge(g.nodes[0], g.nodes[j]))
-        real = model._clique_precisions
-
-        def planted(d):
-            theta = real(d)
-            theta[0, b] = theta[b, 0] = -0.5
-            return theta
-
-        monkeypatch.setattr(model, "_clique_precisions", planted)
-        report = extremal_graph_check(fig2_family, tolerance=0.1)
-        assert report == GraphCheckReport(0.5, 0.1, (g.nodes[1], g.nodes[0], g.nodes[b]))
+        p = path_sum_matrix(fig2_family)
+        i, j = next((i, j) for i in range(1, len(g.nodes)) for j in range(i + 1, len(g.nodes))
+                    if not g.has_edge(g.nodes[i], g.nodes[j]))
+        values = p.values.copy()
+        values[i, j] += 0.3
+        values[j, i] += 0.3
+        planted = PathSumMatrix(p.nodes, values)
+        report = self.check(fig2_family, g.nodes[0], planted)
         assert not report.passed
+        assert report.max_violation > 0.1
+        # Sigma_u moves only at (i, j), so only columns i and j of the product do
+        assert report.worst[0] == g.nodes[0] and report.worst[2] in (g.nodes[i], g.nodes[j])
+        assert not self.check(fig2_family, g.nodes[0], planted, tolerance=1e-3).passed
+
+    @pytest.mark.parametrize("n", [61, 301, 601])
+    def test_default_tolerance_on_clique_trees(self, n):
+        rng = np.random.default_rng(101)
+        g = build_block_graph(*clique_tree_edges(rng, n))
+        fam = random_delta(g, rng)
+        u = g.nodes[n // 2]
+        p = path_sum_matrix(fam)
+        report = self.check(fam, u, p)
+        assert report.passed and 0.0 < report.max_violation
+        # plant between two late nodes, so the residual lies in the last row block
+        i = n - 2
+        j = next(j for j in range(i - 1, 0, -1) if not g.has_edge(g.nodes[i], g.nodes[j]))
+        values = p.values.copy()
+        values[i, j] += 0.3
+        values[j, i] += 0.3
+        planted = GaussianLimit.from_path_sums(PathSumMatrix(p.nodes, values), u)
+        theta = precision_matrix(fam, u)
+        report = extremal_graph_check(planted, theta)
+        dense = float(np.abs(theta @ planted.cov - np.eye(n - 1)).max())
+        assert not report.passed
+        assert abs(report.max_violation - dense) <= 1e-9 * dense
+
+    def test_one_node_graph(self):
+        fam = validate_delta(build_block_graph(["a"], []), {})
+        report = self.check(fam, "a")
+        assert (report.max_violation, report.worst, report.passed) == (0.0, None, True)
+
+    def test_tolerance_override(self, fig1_family):
+        report = self.check(fig1_family, "7", tolerance=1e-30)
+        assert report.tolerance == 1e-30
+        assert report.passed == (report.max_violation <= 1e-30)
+
+    def test_rejects_mismatched_or_non_finite_theta(self, fig1_family):
+        lim = gaussian_limit(fig1_family, "7")
+        theta = precision_matrix(fig1_family, "7")
+        with pytest.raises(ValueError, match="shape"):
+            extremal_graph_check(lim, theta[1:, 1:])
+        theta[0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            extremal_graph_check(lim, theta)
 
     def test_matches_pair_loop_on_figures(self, fig1_family, fig2_family):
         for fam in (fig1_family, fig2_family):
-            assert extremal_graph_check(fam) == self.pair_loop_report(fam)
+            for u in fam.graph.nodes:
+                report = self.check(fam, u)
+                worst = self.pair_loop_report(fam, u)
+                assert abs(report.max_violation - worst) <= report.tolerance
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_pair_loop_on_random_graphs(self, seed):
         rng = np.random.default_rng(90 + seed)
         g = random_block_graph(rng, max_nodes=14) if seed % 2 else random_tree(rng, 10)
         fam = random_delta(g, rng)
-        assert extremal_graph_check(fam) == self.pair_loop_report(fam)
+        for u in g.nodes:
+            report = self.check(fam, u)
+            worst = self.pair_loop_report(fam, u)
+            assert abs(report.max_violation - worst) <= report.tolerance
 
 
 class TestCliqueLimitParams:
