@@ -2,15 +2,15 @@
 
 When some nodes carry unobserved variables, the restricted path-sum matrix
 over the observed nodes still determines every edge parameter provided each
-latent node lies in at least three cliques. Recovery walks outward from
-each latent node to observable anchor nodes in three distinct clique
-directions and solves the resulting three path-sum equations; chains of
-adjacent latent nodes repeat the procedure one node further out.
+latent node lies in at least three cliques. Each edge parameter is half
+a four-point combination of observed path sums, taken at observed anchor
+nodes beyond each end of the edge; an observed end is its own anchor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable
 
 import numpy as np
@@ -46,44 +46,34 @@ def check_identifiable(g: BlockGraph, mask: ObservationMask) -> tuple[bool, tupl
     return (len(offending) == 0, offending)
 
 
-def _distance_to_anchor(g: BlockGraph, a: int, ibar: int, other_cliques: list[int],
-                        dirs: dict[int, int], p_obs, tol: float) -> float:
-    """p(a, ibar) from observable path sums, checked across all valid
-    pairs of auxiliary clique directions."""
-    values = []
-    for n1 in range(len(other_cliques)):
-        for n2 in range(n1 + 1, len(other_cliques)):
-            jbar = dirs[other_cliques[n1]]
-            ybar = dirs[other_cliques[n2]]
-            values.append(0.5 * (p_obs(ibar, jbar) + p_obs(ibar, ybar) - p_obs(ybar, jbar)))
-    if not values:
-        raise NotIdentifiableError([g.nodes[a]])
-    spread = max(values) - min(values)
-    if spread > tol:
-        raise InconsistentInputError(
-            f"recovered p({g.nodes[a]}, {g.nodes[ibar]}) differs by {spread:.3e} across anchor triples"
-        )
-    return values[0]
-
-
 def recover_path_sums(g: BlockGraph, p_obs: PathSumMatrix, mask: ObservationMask,
                       *, tol: float = 1e-9) -> PathSumMatrix:
     """Reconstruct the full path-sum matrix from its restriction to the
     observed nodes.
 
-    Observable edges read off directly; edges at latent nodes come from the
-    three-anchor equations, repeated one node outward along latent chains.
-    Each anchor is the smallest observable node in a direction, read off
-    the latent node's labels: for every node, the clique at the latent
-    node that holds the first edge of the path to it. The reconstruction
-    is validated by restricting back and comparing to the input.
+    Every edge (a, b) of a clique C comes from one four-point identity.
+    Take x1, x2 observed in two clique directions at a other than C, or
+    x1 = x2 = a when a is observed, and y1, y2 likewise at b. Every path
+    from an x to a y runs x ... a - b ... y, and the path from x1 to x2
+    runs through a, so
+
+        delta_ab^2 = (p(x1, y1) + p(x2, y2) - p(x1, x2) - p(y1, y2)) / 2.
+
+    Every direction holds an observed node, since a leaf clique's members
+    other than its separator lie in that clique alone. Each anchor is the
+    smallest observed node in its direction, read off the latent node's
+    labels: for every node, the clique at the latent node that holds the
+    first edge of the path to it. All anchor quadruples must agree within
+    tol, and the reconstruction must restrict back to the input.
     """
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"tol must be finite and non-negative, got {tol}")
     if tuple(p_obs.nodes) != mask.observed:
         raise ValueError("path-sum matrix nodes must match the observed set")
     vals = p_obs.values
-    if not np.allclose(vals, vals.T, atol=1e-12 * max(1.0, float(np.abs(vals).max()))):
+    if not np.isfinite(vals).all():
+        raise ValueError("observed path sums must be finite")
+    if np.abs(vals - vals.T).max() > 1e-12 * max(1.0, float(np.abs(vals).max())):
         raise InconsistentInputError("observed path sums are not symmetric")
     if np.any(np.abs(np.diag(vals)) > 0):
         raise InconsistentInputError("observed path sums have nonzero diagonal")
@@ -92,22 +82,28 @@ def recover_path_sums(g: BlockGraph, p_obs: PathSumMatrix, mask: ObservationMask
     if not ok:
         raise NotIdentifiableError(offending)
 
-    n = len(g.nodes)
     observed = [g.index(v) for v in mask.observed]
-    row = np.full(n, -1)            # row of each observed node in p_obs
-    row[observed] = np.arange(len(observed))
+    row = [-1] * len(g.nodes)  # row of each observed node in p_obs
+    for r, i in enumerate(observed):
+        row[i] = r
 
     def p(i: int, j: int) -> float:  # the upper triangle, as given
         ri, rj = sorted((row[i], row[j]))
         return float(vals[ri, rj])
 
-    # per latent node: the first clique toward every node, and per clique at
-    # it the smallest observable node whose path starts in that clique
-    label = {a: g._first_cliques(a) for a in (g.index(v) for v in mask.latent)}
-    dirs = {a: {ci: n for ci in g._cliques_at[a]} for a in label}
-    for a, lab in label.items():
-        for x in reversed(observed):
-            dirs[a][lab[x]] = x
+    # per latent node and clique at it, the smallest observed node whose
+    # path from the latent node starts in that clique
+    first = {}
+    for a in (g.index(v) for v in mask.latent):
+        label = g._first_cliques(a)
+        first[a] = {label[x]: x for x in reversed(observed)}
+
+    def anchors(a: int, ci: int) -> list[tuple[int, int]]:
+        """The x-pairs at end a of an edge of clique ci: (a, a) when a is
+        observed, else the anchors of two directions at a other than ci."""
+        if row[a] >= 0:
+            return [(a, a)]
+        return list(combinations([first[a][c] for c in g._cliques_at[a] if c != ci], 2))
 
     delta2: dict[tuple[str, str], float] = {}
     for a, b in g.edges_sorted():
@@ -115,31 +111,20 @@ def recover_path_sums(g: BlockGraph, p_obs: PathSumMatrix, mask: ObservationMask
         if row[ia] >= 0 and row[ib] >= 0:
             delta2[(a, b)] = p(ia, ib)
             continue
-        # orient the edge so the first endpoint is latent
-        lat, other = (ia, ib) if row[ia] < 0 else (ib, ia)
-        ci_edge = g.clique_of_edge(a, b)
-        ibar = other if row[other] >= 0 else next(
-            (x for x in observed if label[other][x] != ci_edge), n)
-        if ibar == n:
+        ci = g.clique_of_edge(a, b)
+        values = [0.5 * (p(x1, y1) + p(x2, y2) - p(x1, x2) - p(y1, y2))
+                  for x1, x2 in anchors(ia, ci) for y1, y2 in anchors(ib, ci)]
+        spread = max(values) - min(values)
+        if spread > tol:
             raise InconsistentInputError(
-                f"no observable anchor beyond edge ({g.nodes[lat]}, {g.nodes[other]}); "
-                "mask is not identifiable"
+                f"recovered edge parameter for ({a}, {b}) differs by {spread:.3e} "
+                "across anchor quadruples"
             )
-        others = [ci for ci in g._cliques_at[lat] if ci != ci_edge and dirs[lat][ci] < n]
-        p_lat_ibar = _distance_to_anchor(g, lat, ibar, others, dirs[lat], p, tol)
-        if row[other] >= 0:
-            value = p_lat_ibar
-        else:
-            # chain case: resolve p(other, ibar) with the same scheme one
-            # node further out, then subtract
-            ci_toward = label[other][ibar]
-            others_b = [ci for ci in g._cliques_at[other] if ci != ci_toward and dirs[other][ci] < n]
-            value = p_lat_ibar - _distance_to_anchor(g, other, ibar, others_b, dirs[other], p, tol)
-        if value <= 0:
+        if values[0] <= 0:
             raise InconsistentInputError(
-                f"recovered edge parameter for ({a}, {b}) is non-positive: {value:.3e}"
+                f"recovered edge parameter for ({a}, {b}) is non-positive: {values[0]:.3e}"
             )
-        delta2[(a, b)] = value
+        delta2[(a, b)] = values[0]
 
     full = path_sum_matrix(DeltaFamily(g, delta2))
     # closing the loop: the reconstruction must restrict back to the input

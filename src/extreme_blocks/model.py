@@ -243,11 +243,22 @@ def _clique_precisions(d: DeltaFamily) -> np.ndarray:
     return theta
 
 
+# entries held at once by a row-block pass over an n x n matrix
+_BLOCK = 1 << 16
+
+
 def precision_matrix(d: DeltaFamily, u: str) -> np.ndarray:
-    """Theta_u, the inverse of Sigma_u: the clique precisions without u."""
-    iu = d.graph.index(u)
-    rest = [i for i in range(len(d.graph.nodes)) if i != iu]
-    return _clique_precisions(d)[np.ix_(rest, rest)]
+    """Theta_u, the inverse of Sigma_u: the clique precisions without u,
+    squeezed out of the n x n sum in place a block of rows at a time. A
+    block lands before the rows still to be read, so one block is held."""
+    rest = np.delete(np.arange(len(d.graph.nodes)), d.graph.index(u))
+    theta = _clique_precisions(d)
+    m, flat = len(rest), theta.reshape(-1)
+    step = max(1, _BLOCK // len(theta))
+    for lo in range(0, m, step):
+        rows = rest[lo:lo + step]
+        flat[lo * m:(lo + len(rows)) * m] = theta[np.ix_(rows, rest)].ravel()
+    return flat[:m * m].reshape(m, m)
 
 
 def check_cnd(m: np.ndarray | PathSumMatrix) -> bool:
@@ -283,10 +294,6 @@ class GraphCheckReport:
         return self.max_violation <= self.tolerance
 
 
-# entries of Theta_u Sigma_u held at once by the graph check
-_CHECK_BLOCK = 1 << 16
-
-
 def extremal_graph_check(lim: GaussianLimit, theta: np.ndarray,
                          tolerance: float | None = None) -> GraphCheckReport:
     """Measured max |Theta_u Sigma_u - I| for Sigma_u = lim.cov.
@@ -313,7 +320,7 @@ def extremal_graph_check(lim: GaussianLimit, theta: np.ndarray,
     if tolerance is None:
         tolerance = 100.0 * np.finfo(float).eps * max(cov.max(), -cov.min()) * theta_max
     worst, at = -1.0, (0, 0)
-    step = max(1, _CHECK_BLOCK // m)
+    step = max(1, _BLOCK // m)
     for lo in range(0, m, step):
         rows = theta[lo:lo + step]
         cols = np.flatnonzero(rows.any(axis=0))

@@ -409,6 +409,27 @@ def test_recover_inconsistent_input_exit_three(tmp_path, capsys):
     assert diag["error"] == "InconsistentInputError"
 
 
+def test_recover_non_finite_input_exit_one(tmp_path, capsys):
+    from extreme_blocks import ObservationMask, build_block_graph, path_sum_matrix
+    from gen import random_delta
+    gpath = tmp_path / "fig4.json"
+    ebio.dump_graph_json(gpath, FIG4_NODES, FIG4_EDGES)
+    g = build_block_graph(FIG4_NODES, FIG4_EDGES)
+    fam = random_delta(g, np.random.default_rng(55), lo=0.4, hi=2.0)
+    mask = ObservationMask.from_latent(g, ["3"])
+    p_obs = path_sum_matrix(fam).restrict(mask.observed)
+    values = p_obs.values.copy()
+    i, j = p_obs.index("4"), p_obs.index("5")
+    values[i, j] = values[j, i] = np.inf
+    mpath = tmp_path / "inf.csv"
+    ebio.write_matrix_csv(mpath, p_obs.nodes, values)
+    assert run(["recover", "--graph", str(gpath), "--latent", "3",
+                "--pathsums", str(mpath), "--out", str(tmp_path / "r")]) == 1
+    diag = json.loads(capsys.readouterr().out.strip())
+    assert diag["error"] == "ValueError" and "finite" in diag["message"]
+    assert not (tmp_path / "r").exists()
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-9", "abc"])
 def test_tol_must_be_finite_and_positive(fig2_files, tmp_path, capsys, tol):
     gpath, ppath = fig2_files

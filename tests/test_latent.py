@@ -1,3 +1,5 @@
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from extreme_blocks import (
     InconsistentInputError,
     NotIdentifiableError,
     ObservationMask,
+    PathSumMatrix,
     build_block_graph,
     check_identifiable,
     nonidentifiable_witness,
@@ -20,6 +23,32 @@ from gen import random_block_graph, random_delta
 @pytest.fixture()
 def fig4_family(fig4_graph):
     return random_delta(fig4_graph, np.random.default_rng(13), lo=0.4, hi=2.0)
+
+
+def hub_chain():
+    """Three adjacent hubs a - b - c, each in three cliques."""
+    edges = [("a", "b"), ("b", "c"),
+             ("a", "a1"), ("a", "a2"), ("a1", "a2"), ("a", "a3"),
+             ("b", "b1"), ("b", "b2"), ("b1", "b2"),
+             ("c", "c1"), ("c", "c2"), ("c1", "c2"), ("c", "c3")]
+    nodes = sorted({v for e in edges for v in e})
+    return build_block_graph(nodes, edges)
+
+
+def quadruple_values(g, p, observed, a, b):
+    """(p(x1,y1) + p(x2,y2) - p(x1,x2) - p(y1,y2)) / 2 over every observed
+    quadruple whose x-pair has a on its path and lies beyond a from b, and
+    whose y-pair does the same at b."""
+    def pairs(a, b):
+        side = [x for x in observed if a in g.path_nodes(x, b)]
+        return [(x1, x2) for x1, x2 in combinations_with_replacement(side, 2)
+                if a in g.path_nodes(x1, x2)]
+
+    def q(x, y):
+        return 0.0 if x == y else p.entry(x, y)
+
+    return [0.5 * (q(x1, y1) + q(x2, y2) - q(x1, x2) - q(y1, y2))
+            for x1, x2 in pairs(a, b) for y1, y2 in pairs(b, a)]
 
 
 class TestCheckIdentifiable:
@@ -77,9 +106,30 @@ class TestRecoverPathSums:
         i, j = obs.index("4"), obs.index("6")
         bad[i, j] += 0.05
         bad[j, i] += 0.05
-        from extreme_blocks import PathSumMatrix
         with pytest.raises(InconsistentInputError):
             recover_path_sums(fig4_graph, PathSumMatrix(obs.nodes, bad), mask)
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_non_finite_input_rejected(self, fig4_graph, fig4_family, bad):
+        # an infinite entry used to come back as a non-finite P, a NaN as
+        # an asymmetry
+        mask = ObservationMask.from_latent(fig4_graph, ["3"])
+        obs = path_sum_matrix(fig4_family).restrict(mask.observed)
+        vals = obs.values.copy()
+        i, j = obs.index("4"), obs.index("5")
+        vals[i, j] = vals[j, i] = bad
+        with pytest.raises(ValueError, match="finite"):
+            recover_path_sums(fig4_graph, PathSumMatrix(obs.nodes, vals), mask)
+
+    def test_symmetry_check_has_no_relative_slack(self, fig4_graph, fig4_family):
+        # a relative asymmetry of 1e-7 is far beyond the 1e-12 scale bound
+        mask = ObservationMask.from_latent(fig4_graph, ["3"])
+        obs = path_sum_matrix(fig4_family).restrict(mask.observed)
+        vals = obs.values.copy()
+        i, j = obs.index("4"), obs.index("6")
+        vals[j, i] *= 1 + 1e-7
+        with pytest.raises(InconsistentInputError, match="not symmetric"):
+            recover_path_sums(fig4_graph, PathSumMatrix(obs.nodes, vals), mask)
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
     def test_bad_tolerance_rejected(self, fig4_graph, fig4_family, tol):
@@ -126,6 +176,26 @@ class TestRecoverPathSums:
                                 got = 0.5 * (p.entry(ibar, jbar) + p.entry(ibar, ybar)
                                              - p.entry(ybar, jbar))
                                 assert got == pytest.approx(expect, abs=1e-10)
+
+    @pytest.mark.parametrize("graph, latent, edge", [
+        ("fig4", ["3"], ("3", "4")),      # latent - observed
+        ("chain", ["a", "b"], ("a", "b")),  # latent - latent
+    ])
+    def test_anchor_quadruple_independence(self, fig4_graph, fig4_family, graph, latent, edge):
+        # every valid anchor quadruple gives the same edge parameter
+        if graph == "fig4":
+            g, fam = fig4_graph, fig4_family
+        else:
+            g = hub_chain()
+            fam = random_delta(g, np.random.default_rng(19))
+        p = path_sum_matrix(fam)
+        mask = ObservationMask.from_latent(g, latent)
+        values = quadruple_values(g, p, mask.observed, *edge)
+        assert len(values) > 1
+        for got in values:
+            assert got == pytest.approx(fam.delta2(*edge), abs=1e-10)
+        rec = recover_path_sums(g, p.restrict(mask.observed), mask)
+        assert rec.entry(*edge) == pytest.approx(fam.delta2(*edge), abs=1e-12)
 
     def test_relabeling_commutes(self, fig4_graph, fig4_family):
         mapping = {v: f"w{9 - int(v)}" for v in fig4_graph.nodes}
@@ -218,3 +288,15 @@ class TestLatentChains:
         p = path_sum_matrix(fam)
         rec = recover_path_sums(g, p.restrict(mask.observed), mask)
         assert np.abs(rec.values - p.values).max() <= 1e-10
+
+    def test_three_adjacent_latent_hubs(self):
+        g = hub_chain()
+        assert all(g.clique_degree(v) == 3 for v in "abc")
+        fam = random_delta(g, np.random.default_rng(23))
+        mask = ObservationMask.from_latent(g, ["a", "b", "c"])
+        p = path_sum_matrix(fam)
+        rec = recover_path_sums(g, p.restrict(mask.observed), mask)
+        assert np.abs(rec.values - p.values).max() <= 1e-12
+        params = recover_edge_params(rec, g).edge_params
+        for e, v in fam.edge_params.items():
+            assert params[e] == pytest.approx(v, abs=1e-12)

@@ -18,7 +18,12 @@ from extreme_blocks import (
     sample_limit_field,
     validate_delta,
 )
-from extreme_blocks.model import _anchor, _increment_law, sigma_coefficient_matrix
+from extreme_blocks.model import (
+    _anchor,
+    _clique_precisions,
+    _increment_law,
+    sigma_coefficient_matrix,
+)
 from conftest import FIG2_DELTA
 from gen import clique_tree_edges, random_block_graph, random_delta, random_tree
 
@@ -217,6 +222,28 @@ class TestPrecision:
             lim = gaussian_limit(fam, u)
             assert np.allclose(precision_matrix(fam, u), np.linalg.inv(lim.cov),
                                atol=1e-10)
+
+    def test_in_place_compaction_matches_gather(self):
+        # rows are moved in blocks inside the n x n sum; the result must be
+        # the plain gather, bit for bit, with about one n x n matrix held
+        import tracemalloc
+        n = 1001
+        rng = np.random.default_rng(101)
+        nodes, edges = clique_tree_edges(rng, n)
+        g = build_block_graph(nodes, edges)
+        fam = random_delta(g, rng)
+        full = _clique_precisions(fam)
+        for u in (nodes[0], nodes[n // 2], nodes[-1]):
+            rest = [i for i in range(n) if i != g.index(u)]
+            tracemalloc.start()
+            try:
+                theta = precision_matrix(fam, u)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert np.array_equal(theta, full[np.ix_(rest, rest)])
+            assert theta.shape == (n - 1, n - 1) and theta.flags.c_contiguous
+            assert peak < 1.2 * full.nbytes
 
 
 class TestCheckCnd:
