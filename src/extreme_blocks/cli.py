@@ -240,6 +240,11 @@ def cmd_ec(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    ks = [int(x) for x in str(args.k).split(",") if x]
+    if not ks:
+        raise ValueError("--k lists no tail size")
+    if len(set(ks)) < len(ks):
+        raise ValueError(f"--k repeats a tail size: {args.k}")
     nodes, edges = ebio.load_graph_json(args.graph)
     g = build_block_graph(nodes, edges)
     file_nodes, data = ebio.read_samples_csv(args.data)
@@ -248,7 +253,6 @@ def cmd_fit(args) -> int:
     order = [file_nodes.index(v) for v in g.nodes]
     raw = SampleSet(data[:, order], g.nodes, "raw")
     pareto = rank_transform(raw)
-    ks = [int(x) for x in str(args.k).split(",") if x]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -4,9 +4,10 @@ Pipeline: standardize margins to unit Pareto by ranks, collect log-spacings
 above per-anchor thresholds, form empirical covariances, and match them to
 the model covariances, which are linear in the squared edge parameters.
 The resulting nonnegativity-constrained linear least-squares problem is
-never stacked: each anchor's upper-triangle rows are folded into one
-(|E|+1)-square triangular factor of [design | target], whose SVD decides
-identifiability and on which a Lawson-Hanson active-set iteration runs.
+solved from its |E|-square normal equations, which are assembled from
+counts over the classes of where paths enter cliques, never from the
+design: the eigenvalues of the Gram matrix decide identifiability, and a
+Lawson-Hanson active-set iteration runs on the Gram matrix and target.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import (
     UnknownNodeError,
 )
 from .graph import BlockGraph, Edge
-from .model import _anchor, _path_incidence
+from .model import DeltaFamily, _anchor, _entry_classes, path_sum_matrix
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,12 @@ def log_spacings(s: SampleSet, u: str, k: int) -> np.ndarray:
     if not 1 <= k < n:
         raise KOutOfRangeError(f"k must be in [1, {n - 1}], got {k}")
     anchor = s.column(u)
-    top = np.argsort(-anchor, kind="stable")[:k]
+    # the k largest without a full sort: all above the k-th largest value,
+    # then the lowest-index rows that tie with it
+    kth = np.partition(anchor, n - k)[n - k]
+    above = np.flatnonzero(anchor > kth)
+    top = np.sort(np.r_[above, np.flatnonzero(anchor == kth)[:k - len(above)]])
+    top = top[np.argsort(-anchor[top], kind="stable")]
     cols = [j for j, v in enumerate(s.nodes) if v != u]
     logs = np.log(s.data[np.ix_(top, cols)])
     return logs - np.log(anchor[top])[:, None]
@@ -119,19 +125,25 @@ def nnls_active_set(a: np.ndarray, b: np.ndarray,
                     kkt_tol: float = 1e-10, max_iter: int | None = None) -> np.ndarray:
     """Minimize ||a x - b||_2 subject to x >= 0 (Lawson-Hanson).
 
-    Stops when every zero-clamped coordinate has gradient at most kkt_tol
-    relative to the problem scale.
+    Runs on the normal equations a'a x = a'b, formed once (the fast NNLS
+    of Bro & de Jong): each active-set step solves the passive block of
+    a'a. Stops when every zero-clamped coordinate has gradient at most
+    kkt_tol max|a'b|. That tolerance and the clamp of vanishing
+    coordinates are both relative, so scaling a or b scales x alike.
     """
-    m, n = a.shape
+    gram, rhs = a.T @ a, a.T @ b
+    n = len(rhs)
     x = np.zeros(n)
+    scale = float(np.abs(rhs).max()) if n else 0.0
+    if scale == 0.0:
+        return x
     passive = np.zeros(n, dtype=bool)
-    scale = max(1.0, float(np.abs(a.T @ b).max())) if m else 1.0
     tol = kkt_tol * scale
     max_iter = max_iter if max_iter is not None else 10 * n
 
     for _ in range(max_iter):
-        grad = a.T @ (b - a @ x)
-        grad = np.where(passive, -np.inf, grad)
+        grad = rhs - gram @ x
+        grad[passive] = -np.inf
         t = int(np.argmax(grad))
         if grad[t] <= tol:
             break
@@ -139,7 +151,7 @@ def nnls_active_set(a: np.ndarray, b: np.ndarray,
         while True:
             sol = np.zeros(n)
             cols = np.flatnonzero(passive)
-            sol[cols] = np.linalg.lstsq(a[:, cols], b, rcond=None)[0]
+            sol[cols] = np.linalg.solve(gram[np.ix_(cols, cols)], rhs[cols])
             if np.all(sol[cols] > 0):
                 x = sol
                 break
@@ -147,7 +159,7 @@ def nnls_active_set(a: np.ndarray, b: np.ndarray,
             ratios = x[bad] / (x[bad] - sol[bad])
             alpha = float(ratios.min())
             x = x + alpha * (sol - x)
-            passive &= x > 1e-14
+            passive &= x > 1e-14 * np.abs(x).max()
             x[~passive] = 0.0
     return x
 
@@ -200,6 +212,63 @@ def _moment(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
     return value
 
 
+# eigenvalues of the Gram matrix at or below this fraction of the largest
+# count as zero: the design's singular values below 1e-6 of the largest
+RANK_TOL = 1e-12
+
+
+def _normal_equations(g: BlockGraph, moments: Mapping[str, tuple], weights: Mapping[str, float],
+                      mean_weight: float) -> tuple[np.ndarray, np.ndarray]:
+    """G = sum_u w_u D_u'D_u and h = sum_u w_u D_u' vec(Sigma_hat_u), plus
+    the mean rows at weight mean_weight, with no design D_u formed.
+
+    Over all n x n entries, with anchor u's row and column zero, D_u's
+    column for edge e is 2 (c 1' + 1 c' - X_e): X_e is the edge's path
+    incidence and c = X_e 1_u. Each is a sum over the two orientations
+    (p, q) of the edge's entry classes, X_e of 1_p 1_q' and c of
+    [u in p] 1_q, so every inner product is a product of class counts
+    K = N'N and weighted counts K_w = N' diag(w) N. Per pair of
+    orientations (p, q) of e and (r, s) of f:
+      sum_u w_u c_e.c_f             = K_w[p, r] K[q, s]
+      sum_u w_u (1'c_e)(1'c_f)      = K_w[p, r] |q| |s|
+      sum_u w_u c_e'X_f 1           = w(p) K[q, r] |s|
+      <X_e, X_f>                    = K[p, r] K[q, s]
+    The mean rows -2 c add 4 mean_weight c_e.c_f. The target needs the
+    class sums of the weighted Sigma_hat_u and, per anchor class, of its
+    row sums and means.
+    """
+    n = len(g.nodes)
+    classes, ends = _entry_classes(g)
+    w = np.zeros(n)
+    spread = np.zeros((n, n))  # sum_u w_u Sigma_hat_u, zero at anchor u's row and column
+    lines = np.zeros((n, n))   # column u: w_u (4 Sigma_hat_u 1 - 2 mean_weight mu_hat_u)
+    for u, (cov_hat, mean_hat) in moments.items():
+        iu = g.index(u)
+        rest = np.r_[:iu, iu + 1:n]
+        w[iu] = weights[u]
+        spread[np.ix_(rest, rest)] += w[iu] * cov_hat
+        line = 2.0 * (cov_hat.sum(axis=0) + cov_hat.sum(axis=1))
+        if mean_hat is not None:
+            line -= 2.0 * mean_weight * mean_hat
+        lines[rest, iu] = w[iu] * line
+    count = classes.T @ classes
+    wcount = classes.T @ (w[:, None] * classes)
+    size, wsize = np.diagonal(count), np.diagonal(wcount)
+    a, b = ends.T
+    rows, inner = classes.T @ lines @ classes, classes.T @ spread @ classes
+    target = rows[a, b] + rows[b, a] - 2.0 * (inner[a, b] + inner[b, a])
+
+    gram = np.zeros((len(a), len(a)))
+    for p, q in ((a, b), (b, a)):
+        for r, s in ((a, b), (b, a)):
+            gram += ((2 * n + mean_weight) * count[np.ix_(q, s)] + 2.0 * np.outer(size[q], size[s])) \
+                * wcount[np.ix_(p, r)]
+            gram -= 2.0 * (wsize[p, None] * count[np.ix_(q, r)] * size[s]
+                           + size[q, None] * count[np.ix_(p, s)] * wsize[r])
+            gram += w.sum() * count[np.ix_(p, r)] * count[np.ix_(q, s)]
+    return 4.0 * gram, target
+
+
 def fit_delta_from_covariances(g: BlockGraph, covs: Mapping[str, np.ndarray],
                                means: Mapping[str, np.ndarray] | None = None, *,
                                mean_weight: float = 1.0,
@@ -209,7 +278,6 @@ def fit_delta_from_covariances(g: BlockGraph, covs: Mapping[str, np.ndarray],
     if not covs:
         raise ValueError("need covariance estimates for at least one anchor")
     edges = g.edges_sorted()
-    n_edges = len(edges)
     m = len(g.nodes) - 1
     weights, moments = {}, {}
     for u in covs:
@@ -222,41 +290,32 @@ def fit_delta_from_covariances(g: BlockGraph, covs: Mapping[str, np.ndarray],
                       None if means is None else _moment(f"mean of anchor {u!r}", means[u], (m,)))
     mean_weight = _weight("mean_weight", mean_weight)
 
-    incidence = _path_incidence(g)
-    # Sigma_u is symmetric, so rows (i, j) and (j, i) fold as one upper-triangle
-    # row scaled by sqrt(2) against their mean; what the mean leaves of an
-    # asymmetric Sigma_hat_u is a constant of the objective
-    iu, ju = np.triu_indices(m)
-    fold = np.where(iu == ju, 1.0, np.sqrt(2.0))[:, None]
-    asymmetry = 0.0
-    # [[R, c], [0, rho]]: the triangular factor of [design | target], one anchor's rows at a time
-    factor = np.zeros((n_edges + 1, n_edges + 1))
-    for u, (cov_hat, mean_hat) in moments.items():
-        coeffs = _anchor(incidence, g.index(u))[1]  # sigma_coefficient_matrix(g, u)
-        target = 0.5 * (cov_hat + cov_hat.T)
-        asymmetry += weights[u] * float(np.sum((cov_hat - cov_hat.T) ** 2)) / 4.0
-        rows = [np.sqrt(weights[u]) * fold * np.column_stack([coeffs[iu, ju], target[iu, ju]])]
-        if mean_hat is not None:
-            # mu_u = -2 p_u. and Sigma_u's diagonal is 4 p_u.
-            rows.append(np.sqrt(weights[u] * mean_weight) * np.column_stack(
-                [-0.5 * np.diagonal(coeffs).T, mean_hat]))
-        factor = np.linalg.qr(np.vstack([factor, *rows]), mode="r")
-    r, c, rho = factor[:-1, :-1], factor[:-1, -1], factor[-1, -1]
-
-    # R has the design's singular values and least-squares minimizers
-    _, svals, vt = np.linalg.svd(r)
-    rank = int(np.sum(svals > 1e-10 * svals[0]))
-    if rank < n_edges:
-        involved = np.any(np.abs(vt[rank:]) > 1e-8, axis=0)
+    gram, target = _normal_equations(g, moments, weights, mean_weight if means is not None else 0.0)
+    # G = V diag(lam) V' shares the design's null space; it is decided at
+    # a relative eigenvalue threshold, since G squares the design's
+    # singular values and cannot resolve them below about 1e-8
+    lam, vec = np.linalg.eigh(gram)
+    null = lam <= RANK_TOL * lam[-1]
+    if null.any():
+        involved = np.any(np.abs(vec[:, null]) > 1e-8, axis=1)
         raise UnderdeterminedError([e for e, bad in zip(edges, involved) if bad])
 
-    delta2 = nnls_active_set(r, c, kkt_tol=kkt_tol)
-    resid = r @ delta2 - c
+    # a = diag(lam)^1/2 V' is a square root of G and a'b = h, so the NNLS
+    # forms the same normal equations: |E| equations in |E| unknowns
+    root = np.sqrt(lam)
+    delta2 = nnls_active_set(root[:, None] * vec.T, (vec.T @ target) / root, kkt_tol=kkt_tol)
+    delta2_hat = {e: float(v) for e, v in zip(edges, delta2)}
+
+    # the objective is measured on the fitted path sums, not expanded from
+    # G and h, whose terms cancel to rounding at an exact fit
+    fitted = path_sum_matrix(DeltaFamily(g, delta2_hat)).values
+    objective = 0.0
+    for u, (cov_hat, mean_hat) in moments.items():
+        pu, cov = _anchor(fitted, g.index(u))
+        objective += weights[u] * float(np.sum((cov - cov_hat) ** 2))
+        if mean_hat is not None:
+            objective += weights[u] * mean_weight * float(np.sum((2.0 * pu + mean_hat) ** 2))
     diagnostics = {}
     if row_counts:
         diagnostics = {u: {"rows": row_counts[u]} for u in row_counts}
-    return FitResult(
-        delta2_hat={e: float(v) for e, v in zip(edges, delta2)},
-        objective=float(resid @ resid + rho * rho + asymmetry),
-        diagnostics=diagnostics,
-    )
+    return FitResult(delta2_hat=delta2_hat, objective=objective, diagnostics=diagnostics)

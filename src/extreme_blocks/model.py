@@ -12,11 +12,13 @@ One map, `_anchor`, turns a conditionally negative definite matrix M and
 a node s into the covariance 2*(m_si + m_sj - m_ij): on Delta_C it gives
 a clique's increment law (validation, sampling, Theta_u), on P it gives
 Sigma_u, on a restricted P each stdf term, and on any M the CND test.
-One fill sums per-clique blocks along shortest paths: on Delta_C it gives
-P, on unit blocks per edge the path-edge incidence, whose anchoring gives
-Sigma_u's coefficients in delta^2 as anchoring P gives Sigma_u. One sum
-of zero-row-sum clique precisions gives every Theta_u by deleting u, and
-the graph check measures Theta_u Sigma_u - I at one anchor.
+One fill sums the clique matrices Delta_C along shortest paths into P.
+Sigma_u's coefficients in delta^2 come from where paths enter cliques:
+edge (a, b) lies on the path from x to y exactly when the path from x
+enters the edge's clique at one end and the path from y at the other.
+One sum of zero-row-sum clique precisions gives every Theta_u by
+deleting u, and the graph check measures Theta_u Sigma_u - I at one
+anchor.
 """
 
 from __future__ import annotations
@@ -141,19 +143,19 @@ class PathSumMatrix:
         return PathSumMatrix(tuple(keep), self.values[np.ix_(idx, idx)].copy())
 
 
-def _path_fill(g: BlockGraph, blocks: list[np.ndarray], tail: tuple[int, ...] = ()) -> np.ndarray:
+def _path_fill(g: BlockGraph, blocks: list[np.ndarray]) -> np.ndarray:
     """Sums of per-clique blocks along shortest paths, in node order.
 
-    blocks[ci] has rows and columns in clique ci's sorted member order and
-    any trailing axes `tail`. Cliques are filled in the root order of the
-    block-cut tree. The targets t of a clique reach every node k filled
-    before them through the clique's separator s, so P[t, k] = block[s, t]
-    + P[s, k]; among themselves they are one edge apart. Each target's
-    whole row and column are written; entries toward nodes not yet filled
-    are overwritten when those nodes are.
+    blocks[ci] has rows and columns in clique ci's sorted member order.
+    Cliques are filled in the root order of the block-cut tree. The
+    targets t of a clique reach every node k filled before them through
+    the clique's separator s, so P[t, k] = block[s, t] + P[s, k]; among
+    themselves they are one edge apart. Each target's whole row and
+    column are written; entries toward nodes not yet filled are
+    overwritten when those nodes are.
     """
     n = len(g.nodes)
-    q = np.zeros((n, n, *tail))
+    q = np.zeros((n, n))
     for ci in g._order:
         m, members = blocks[ci], g._members[ci]
         si = members.index(g._sep[ci])
@@ -162,7 +164,7 @@ def _path_fill(g: BlockGraph, blocks: list[np.ndarray], tail: tuple[int, ...] = 
         rows = m[si, keep][:, None] + q[members[si]][None, :]
         rows[:, targets] = m[np.ix_(keep, keep)]
         q[targets] = rows
-        q[:, targets] = np.swapaxes(rows, 0, 1)
+        q[:, targets] = rows.T
     return q
 
 
@@ -334,26 +336,45 @@ def extremal_graph_check(lim: GaussianLimit, theta: np.ndarray,
     return GraphCheckReport(worst, float(tolerance), (lim.anchor, lim.nodes[i], lim.nodes[j]))
 
 
-def _path_incidence(g: BlockGraph) -> np.ndarray:
-    """Path fill on unit blocks, one per edge: entry (i, j, e) is 1 when
-    the e-th sorted edge lies on the shortest path from i to j."""
-    column = {e: k for k, e in enumerate(g.edges_sorted())}
-    blocks = []
-    for members in g._members:
-        b = np.zeros((len(members), len(members), len(column)))
-        for x in range(len(members)):
-            for y in range(x + 1, len(members)):
-                e = column[g.nodes[members[x]], g.nodes[members[y]]]
-                b[x, y, e] = b[y, x, e] = 1.0
-        blocks.append(b)
-    return _path_fill(g, blocks, (len(column),))
+def _entry_classes(g: BlockGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Where paths enter each clique, as classes of nodes.
+
+    The path from a node x enters a clique C at one member, L_C(x): x
+    itself if x is in C. Class t, for each target t, holds the nodes below
+    t in the block-cut tree, those that enter t's parent clique at t;
+    class n + ci holds the nodes that enter clique ci at its separator.
+    Returns the (n, n + #cliques) class indicator and, for each sorted
+    edge (a, b), the classes of a and of b in the edge's clique: the edge
+    lies on the path from x to y exactly when x is in one and y in the
+    other.
+    """
+    n = len(g.nodes)
+    classes = np.zeros((n, n + len(g.cliques)))
+    for ci in g._order:  # a separator's row is complete before its targets copy it
+        s = g._sep[ci]
+        targets = [t for t in g._members[ci] if t != s]
+        classes[targets, :n] = classes[s, :n]
+        classes[targets, targets] = 1.0
+    for ci, members in enumerate(g._members):
+        targets = [t for t in members if t != g._sep[ci]]
+        classes[:, n + ci] = 1.0 - classes[:, targets].sum(axis=1)
+    ends = np.empty((len(g.edges), 2), dtype=int)
+    for k, edge in enumerate(g.edges_sorted()):
+        ci = g.clique_of_edge(*edge)
+        for side, v in enumerate(map(g.index, edge)):
+            ends[k, side] = v if g._up_clique[v] == ci else n + ci
+    return classes, ends
 
 
 def sigma_coefficient_matrix(g: BlockGraph, u: str) -> np.ndarray:
     """Coefficients of Sigma_u as a linear map of the sorted delta^2 vector.
 
     Returns an array of shape (m, m, |E|) with m = |V| - 1 such that
-    Sigma_u = coeffs @ delta2_vector: the path-edge incidence anchored as
-    P is for Sigma_u, with coefficients in {0, +/-2, 4}.
+    Sigma_u = coeffs @ delta2_vector: the path-edge incidence, read off
+    the entry classes and anchored as P is for Sigma_u, with coefficients
+    in {0, +/-2, 4}.
     """
-    return _anchor(_path_incidence(g), g.index(u))[1]
+    iu = g.index(u)
+    classes, ends = _entry_classes(g)
+    a, b = classes[:, ends[:, 0]], classes[:, ends[:, 1]]
+    return _anchor(a[:, None] * b[None] + b[:, None] * a[None], iu)[1]

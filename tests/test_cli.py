@@ -280,6 +280,20 @@ class TestFitCommand:
         back = ebio.load_params_json(out / "delta2_k200.json")
         assert set(back) == set(FIG2_DELTA)
 
+    @pytest.mark.parametrize("ks", [",", "", "10,10", "10,20,10"])
+    def test_empty_or_repeated_k_usage_exit(self, fig2_files, tmp_path, capsys, ks):
+        # an empty sweep would write an empty ksweep.csv, and a repeated k
+        # would fit twice into one delta2_k<k>.json
+        gpath, _ = fig2_files
+        dpath = tmp_path / "data.csv"
+        rng = np.random.default_rng(0)
+        ebio.write_samples_csv(dpath, tuple(sorted(FIG2_NODES)), rng.random((50, len(FIG2_NODES))))
+        out = tmp_path / "fit"
+        assert run(["fit", "--graph", str(gpath), "--data", str(dpath),
+                    "--k", ks, "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().out.strip())["error"] == "ValueError"
+        assert not out.exists()
+
 
 class TestRecoverCommands:
     def test_recover_round_trip(self, tmp_path, capsys):

@@ -9,6 +9,7 @@ import scipy.stats
 
 from extreme_blocks import (
     ConstantColumnError,
+    GaussianLimit,
     KOutOfRangeError,
     SampleSet,
     ScaleError,
@@ -19,6 +20,7 @@ from extreme_blocks import (
     gaussian_limit,
     log_spacings,
     nnls_active_set,
+    path_sum_matrix,
     rank_transform,
     sample_pareto_conditioned,
 )
@@ -117,6 +119,19 @@ class TestLogSpacings:
         # all anchor values tie; rows 0 and 1 win by index
         assert np.allclose(rows[:, 0], np.log([1.0, 3.0]) - np.log(2.0))
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_ties_across_the_k_boundary_match_a_full_stable_sort(self, seed):
+        # few distinct anchor values, so ties straddle the k-th largest
+        rng = np.random.default_rng(seed)
+        n = 200
+        anchor = rng.integers(1, 8, n).astype(float)
+        data = np.column_stack([anchor, rng.uniform(1.0, 5.0, n)])
+        s = SampleSet(data, ("a", "b"), "pareto")
+        for k in range(1, n):
+            top = np.argsort(-anchor, kind="stable")[:k]
+            expect = np.log(data[top, 1]) - np.log(anchor[top])
+            assert np.array_equal(log_spacings(s, "a", k)[:, 0], expect)
+
     def test_simulated_spacings_center_on_minus_2p(self, fig2_family):
         n = 100000
         g = fig2_family.graph
@@ -150,31 +165,52 @@ class TestNnls:
         assert np.all(grad[x == 0] <= 1e-9 * scale)
         assert np.all(np.abs(grad[x > 0]) <= 1e-9 * scale)
 
+    @pytest.mark.parametrize("scale", [1e-12, 1e12])
+    def test_scale_equivariant(self, scale):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((30, 6))
+        b = rng.standard_normal(30)
+        ref, _ = scipy.optimize.nnls(a, b)
+        assert np.any(ref > 0)
+        np.testing.assert_allclose(nnls_active_set(a, scale * b), scale * ref,
+                                   rtol=1e-8, atol=1e-8 * scale * ref.max())
+        np.testing.assert_allclose(nnls_active_set(scale * a, b), ref / scale,
+                                   rtol=1e-8, atol=1e-8 * ref.max() / scale)
+
+    def test_zero_target_gives_zeros(self):
+        a = np.random.default_rng(4).standard_normal((10, 3))
+        assert np.array_equal(nnls_active_set(a, np.zeros(10)), np.zeros(3))
+
 
 class TestFitDelta:
-    def test_one_svd_and_edge_space_nnls(self, fig2_graph, fig2_family, monkeypatch):
-        # the anchors fold into one triangular factor [[R, c], [0, rho]];
-        # the SVD of R serves the rank test and NNLS runs on R x ~ c,
-        # |E| equations in the |E| unknowns
+    def test_one_eigh_and_edge_space_nnls(self, fig2_graph, fig2_family, monkeypatch):
+        # the fit assembles the (|E|, |E|) Gram G; one eigendecomposition
+        # of G serves the rank test and its square root carries the normal
+        # equations into the NNLS, |E| equations in the |E| unknowns
         import extreme_blocks.fit as fit_mod
-        svds, systems = [], []
-        real_svd, real_nnls = np.linalg.svd, fit_mod.nnls_active_set
+        decompositions, systems = [], []
+        real_eigh, real_nnls = np.linalg.eigh, fit_mod.nnls_active_set
 
-        def svd(a, *args, **kwargs):
-            svds.append(a.shape)
-            return real_svd(a, *args, **kwargs)
+        def eigh(a, *args, **kwargs):
+            decompositions.append(a.shape)
+            return real_eigh(a, *args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the fit needs no svd, qr or lstsq")
 
         def nnls(a, b, **kwargs):
             systems.append((a.shape, b.shape))
             return real_nnls(a, b, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", svd)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        for name in ("svd", "qr", "lstsq"):
+            monkeypatch.setattr(np.linalg, name, refuse)
         monkeypatch.setattr(fit_mod, "nnls_active_set", nnls)
         limits = {u: gaussian_limit(fig2_family, u) for u in fig2_graph.nodes}
         res = fit_delta_from_covariances(fig2_graph, {u: lim.cov for u, lim in limits.items()},
                                          {u: lim.mean for u, lim in limits.items()})
         n_edges = len(fig2_graph.edges)
-        assert len(svds) == 1
+        assert decompositions == [(n_edges, n_edges)]
         assert systems == [((n_edges, n_edges), (n_edges,))]
         assert res.objective <= 1e-18
         for e, v in FIG2_DELTA.items():
@@ -216,6 +252,12 @@ class TestFitDelta:
         for e in FIG2_DELTA:
             assert scaled.delta2_hat[e] == pytest.approx(3.0 * base.delta2_hat[e],
                                                          rel=1e-9)
+
+    def test_equivariance_at_tiny_scale(self, fig2_graph, fig2_family):
+        covs = {u: 1e-12 * gaussian_limit(fig2_family, u).cov for u in fig2_graph.nodes}
+        res = fit_delta_from_covariances(fig2_graph, covs)
+        for e, v in FIG2_DELTA.items():
+            assert res.delta2_hat[e] == pytest.approx(1e-12 * v, rel=1e-9, abs=0.0)
 
     def test_objective_convexity_along_segments(self, fig2_graph, fig2_family):
         # three-point midpoint check of the quadratic objective
@@ -275,27 +317,29 @@ class TestFitDelta:
             fit_delta_from_covariances(fig2_graph, covs, means, **weights)
 
     def test_underdetermined_reports_null_edges(self, fig2_graph, fig2_family, monkeypatch):
+        # an edge no covariance entry depends on has a zero row and column
+        # in G: its unit vector spans G's null space
         import extreme_blocks.fit as fit_mod
-        real = fit_mod._path_incidence
+        real = fit_mod._normal_equations
         dead_edge = ("5", "6")
         edges = fig2_graph.edges_sorted()
         dead_idx = edges.index(dead_edge)
 
-        def crippled(g):
-            incidence = real(g)
-            incidence[:, :, dead_idx] = 0.0
-            return incidence
+        def crippled(*args):
+            gram, target = real(*args)
+            gram[dead_idx, :] = gram[:, dead_idx] = 0.0
+            return gram, target
 
-        monkeypatch.setattr(fit_mod, "_path_incidence", crippled)
+        monkeypatch.setattr(fit_mod, "_normal_equations", crippled)
         covs = {u: gaussian_limit(fig2_family, u).cov for u in fig2_graph.nodes}
         with pytest.raises(UnderdeterminedError) as err:
             fit_delta_from_covariances(fig2_graph, covs)
-        assert dead_edge in err.value.null_edges
+        assert err.value.null_edges == (dead_edge,)
 
     def test_rank_deficient_fit_stays_small(self):
         # zero weights on every anchor leave no information; the null space
-        # comes from the SVD of the (|E|, |E|) factor R, not from the tall
-        # design, which is never stacked
+        # comes from the eigenvalues of the (|E|, |E|) Gram G, not from the
+        # tall design, which is never formed
         g = build_block_graph(*clique_tree_edges(np.random.default_rng(5), 21))
         covs = {u: np.eye(20) for u in g.nodes}
         tracemalloc.start()
@@ -310,7 +354,7 @@ class TestFitDelta:
 
     def test_exact_fit_memory_stays_small(self):
         # a stacked design and its thin U would trace about 130 MB here;
-        # the fit holds the incidence, one anchor's rows and the factor
+        # the fit holds n x n class sums and the (|E|, |E|) Gram
         g = build_block_graph(*clique_tree_edges(np.random.default_rng(5), 41))
         fam = random_delta(g, np.random.default_rng(6))
         covs = {u: gaussian_limit(fam, u).cov for u in g.nodes}
@@ -322,6 +366,22 @@ class TestFitDelta:
             tracemalloc.stop()
         assert peak < 32e6
         np.testing.assert_allclose(res.as_vector(g), fam.as_vector(), rtol=1e-9)
+
+    def test_fit_at_151_nodes_holds_no_incidence(self):
+        # the (n, n, |E|) path incidence alone would trace 55 MB here
+        g = build_block_graph(*clique_tree_edges(np.random.default_rng(5), 151))
+        fam = random_delta(g, np.random.default_rng(6))
+        p = path_sum_matrix(fam)
+        covs = {u: GaussianLimit.from_path_sums(p, u).cov for u in g.nodes}
+        incidence_bytes = len(g.nodes) ** 2 * len(g.edges) * 8
+        tracemalloc.start()
+        try:
+            res = fit_delta_from_covariances(g, covs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < incidence_bytes
+        np.testing.assert_allclose(res.as_vector(g), fam.as_vector(), rtol=1e-10)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_factor_matches_stacked_design(self, seed):
@@ -361,8 +421,8 @@ class TestFitDelta:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_asymmetric_covariance_matches_the_full_fold(self, seed):
-        # only the upper triangle is folded, against (c_ij + c_ji) / 2; the
-        # objective still counts every entry of an asymmetric Sigma_hat_u
+        # the target sees (c_ij + c_ji) / 2; the objective still counts
+        # every entry of an asymmetric Sigma_hat_u
         from extreme_blocks.model import sigma_coefficient_matrix
         rng = np.random.default_rng(700 + seed)
         g = random_block_graph(rng, max_nodes=10)
@@ -388,7 +448,7 @@ class TestFitDelta:
         ("means", "1", "missing"),
     ])
     def test_moments_validated(self, fig2_graph, fig2_family, moment, anchor, spoil):
-        # a non-finite entry would spread through the factor without a sound
+        # a non-finite entry would spread through G and h without a sound
         limits = {u: gaussian_limit(fig2_family, u) for u in ("1", "2")}
         given = {"covs": {u: lim.cov.copy() for u, lim in limits.items()},
                  "means": {u: lim.mean.copy() for u, lim in limits.items()}}
@@ -402,20 +462,23 @@ class TestFitDelta:
         with pytest.raises(ValueError, match=f"anchor '{anchor}'"):
             fit_delta_from_covariances(fig2_graph, given["covs"], given["means"])
 
-    def test_path_incidence_filled_once(self, fig2_graph, fig2_family, monkeypatch):
-        # one path fill per fit, anchored per anchor, not one fill per anchor
+    def test_one_path_fill_without_trailing_axes(self, fig2_graph, fig2_family, monkeypatch):
+        # no path incidence is filled: the fit's one path fill is the
+        # (n, n) P of its estimate, anchored per anchor for the objective
         import extreme_blocks.model as model
-        calls = []
+        shapes = []
         real = model._path_fill
 
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
+        def recorded(*args):
+            out = real(*args)
+            shapes.append(out.shape)
+            return out
 
         covs = {u: gaussian_limit(fig2_family, u).cov for u in fig2_graph.nodes}
-        monkeypatch.setattr(model, "_path_fill", counted)
+        monkeypatch.setattr(model, "_path_fill", recorded)
         fit_delta_from_covariances(fig2_graph, covs)
-        assert len(calls) == 1
+        n = len(fig2_graph.nodes)
+        assert shapes == [(n, n)]
 
     def test_spacings_pipeline(self, fig2_graph, fig2_family):
         spacings = {}

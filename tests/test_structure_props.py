@@ -11,12 +11,14 @@ from collections import deque
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from extreme_blocks import (
     ObservationMask,
     build_block_graph,
+    fit_delta_from_covariances,
     gaussian_limit,
     path_sum_matrix,
     precision_matrix,
@@ -139,6 +141,43 @@ def test_covariance_coefficients_and_precision(case, data):
     assert np.abs(theta - np.linalg.inv(cov)).max() <= 1e-10 * max(1.0, np.abs(theta).max())
     adjacent = np.array([[a == b or g.has_edge(a, b) for b in lim.nodes] for a in lim.nodes])
     assert np.all(theta[~adjacent] == 0.0)
+
+
+@PROPS
+@given(any_graph(), st.data(), st.booleans())
+def test_gram_fit_matches_nnls_on_the_stacked_design(case, data, with_means):
+    # the fit never forms the design; the reference stacks every anchor's
+    # coefficient rows (plus the -1/2-diagonal mean rows) and solves them
+    # with scipy's NNLS
+    g, _, seed = case
+    rng = np.random.default_rng(seed)
+    fam = random_delta(g, rng)
+    anchors = data.draw(st.lists(st.sampled_from(g.nodes), min_size=1, unique=True))
+    m = len(g.nodes) - 1
+    covs, means, weights = {}, {}, {}
+    for u in anchors:
+        lim = gaussian_limit(fam, u)
+        covs[u] = lim.cov + rng.normal(0.0, 0.3, (m, m))
+        means[u] = lim.mean + rng.normal(0.0, 0.3, m)
+        weights[u] = float(rng.uniform(0.2, 3.0))
+    mean_weight = float(rng.uniform(0.2, 3.0))
+    rows, target = [], []
+    for u in anchors:
+        coeffs = sigma_coefficient_matrix(g, u)
+        rows.append(np.sqrt(weights[u]) * coeffs.reshape(m * m, -1))
+        target.append(np.sqrt(weights[u]) * covs[u].reshape(-1))
+        if with_means:
+            lam = np.sqrt(weights[u] * mean_weight)
+            rows.append(lam * -0.5 * np.diagonal(coeffs).T)
+            target.append(lam * means[u])
+    design, target = np.vstack(rows), np.concatenate(target)
+    expect = scipy.optimize.nnls(design, target)[0]
+    resid = design @ expect - target
+    res = fit_delta_from_covariances(g, covs, means if with_means else None,
+                                     anchor_weights=weights, mean_weight=mean_weight)
+    np.testing.assert_allclose(res.as_vector(g), expect, rtol=1e-9,
+                               atol=1e-9 * np.abs(expect).max())
+    assert res.objective == pytest.approx(resid @ resid, rel=1e-9, abs=1e-20)
 
 
 @PROPS
