@@ -190,16 +190,18 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _subset_weights(args, g):
+def _subset(args, g):
     subset = [v for v in args.subset.split(",") if v]
-    for v in subset:
+    for i, v in enumerate(subset):
         g.index(v)
+        if v in subset[:i]:
+            raise ValueError(f"--subset repeats node {v!r}")
     return subset
 
 
 def cmd_stdf(args) -> int:
     g, fam = _load_model(args)
-    subset = _subset_weights(args, g)
+    subset = _subset(args, g)
     if args.weights:
         w = [float(x) for x in args.weights.split(",")]
         if len(w) != len(subset):
@@ -216,7 +218,7 @@ def cmd_stdf(args) -> int:
 
 def cmd_pareto_cdf(args) -> int:
     g, fam = _load_model(args)
-    subset = _subset_weights(args, g)
+    subset = _subset(args, g)
     z = [float(x) for x in args.point.split(",")]
     if len(z) != len(subset):
         raise ValueError("--point length must match --subset")
@@ -230,7 +232,7 @@ def cmd_pareto_cdf(args) -> int:
 
 def cmd_ec(args) -> int:
     g, fam = _load_model(args)
-    subset = _subset_weights(args, g)
+    subset = _subset(args, g)
     rel_tol = args.tol if args.tol is not None else 1e-6
     p = path_sum_matrix(fam)
     res = extremal_coefficient_detailed(p, subset, rel_tol=rel_tol, seed=args.seed)

@@ -6,8 +6,10 @@ the model covariances, which are linear in the squared edge parameters.
 The resulting nonnegativity-constrained linear least-squares problem is
 solved from its |E|-square normal equations, which are assembled from
 counts over the classes of where paths enter cliques, never from the
-design: the eigenvalues of the Gram matrix decide identifiability, and a
-Lawson-Hanson active-set iteration runs on the Gram matrix and target.
+design. One eigendecomposition of the Gram matrix decides identifiability
+and gives the unconstrained minimiser; when that is positive it is the
+answer, and only otherwise does a Lawson-Hanson active-set iteration run
+on the Gram matrix and target.
 """
 
 from __future__ import annotations
@@ -121,27 +123,30 @@ class FitResult:
         return np.array([self.delta2_hat[e] for e in g.edges_sorted()])
 
 
-def nnls_active_set(a: np.ndarray, b: np.ndarray,
-                    kkt_tol: float = 1e-10, max_iter: int | None = None) -> np.ndarray:
-    """Minimize ||a x - b||_2 subject to x >= 0 (Lawson-Hanson).
+# the active set stops when every zero-clamped coordinate has gradient at
+# most KKT_TOL max|h|, or after MAX_ITER_PER_UNKNOWN steps per unknown
+KKT_TOL = 1e-10
+MAX_ITER_PER_UNKNOWN = 10
 
-    Runs on the normal equations a'a x = a'b, formed once (the fast NNLS
-    of Bro & de Jong): each active-set step solves the passive block of
-    a'a. Stops when every zero-clamped coordinate has gradient at most
-    kkt_tol max|a'b|. That tolerance and the clamp of vanishing
-    coordinates are both relative, so scaling a or b scales x alike.
+
+def nnls_active_set(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Minimize ||a x - b||_2 subject to x >= 0 (Lawson-Hanson), given its
+    normal equations: gram = a'a and rhs = a'b.
+
+    Each active-set step solves the passive block of the Gram matrix (the
+    fast NNLS of Bro & de Jong), starting from x = 0. The stopping
+    tolerance KKT_TOL max|rhs| and the clamp of vanishing coordinates are
+    both relative, so scaling a or b scales x alike.
     """
-    gram, rhs = a.T @ a, a.T @ b
     n = len(rhs)
     x = np.zeros(n)
     scale = float(np.abs(rhs).max()) if n else 0.0
     if scale == 0.0:
         return x
     passive = np.zeros(n, dtype=bool)
-    tol = kkt_tol * scale
-    max_iter = max_iter if max_iter is not None else 10 * n
+    tol = KKT_TOL * scale
 
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER_PER_UNKNOWN * n):
         grad = rhs - gram @ x
         grad[passive] = -np.inf
         t = int(np.argmax(grad))
@@ -177,21 +182,20 @@ def _empirical_moments(spacings: Mapping[str, np.ndarray]):
 
 def fit_delta(g: BlockGraph, spacings: Mapping[str, np.ndarray], *,
               include_means: bool = False, mean_weight: float = 1.0,
-              anchor_weights: Mapping[str, float] | None = None,
-              kkt_tol: float = 1e-10) -> FitResult:
+              anchor_weights: Mapping[str, float] | None = None) -> FitResult:
     """Estimate delta^2 by matching model to empirical covariances.
 
     Minimizes sum_u w_u || Sigma_u(delta^2) - Sigma_hat_u ||_F^2 over
     delta^2 >= 0; optionally adds the mean condition mu_u = -2 p_u with
     weight `mean_weight`. Because Sigma_u is linear in delta^2, this is a
-    nonnegativity-constrained linear least-squares problem.
+    nonnegativity-constrained linear least-squares problem. The
+    diagnostics give each anchor's number of spacing rows.
     """
     covs, means = _empirical_moments(spacings)
-    return fit_delta_from_covariances(
-        g, covs, means if include_means else None,
-        mean_weight=mean_weight, anchor_weights=anchor_weights, kkt_tol=kkt_tol,
-        row_counts={u: int(np.asarray(m).shape[0]) for u, m in spacings.items()},
-    )
+    res = fit_delta_from_covariances(g, covs, means if include_means else None,
+                                     mean_weight=mean_weight, anchor_weights=anchor_weights)
+    rows = {u: {"rows": int(np.asarray(m).shape[0])} for u, m in spacings.items()}
+    return FitResult(res.delta2_hat, res.objective, rows)
 
 
 def _weight(name: str, w) -> float:
@@ -272,9 +276,7 @@ def _normal_equations(g: BlockGraph, moments: Mapping[str, tuple], weights: Mapp
 def fit_delta_from_covariances(g: BlockGraph, covs: Mapping[str, np.ndarray],
                                means: Mapping[str, np.ndarray] | None = None, *,
                                mean_weight: float = 1.0,
-                               anchor_weights: Mapping[str, float] | None = None,
-                               kkt_tol: float = 1e-10,
-                               row_counts: Mapping[str, int] | None = None) -> FitResult:
+                               anchor_weights: Mapping[str, float] | None = None) -> FitResult:
     if not covs:
         raise ValueError("need covariance estimates for at least one anchor")
     edges = g.edges_sorted()
@@ -300,10 +302,11 @@ def fit_delta_from_covariances(g: BlockGraph, covs: Mapping[str, np.ndarray],
         involved = np.any(np.abs(vec[:, null]) > 1e-8, axis=1)
         raise UnderdeterminedError([e for e, bad in zip(edges, involved) if bad])
 
-    # a = diag(lam)^1/2 V' is a square root of G and a'b = h, so the NNLS
-    # forms the same normal equations: |E| equations in |E| unknowns
-    root = np.sqrt(lam)
-    delta2 = nnls_active_set(root[:, None] * vec.T, (vec.T @ target) / root, kkt_tol=kkt_tol)
+    # G is positive definite, so a positive unconstrained minimiser
+    # V diag(lam)^-1 V' h is the NNLS solution; otherwise the active set runs
+    delta2 = vec @ ((vec.T @ target) / lam)
+    if not np.all(delta2 > 0):
+        delta2 = nnls_active_set(gram, target)
     delta2_hat = {e: float(v) for e, v in zip(edges, delta2)}
 
     # the objective is measured on the fitted path sums, not expanded from
@@ -315,7 +318,4 @@ def fit_delta_from_covariances(g: BlockGraph, covs: Mapping[str, np.ndarray],
         objective += weights[u] * float(np.sum((cov - cov_hat) ** 2))
         if mean_hat is not None:
             objective += weights[u] * mean_weight * float(np.sum((2.0 * pu + mean_hat) ** 2))
-    diagnostics = {}
-    if row_counts:
-        diagnostics = {u: {"rows": row_counts[u]} for u in row_counts}
-    return FitResult(delta2_hat=delta2_hat, objective=objective, diagnostics=diagnostics)
+    return FitResult(delta2_hat=delta2_hat, objective=objective)

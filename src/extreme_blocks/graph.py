@@ -10,10 +10,13 @@ Node identifiers are opaque strings. Internally they are mapped to dense
 indices in sorted identifier order, which fixes matrix layouts across runs.
 
 The structure every other module reads is one block-cut tree, rooted at
-the first node and built in linear time and memory: the clique order from
-the root, each clique's root-side separator and its other members (its
-targets), and each node's parent, parent clique and depth. Other modules
-read it through the parent pointers and the clique order away from a node.
+the first node. One depth-first search (Hopcroft-Tarjan) finds the
+blocks, checks that each is complete, and yields each block with its
+root-side separator, parents before children; in linear time and memory
+that gives each node's parent, parent clique and depth, and the root
+walk: every clique with its separator and its other members (its
+targets). Other modules read the tree through the parent pointers and
+through that walk, re-anchored at any node.
 """
 
 from __future__ import annotations
@@ -51,8 +54,9 @@ class BlockGraph:
     separators : frozenset of str
         Minimal clique-separator nodes (the cut vertices).
 
-    Construction roots the block-cut tree at the first node, in linear
-    time and memory; path queries walk it in O(path length).
+    One block search roots the block-cut tree at the first node, in
+    linear time and memory, and keeps its walk of (clique, separator,
+    targets); path queries climb the parent pointers in O(path length).
     Instances are immutable after construction and safe for concurrent
     read access.
     """
@@ -81,17 +85,15 @@ class BlockGraph:
             adj[ia].append(ib)
             adj[ib].append(ia)
         self._adj = [sorted(neigh) for neigh in adj]
-        self._adj_sets = [frozenset(neigh) for neigh in self._adj]
 
         blocks = self._biconnected_components()
-        self._validate_blocks(blocks)
 
-        cliques = [frozenset(self.nodes[i] for i in blk) for blk in blocks]
-        cliques.sort(key=lambda c: tuple(sorted(c)))
-        self.cliques: tuple[frozenset, ...] = tuple(cliques)
-
-        # members of each clique as sorted dense indices, and the cliques at each node
-        self._members: list[list[int]] = [sorted(self._index[v] for v in c) for c in self.cliques]
+        # clique indices follow the sorted member tuples; dense indices are
+        # in sorted identifier order, so this sorts the cliques by name
+        by_members = sorted(range(len(blocks)), key=lambda b: blocks[b][0])
+        self._members: list[list[int]] = [blocks[b][0] for b in by_members]
+        self.cliques: tuple[frozenset, ...] = tuple(
+            frozenset(self.nodes[i] for i in members) for members in self._members)
         cliques_at: list[list[int]] = [[] for _ in range(n)]
         for ci, members in enumerate(self._members):
             for v in members:
@@ -101,19 +103,43 @@ class BlockGraph:
             self.nodes[v] for v, cs in enumerate(self._cliques_at) if len(cs) >= 2
         )
 
-        self._root_tree()
+        # the blocks popped last lie nearest the root: reversed, they are
+        # the root walk, each clique's targets hanging below its separator
+        clique_of = {b: ci for ci, b in enumerate(by_members)}
+        self._up = [ROOT] * n               # parent node; the root's is itself
+        self._up_clique = [-1] * n          # the clique in which a node is a target
+        self._depth = [0] * n               # hops from the root
+        self._root_walk: list[tuple[int, int, list[int]]] = []
+        for b in reversed(range(len(blocks))):
+            members, s = blocks[b]
+            ci = clique_of[b]
+            targets = [t for t in members if t != s]
+            for t in targets:
+                self._up[t] = s
+                self._up_clique[t] = ci
+                self._depth[t] = self._depth[s] + 1
+            self._root_walk.append((ci, s, targets))
 
     # -- construction internals ------------------------------------------
 
-    def _biconnected_components(self) -> list[set[int]]:
-        """Hopcroft-Tarjan, iterative, from the root; returns node sets of
-        the blocks. A node the search never reaches makes the graph
-        disconnected."""
+    def _biconnected_components(self) -> list[tuple[list[int], int]]:
+        """Hopcroft-Tarjan, iterative, from the root; returns each block's
+        sorted members and its separator, in the order the blocks pop.
+
+        A block pops at the stack pair (u, v) when the search returns from
+        v to u; u was reached first, so it is the block's member nearest
+        the root. Every edge is pushed once, so a block of k members is a
+        clique exactly when it pops k(k-1)/2 edges. A node the search
+        never reaches makes the graph disconnected, which is reported
+        before any block that is not a clique.
+        """
         n = len(self.nodes)
         disc = [-1] * n
         low = [0] * n
-        comps: list[list[tuple[int, int]]] = []
+        comps: list[tuple[list[int], int]] = []
+        short: list[list[int]] = []  # members of blocks that are not cliques
         estack: list[tuple[int, int]] = []
+        start = [0] * n  # where the tree edge into each node sits on estack
         disc[ROOT] = low[ROOT] = 0
         timer = 1
         stack = [(ROOT, -1, iter(self._adj[ROOT]))]
@@ -124,6 +150,7 @@ class BlockGraph:
                 if w == parent:
                     continue
                 if disc[w] == -1:
+                    start[w] = len(estack)
                     estack.append((v, w))
                     disc[w] = low[w] = timer
                     timer += 1
@@ -142,61 +169,20 @@ class BlockGraph:
                 if low[v] < low[u]:
                     low[u] = low[v]
                 if low[v] >= disc[u]:
-                    comp = []
-                    while estack[-1] != (u, v):
-                        comp.append(estack.pop())
-                    comp.append(estack.pop())
-                    comps.append(comp)
+                    block = estack[start[v]:]
+                    del estack[start[v]:]
+                    members = sorted({x for edge in block for x in edge})
+                    if len(block) != len(members) * (len(members) - 1) // 2:
+                        short.append(members)
+                    comps.append((members, u))
         if timer != n:
             missing = [self.nodes[i] for i in range(n) if disc[i] == -1]
             raise DisconnectedGraphError(
                 f"graph is not connected; unreachable from {self.nodes[ROOT]}: {missing[:5]}"
             )
-        out = []
-        for comp in comps:
-            nodes: set[int] = set()
-            for a, b in comp:
-                nodes.add(a)
-                nodes.add(b)
-            out.append(nodes)
-        return out
-
-    def _validate_blocks(self, blocks: list[set[int]]):
-        for blk in blocks:
-            k = len(blk)
-            for a in blk:
-                # within the block, every other member must be adjacent
-                if len(self._adj_sets[a] & blk) != k - 1:
-                    raise NotBlockGraphError([self.nodes[i] for i in blk])
-
-    def _root_tree(self):
-        """Root the block-cut tree at node 0, in O(|V| + |E|).
-
-        Cliques are discovered breadth first from the root. Each clique's
-        root-side separator is the member it was reached through; its other
-        members, its targets, hang below that separator: their parent is
-        the separator, their parent clique is this clique. The block-cut
-        tree is a tree, so a clique is reached exactly once.
-        """
-        n, k = len(self.nodes), len(self.cliques)
-        self._sep = [ROOT] * k              # root-side separator of each clique
-        self._order: list[int] = []         # cliques, breadth first from the root
-        self._up = [ROOT] * n               # parent node; the root's is itself
-        self._up_clique = [-1] * n          # the clique in which a node is a target
-        self._depth = [0] * n               # hops from the root
-        visit = [ROOT]                      # nodes, breadth first from the root
-        for v in visit:
-            for ci in self._cliques_at[v]:
-                if ci == self._up_clique[v]:
-                    continue
-                self._sep[ci] = v
-                self._order.append(ci)
-                for t in self._members[ci]:
-                    if t != v:
-                        self._up[t] = v
-                        self._up_clique[t] = ci
-                        self._depth[t] = self._depth[v] + 1
-                        visit.append(t)
+        if short:
+            raise NotBlockGraphError([self.nodes[i] for i in short[0]])
+        return comps
 
     def _path(self, a: int, b: int) -> list[int]:
         """Node indices of the unique shortest path from a to b.
@@ -223,8 +209,10 @@ class BlockGraph:
             tail.pop()
         return head + tail[::-1]
 
-    def _anchored(self, u: int) -> tuple[list[int], list[int]]:
-        """Cliques ordered away from node u, and each one's separator toward u.
+    def _walk(self, u: int = ROOT) -> list[tuple[int, int, list[int]]]:
+        """(clique, separator, targets) for every clique, ordered away from
+        node u: a clique's separator is its member nearest u, and its
+        targets are its other members.
 
         The cliques on the path from u up to the root turn around: u's
         parent clique comes first with separator u, then its parent's with
@@ -232,26 +220,21 @@ class BlockGraph:
         their root-side separator. A clique's separator is a target of an
         earlier clique, or u itself.
         """
-        sep = list(self._sep)
         chain = []
         while u != ROOT:
             ci = self._up_clique[u]
-            sep[ci] = u
-            chain.append(ci)
+            chain.append((ci, u, [t for t in self._members[ci] if t != u]))
             u = self._up[u]
-        on_chain = set(chain)
-        return chain + [ci for ci in self._order if ci not in on_chain], sep
+        on_chain = {ci for ci, _, _ in chain}
+        return chain + [step for step in self._root_walk if step[0] not in on_chain]
 
     def _first_cliques(self, a: int) -> list[int]:
         """For every node x, the clique at a that holds the first edge of the
         path from a to x; -1 for a itself."""
-        order, sep = self._anchored(a)
         label = [-1] * len(self.nodes)
-        for ci in order:
-            s = sep[ci]
-            for t in self._members[ci]:
-                if t != s:
-                    label[t] = ci if s == a else label[s]
+        for ci, s, targets in self._walk(a):
+            for t in targets:
+                label[t] = ci if s == a else label[s]
         return label
 
     # -- queries ----------------------------------------------------------

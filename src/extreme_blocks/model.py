@@ -2,17 +2,20 @@
 
 Edge parameters delta_e^2 live on the edges of a block graph; because every
 within-clique pair is an edge, the per-clique matrices Delta_C are fully
-specified by them. This module validates those matrices (conditional
-negative definiteness via positive definiteness of the increment
-covariances), forms the shortest-path-sum matrix P, the log-scale limit
-parameters (mu_u, Sigma_u) for any anchor node, and the structurally exact
-precision matrices Theta_u whose zero pattern encodes the graph.
+specified by them. Each DeltaFamily builds every Delta_C once, read-only,
+and every consumer reads those blocks. This module validates them
+(conditional negative definiteness via positive definiteness of the
+increment covariances), forms the shortest-path-sum matrix P, the
+log-scale limit parameters (mu_u, Sigma_u) for any anchor node, and the
+structurally exact precision matrices Theta_u whose zero pattern encodes
+the graph.
 
 One map, `_anchor`, turns a conditionally negative definite matrix M and
 a node s into the covariance 2*(m_si + m_sj - m_ij): on Delta_C it gives
 a clique's increment law (validation, sampling, Theta_u), on P it gives
 Sigma_u, on a restricted P each stdf term, and on any M the CND test.
-One fill sums the clique matrices Delta_C along shortest paths into P.
+One fill along the block-cut tree's walk of (clique, separator,
+targets) sums the clique matrices Delta_C along shortest paths into P.
 Sigma_u's coefficients in delta^2 come from where paths enter cliques:
 edge (a, b) lies on the path from x to y exactly when the path from x
 enters the edge's clique at one end and the path from y at the other.
@@ -55,25 +58,30 @@ class DeltaFamily:
     """Validated per-edge squared parameters on a block graph.
 
     Construct through :func:`validate_delta`. Immutable; all operations
-    on it are pure.
+    on it are pure. blocks[ci] is clique ci's zero-diagonal matrix
+    Delta_C in sorted member order, built once and read-only.
     """
 
     def __init__(self, graph: BlockGraph, edge_params: Mapping[Edge, float]):
         self.graph = graph
         self.edge_params: dict[Edge, float] = dict(edge_params)
+        self.blocks: list[np.ndarray] = []
+        for members in graph._members:
+            names = [graph.nodes[v] for v in members]
+            k = len(names)
+            m = np.zeros((k, k))
+            for i in range(k):
+                for j in range(i + 1, k):
+                    m[i, j] = m[j, i] = self.delta2(names[i], names[j])
+            m.flags.writeable = False
+            self.blocks.append(m)
 
     def delta2(self, a: str, b: str) -> float:
         return self.edge_params[canonical_edge(a, b)]
 
     def clique_matrix(self, ci: int) -> tuple[list[str], np.ndarray]:
-        """Members (sorted) and the zero-diagonal matrix Delta_C of clique ci."""
-        members = sorted(self.graph.cliques[ci])
-        k = len(members)
-        m = np.zeros((k, k))
-        for i in range(k):
-            for j in range(i + 1, k):
-                m[i, j] = m[j, i] = self.delta2(members[i], members[j])
-        return members, m
+        """Members (sorted) and the read-only matrix Delta_C of clique ci."""
+        return sorted(self.graph.cliques[ci]), self.blocks[ci]
 
     def as_vector(self) -> np.ndarray:
         """delta^2 values in sorted-edge order (the canonical layout)."""
@@ -108,12 +116,9 @@ def validate_delta(g: BlockGraph, edge_params: Mapping) -> DeltaFamily:
             raise NonPositiveParamError(f"delta^2 must be positive and finite; edge {e} has {val}")
 
     fam = DeltaFamily(g, params)
-    for ci, clique in enumerate(g.cliques):
-        if len(clique) < 2:
-            continue
-        _, m = fam.clique_matrix(ci)
+    for ci, m in enumerate(fam.blocks):
         if not _is_pd(_anchor(m, 0)[1]):
-            raise NotCNDError(clique)
+            raise NotCNDError(g.cliques[ci])
     return fam
 
 
@@ -147,7 +152,7 @@ def _path_fill(g: BlockGraph, blocks: list[np.ndarray]) -> np.ndarray:
     """Sums of per-clique blocks along shortest paths, in node order.
 
     blocks[ci] has rows and columns in clique ci's sorted member order.
-    Cliques are filled in the root order of the block-cut tree. The
+    Cliques are filled along the root walk of the block-cut tree. The
     targets t of a clique reach every node k filled before them through
     the clique's separator s, so P[t, k] = block[s, t] + P[s, k]; among
     themselves they are one edge apart. Each target's whole row and
@@ -156,12 +161,10 @@ def _path_fill(g: BlockGraph, blocks: list[np.ndarray]) -> np.ndarray:
     """
     n = len(g.nodes)
     q = np.zeros((n, n))
-    for ci in g._order:
-        m, members = blocks[ci], g._members[ci]
-        si = members.index(g._sep[ci])
-        keep = [k for k in range(len(members)) if k != si]
-        targets = [members[k] for k in keep]
-        rows = m[si, keep][:, None] + q[members[si]][None, :]
+    for ci, s, targets in g._walk():
+        m, si = blocks[ci], g._members[ci].index(s)
+        keep = list(range(si)) + list(range(si + 1, len(m)))
+        rows = m[si, keep][:, None] + q[s][None, :]
         rows[:, targets] = m[np.ix_(keep, keep)]
         q[targets] = rows
         q[:, targets] = rows.T
@@ -179,8 +182,7 @@ def _anchor(p: np.ndarray, iu: int) -> tuple[np.ndarray, np.ndarray]:
 def path_sum_matrix(d: DeltaFamily) -> PathSumMatrix:
     """p_ij = sum of delta_e^2 over the unique shortest path from i to j,
     filled from the clique matrices Delta_C."""
-    blocks = [d.clique_matrix(ci)[1] for ci in range(len(d.graph.cliques))]
-    return PathSumMatrix(d.graph.nodes, _path_fill(d.graph, blocks))
+    return PathSumMatrix(d.graph.nodes, _path_fill(d.graph, d.blocks))
 
 
 @dataclass(frozen=True)
@@ -209,8 +211,7 @@ def gaussian_limit(d: DeltaFamily, u: str) -> GaussianLimit:
 def _increment_law(d: DeltaFamily, ci: int, s: int) -> tuple[np.ndarray, np.ndarray]:
     """Mean and covariance of clique ci's log-increments from member s
     (a dense index) to its other members, in sorted member order."""
-    _, m = d.clique_matrix(ci)
-    row, psi = _anchor(m, d.graph._members[ci].index(s))
+    row, psi = _anchor(d.blocks[ci], d.graph._members[ci].index(s))
     return -2.0 * row, psi
 
 
@@ -350,13 +351,11 @@ def _entry_classes(g: BlockGraph) -> tuple[np.ndarray, np.ndarray]:
     """
     n = len(g.nodes)
     classes = np.zeros((n, n + len(g.cliques)))
-    for ci in g._order:  # a separator's row is complete before its targets copy it
-        s = g._sep[ci]
-        targets = [t for t in g._members[ci] if t != s]
+    walk = g._walk()
+    for ci, s, targets in walk:  # a separator's row is complete before its targets copy it
         classes[targets, :n] = classes[s, :n]
         classes[targets, targets] = 1.0
-    for ci, members in enumerate(g._members):
-        targets = [t for t in members if t != g._sep[ci]]
+    for ci, _, targets in walk:
         classes[:, n + ci] = 1.0 - classes[:, targets].sum(axis=1)
     ends = np.empty((len(g.edges), 2), dtype=int)
     for k, edge in enumerate(g.edges_sorted()):

@@ -149,6 +149,10 @@ def _stack(spec: MvnSpec):
     t, d = upper.shape
     if cov.shape != (t, d, d):
         raise ValueError(f"covariance shape {cov.shape} does not match upper {upper.shape}")
+    if np.any(np.isnan(upper)):  # an infinite bound is legal, a missing one is not
+        raise ValueError("upper has a NaN entry")
+    if not np.all(np.isfinite(cov)):
+        raise ValueError("covariance has a non-finite entry")
     weights = np.ones(t) if spec.weights is None else np.asarray(spec.weights, dtype=float)
     if weights.shape != (t,):
         raise ValueError(f"weights must have shape ({t},), got {weights.shape}")

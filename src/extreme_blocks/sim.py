@@ -61,21 +61,21 @@ class FieldSample:
 
 
 def _ln_increments(d: DeltaFamily, u: str, n: int, seed: int, threads: int = 1):
-    """(order, sep, lnz): the cliques ordered away from u with each one's
-    separator toward u, from one walk of the anchored block-cut tree, and
-    the (|V|, n) log-increments by node. Row t holds the n draws of ln Z
-    for the edge into t from its clique's separator; row u is zero.
+    """(walk, lnz): the block-cut tree's walk of (clique, separator,
+    targets) away from u, and the (|V|, n) log-increments by node. Row t
+    holds the n draws of ln Z for the edge into t from its clique's
+    separator; row u is zero.
 
-    Clique ci's targets are its members other than sep[ci]; their draws
-    follow the clique's increment law at sep[ci], by dense index.
+    A clique's targets draw from its increment law at its separator, by
+    dense index.
     """
     g = d.graph
-    order, sep = g._anchored(g.index(u))
+    walk = g._walk(g.index(u))
     out = np.zeros((len(g.nodes), n))
 
-    def fill(ci: int):
-        targets = [t for t in g._members[ci] if t != sep[ci]]
-        mean, psi = _increment_law(d, ci, sep[ci])
+    def fill(step):
+        ci, s, targets = step
+        mean, psi = _increment_law(d, ci, s)
         try:
             chol = np.linalg.cholesky(psi)
         except np.linalg.LinAlgError as exc:
@@ -89,23 +89,22 @@ def _ln_increments(d: DeltaFamily, u: str, n: int, seed: int, threads: int = 1):
     if threads > 1:
         # more workers than CPUs gain nothing; draws do not depend on the count
         with ThreadPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as pool:
-            list(pool.map(fill, range(len(g._members))))
+            list(pool.map(fill, walk))
     else:
-        for ci in range(len(g._members)):
-            fill(ci)
-    return order, sep, out
+        for step in walk:
+            fill(step)
+    return walk, out
 
 
 def sample_increments(d: DeltaFamily, u: str, rng_seed: int) -> IncrementDraw:
     """Draw the increment vector Z once: jointly normal on the log scale
     within each clique, independent across cliques, then exponentiated."""
     g = d.graph
-    _, sep, lnz = _ln_increments(d, u, 1, rng_seed)
+    walk, lnz = _ln_increments(d, u, 1, rng_seed)
     values: dict[tuple[str, str], float] = {}
     groups = []
-    for ci, members in enumerate(g._members):
-        s = sep[ci]
-        edges = {(g.nodes[s], g.nodes[t]): float(np.exp(lnz[t, 0])) for t in members if t != s}
+    for _, s, targets in sorted(walk):  # groups in clique order
+        edges = {(g.nodes[s], g.nodes[t]): float(np.exp(lnz[t, 0])) for t in targets}
         values.update(edges)
         groups.append(tuple(edges))
     return IncrementDraw(u, values, tuple(groups))
@@ -123,9 +122,9 @@ def sample_limit_field(d: DeltaFamily, u: str, n: int, rng_seed: int,
     if n < 1:
         raise ValueError("need at least one draw")
     g = d.graph
-    order, sep, ln_a = _ln_increments(d, u, n, rng_seed, threads)
-    for ci in order:
-        ln_a[[t for t in g._members[ci] if t != sep[ci]]] += ln_a[sep[ci]]
+    walk, ln_a = _ln_increments(d, u, n, rng_seed, threads)
+    for _, s, targets in walk:
+        ln_a[targets] += ln_a[s]
     return FieldSample(u, g.nodes, np.ascontiguousarray(np.exp(ln_a).T))
 
 

@@ -44,3 +44,16 @@ def test_traced_tail_queries_see_every_mvn_term():
     # every stdf of the workload has at least two positive weights, so
     # each makes exactly one mvn_cdf call for all of its terms
     assert metrics["mvn.calls"]["value"] == metrics["dist.stdf_calls"]["value"]
+
+
+@pytest.mark.parametrize("workload, layers", [
+    ("structure-n301", ("graph.build_s", "model.path_sums_s", "sim.field_s", "latent.recover_s")),
+    # exact fits skip the active set, so fit.nnls_s may read 0
+    ("fit-sweep", ("fit.fit_s", "model.path_sums_s")),
+])
+def test_traced_workload_sees_its_layers(workload, layers):
+    # the trace wraps functions by name and binds some by argument name;
+    # a renamed function or argument would leave its layer at 0 or fail
+    metrics = run_smoke(workload, 1)["metrics"]
+    for name in layers:
+        assert metrics[name]["value"] > 0, name

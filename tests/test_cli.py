@@ -256,6 +256,20 @@ class TestEvaluations:
         assert diag["error"] == "DimensionCapError"
         assert "cap of 25" in diag["message"]
 
+    @pytest.mark.parametrize("command, extra", [
+        ("stdf", ["--weights", "1,2,3"]),
+        ("pareto-cdf", ["--point", "2,3,4"]),
+        ("ec", []),
+    ])
+    def test_repeated_subset_node_rejected(self, fig2_files, capsys, command, extra):
+        # a repeated node once kept only its last weight while the record
+        # echoed all of them
+        gpath, ppath = fig2_files
+        assert run([command, "--graph", str(gpath), "--params", str(ppath),
+                    "--subset", "1,2,1", *extra]) == 1
+        diag = json.loads(capsys.readouterr().out.strip())
+        assert diag["error"] == "ValueError" and "'1'" in diag["message"]
+
 
 class TestFitCommand:
     def test_sweep_outputs(self, fig2_files, tmp_path, capsys):

@@ -150,7 +150,7 @@ class TestNnls:
         m, n = 30, 6
         a = rng.standard_normal((m, n))
         b = rng.standard_normal(m)
-        ours = nnls_active_set(a, b)
+        ours = nnls_active_set(a.T @ a, a.T @ b)
         ref, _ = scipy.optimize.nnls(a, b)
         assert np.allclose(ours, ref, atol=1e-8)
 
@@ -158,7 +158,7 @@ class TestNnls:
         rng = np.random.default_rng(42)
         a = rng.standard_normal((40, 7))
         b = rng.standard_normal(40)
-        x = nnls_active_set(a, b)
+        x = nnls_active_set(a.T @ a, a.T @ b)
         grad = a.T @ (b - a @ x)
         scale = np.abs(a.T @ b).max()
         assert np.all(x >= 0)
@@ -172,22 +172,32 @@ class TestNnls:
         b = rng.standard_normal(30)
         ref, _ = scipy.optimize.nnls(a, b)
         assert np.any(ref > 0)
-        np.testing.assert_allclose(nnls_active_set(a, scale * b), scale * ref,
+        sa, sb = scale * a, scale * b
+        np.testing.assert_allclose(nnls_active_set(a.T @ a, a.T @ sb), scale * ref,
                                    rtol=1e-8, atol=1e-8 * scale * ref.max())
-        np.testing.assert_allclose(nnls_active_set(scale * a, b), ref / scale,
+        np.testing.assert_allclose(nnls_active_set(sa.T @ sa, sa.T @ b), ref / scale,
                                    rtol=1e-8, atol=1e-8 * ref.max() / scale)
 
     def test_zero_target_gives_zeros(self):
         a = np.random.default_rng(4).standard_normal((10, 3))
-        assert np.array_equal(nnls_active_set(a, np.zeros(10)), np.zeros(3))
+        assert np.array_equal(nnls_active_set(a.T @ a, a.T @ np.zeros(10)), np.zeros(3))
 
 
 class TestFitDelta:
     def test_one_eigh_and_edge_space_nnls(self, fig2_graph, fig2_family, monkeypatch):
         # the fit assembles the (|E|, |E|) Gram G; one eigendecomposition
-        # of G serves the rank test and its square root carries the normal
-        # equations into the NNLS, |E| equations in the |E| unknowns
+        # of G serves the rank test and gives the unconstrained minimiser,
+        # which is the answer when positive; only when an edge must be
+        # clamped does the active set run, on G and h: |E| equations in
+        # the |E| unknowns
         import extreme_blocks.fit as fit_mod
+        from extreme_blocks.model import sigma_coefficient_matrix
+        limits = {u: gaussian_limit(fig2_family, u) for u in fig2_graph.nodes}
+        exact = {u: lim.cov for u, lim in limits.items()}, {u: lim.mean for u, lim in limits.items()}
+        # covariances of a delta^2 with one negative entry: its minimiser is infeasible
+        flipped = fig2_family.as_vector()
+        flipped[0] = -0.5
+        clamped = {u: sigma_coefficient_matrix(fig2_graph, u) @ flipped for u in fig2_graph.nodes}
         decompositions, systems = [], []
         real_eigh, real_nnls = np.linalg.eigh, fit_mod.nnls_active_set
 
@@ -206,15 +216,21 @@ class TestFitDelta:
         for name in ("svd", "qr", "lstsq"):
             monkeypatch.setattr(np.linalg, name, refuse)
         monkeypatch.setattr(fit_mod, "nnls_active_set", nnls)
-        limits = {u: gaussian_limit(fig2_family, u) for u in fig2_graph.nodes}
-        res = fit_delta_from_covariances(fig2_graph, {u: lim.cov for u, lim in limits.items()},
-                                         {u: lim.mean for u, lim in limits.items()})
         n_edges = len(fig2_graph.edges)
+
+        res = fit_delta_from_covariances(fig2_graph, *exact)
         assert decompositions == [(n_edges, n_edges)]
-        assert systems == [((n_edges, n_edges), (n_edges,))]
+        assert systems == []
         assert res.objective <= 1e-18
         for e, v in FIG2_DELTA.items():
             assert res.delta2_hat[e] == pytest.approx(v, abs=1e-9)
+
+        decompositions.clear()
+        res = fit_delta_from_covariances(fig2_graph, clamped)
+        assert decompositions == [(n_edges, n_edges)]
+        assert systems == [((n_edges, n_edges), (n_edges,))]
+        assert res.as_vector(fig2_graph)[0] == 0.0
+        assert np.all(res.as_vector(fig2_graph) >= 0) and res.objective > 0
 
     def test_exact_moments_recover_exactly(self, fig2_graph, fig2_family):
         covs = {u: gaussian_limit(fig2_family, u).cov for u in fig2_graph.nodes}

@@ -74,6 +74,41 @@ class TestValidateDelta:
                 validate_delta(g, {("a", "b"): value})
 
 
+class TestCliqueBlocks:
+    def test_blocks_are_read_only_delta_c(self, fig1_family):
+        g = fig1_family.graph
+        for ci, m in enumerate(fig1_family.blocks):
+            members, same = fig1_family.clique_matrix(ci)
+            assert same is m and not m.flags.writeable
+            with pytest.raises(ValueError):
+                m[0, 1] = 1.0
+            assert members == sorted(g.cliques[ci])
+            for i, a in enumerate(members):
+                for j, b in enumerate(members):
+                    assert m[i, j] == (0.0 if a == b else fig1_family.delta2(a, b))
+
+    def test_each_delta_read_once_at_construction(self, fig1_graph, monkeypatch):
+        # every Delta_C is built with the family; the fill, the precisions
+        # and the sampler read those blocks and look up no edge again
+        from conftest import FIG1_DELTA
+        from extreme_blocks import DeltaFamily
+        calls = []
+        real = DeltaFamily.delta2
+
+        def counted(self, a, b):
+            calls.append((a, b))
+            return real(self, a, b)
+
+        monkeypatch.setattr(DeltaFamily, "delta2", counted)
+        fam = validate_delta(fig1_graph, FIG1_DELTA)
+        assert len(calls) == len(fig1_graph.edges)
+        calls.clear()
+        path_sum_matrix(fam)
+        precision_matrix(fam, "3")
+        sample_limit_field(fam, "3", 4, 1)
+        assert calls == []
+
+
 class TestPathSums:
     def test_edge_is_its_own_path(self, fig2_family):
         p = path_sum_matrix(fig2_family)

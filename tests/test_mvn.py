@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import extreme_blocks.mvn as mvn
 from extreme_blocks import (
     DimensionCapError, MvnResult, MvnSpec, NotPDError, mvn_cdf, std_normal_cdf,
 )
@@ -348,6 +349,23 @@ class TestStackedSpec:
     def test_bad_stack_rejected(self, upper, cov, weights):
         with pytest.raises(ValueError):
             mvn_cdf(MvnSpec(upper, cov, weights=weights))
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("where", ["upper", "cov-nan", "cov-inf"])
+    def test_missing_bound_or_covariance_rejected_before_any_point(self, d, where, monkeypatch):
+        # a NaN bound once spent the whole point budget in d >= 2 and read
+        # as converged in d = 1; a NaN covariance read as "not symmetric"
+        def refuse(*args):
+            raise AssertionError("no point may be evaluated")
+
+        monkeypatch.setattr(mvn, "_integrand", refuse)
+        upper, cov = np.zeros(d), np.eye(d)
+        if where == "upper":
+            upper[0] = math.nan
+        else:
+            cov[0, 0] = math.nan if where == "cov-nan" else math.inf
+        with pytest.raises(ValueError, match="upper" if where == "upper" else "covariance"):
+            mvn_cdf(MvnSpec(upper, cov))
 
     @pytest.mark.parametrize("bad", [
         [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]],  # not positive definite

@@ -172,13 +172,13 @@ class TestLimitField:
     ], ids=["field", "field-threads", "increments"])
     def test_one_anchored_walk_per_draw(self, fig1_family, monkeypatch, draw):
         calls = []
-        real = BlockGraph._anchored
+        real = BlockGraph._walk
 
         def counted(self, u):
             calls.append(u)
             return real(self, u)
 
-        monkeypatch.setattr(BlockGraph, "_anchored", counted)
+        monkeypatch.setattr(BlockGraph, "_walk", counted)
         draw(fig1_family)
         assert calls == [fig1_family.graph.index("3")]
 

@@ -100,6 +100,26 @@ def test_path_queries_match_explicit_paths(case):
 
 @PROPS
 @given(any_graph())
+def test_walk_hangs_every_clique_once_from_its_separator(case):
+    g, cliques, _ = case
+    members = [sorted(g.index(v) for v in c) for c in g.cliques]
+    for u in range(len(g.nodes)):
+        walk = g._walk(u)
+        assert sorted(ci for ci, _, _ in walk) == list(range(len(g.cliques)))
+        reached = {u}
+        for ci, s, targets in walk:
+            assert s in reached  # u itself or a target of an earlier step
+            assert targets == [t for t in members[ci] if t != s]
+            reached.update(targets)
+    root = g.nodes[0]
+    for v, path in explicit_paths(cliques, root).items():
+        iv = g.index(v)
+        assert g._depth[iv] == len(path) - 1
+        assert g.nodes[g._up[iv]] == (path[-2] if len(path) > 1 else root)
+
+
+@PROPS
+@given(any_graph())
 def test_path_sums_match_explicit_paths(case):
     g, cliques, seed = case
     fam = random_delta(g, np.random.default_rng(seed))
