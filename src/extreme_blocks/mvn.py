@@ -1,23 +1,34 @@
 """Univariate and multivariate normal CDF evaluation.
 
-:func:`mvn_cdf` estimates a weighted sum of orthant probabilities of one
+:func:`mvn_cdf` evaluates a weighted sum of orthant probabilities of one
 dimension d, sum_t w_t P(X_t <= upper_t) with X_t ~ N(0, cov_t); a plain
-query is the one-term case. Each term is moved to the unit cube by the
-separation-of-variables transform with greedy variable reordering by
-expected truncation, and integrated with a randomized rank-1 lattice rule
-(square-root-of-primes generators, baker's transform) under K random
-shifts that all terms share. A term's lattice starts at 256 points per
-shift and a doubling evaluates only its new points, each block of them
-under all K shifts in one integrand call of at most 2**14 points in total.
+query is the one-term case. Which path serves a stack depends on d:
 
-The estimate under shift r is S_r = sum_t w_t mean_{t,r}; the value is the
-mean of the S_r and the reported error is t_{K-1}(0.99865) sd(S) / sqrt(K),
-the Student-t quantile at the coverage of three normal standard errors
-(Genz & Bretz 2009): about 99.7% of queries fall within it, where the
-factor 3 covered about 98.5% at K = 10 (t_9(0.99865) = 4.09). While the
-error exceeds rel_tol times the value, the lattice of the term with the
-largest w_t sd_r(mean_{t,r}) doubles, so a stack spends its points on the
-terms that carry its variance.
+- d = 1 is the normal CDF, exact with error 0.
+- d = 2 is Owen's T closed form of each term (Owen 1956), and d = 3 one
+  Gauss-Legendre line over a bivariate term (Genz 2004). Their error is a
+  deterministic bound: the rounding of the Owen's T evaluations, plus for
+  d = 3 the difference of a 20- and a 40-node rule. No lattice point is
+  spent. Where that bound misses rel_tol times the value (far tails,
+  correlations near +-1, a very tight rel_tol), the stack falls through
+  to the lattice unchanged.
+- Otherwise, and for d >= 4, each term is moved to the unit cube by the
+  separation-of-variables transform with greedy variable reordering by
+  expected truncation, and integrated with a randomized rank-1 lattice
+  rule (square-root-of-primes generators, baker's transform) under K
+  random shifts that all terms share. A term's lattice starts at 256
+  points per shift and a doubling evaluates only its new points, each
+  block of them under all K shifts in one integrand call of at most
+  2**14 points in total.
+
+On the lattice the estimate under shift r is S_r = sum_t w_t mean_{t,r};
+the value is the mean of the S_r and the reported error is
+t_{K-1}(0.99865) sd(S) / sqrt(K), the Student-t quantile at the coverage
+of three normal standard errors (Genz & Bretz 2009): about 99.7% of
+queries fall within it, where the factor 3 covered about 98.5% at K = 10
+(t_9(0.99865) = 4.09). While the error exceeds rel_tol times the value,
+the lattice of the term with the largest w_t sd_r(mean_{t,r}) doubles, so
+a stack spends its points on the terms that carry its variance.
 """
 
 from __future__ import annotations
@@ -26,7 +37,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri, stdtrit
+from scipy.special import ndtr, ndtri, owens_t, stdtrit
 
 from .errors import DimensionCapError, NotPDError
 
@@ -39,6 +50,41 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
 DIMENSION_CAP = 25
 _TINY = 1e-300
 _EPS = 1e-15
+_ULP = float(np.finfo(float).eps)
+
+# Past this bound the normal tail underflows, so it stands in for +inf.
+_BIG = 40.0
+# The trivariate line is cut at +-_LINE, which drops at most
+# Phi(-_LINE) = 9.5e-18.
+_LINE = 8.5
+_CUT = float(ndtr(-_LINE))
+_GL_SPLIT = 20
+
+
+def _gauss_legendre(n: int):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    Newton's method on P_n from the usual cosine guesses; no eigensolver,
+    whose first call would add about 1 MB to the process (numpy's
+    leggauss), or 7 MB of scipy.linalg (scipy's roots_legendre).
+    """
+    def legendre(x):  # P_n(x) and P_n'(x) by the three-term recurrence
+        p0, p1 = np.ones_like(x), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+    x = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(5):
+        p, dp = legendre(x)
+        x = x - p / dp
+    dp = legendre(x)[1]
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
+# the 20- and 40-node rules side by side
+_GL_NODES, _GL_WEIGHTS = (np.concatenate(a) for a in zip(
+    _gauss_legendre(_GL_SPLIT), _gauss_legendre(2 * _GL_SPLIT)))
 
 
 def std_normal_cdf(x: float) -> float:
@@ -121,19 +167,23 @@ def _ordered_cholesky(cov: np.ndarray, upper: np.ndarray):
 def _integrand(L: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Transformed integrand evaluated at a block of cube points.
 
-    w has shape (npoints, d-1); returns per-point products of conditional
-    probabilities.
+    w has shape (d-1, npoints), one contiguous row per cube coordinate;
+    returns per-point products of conditional probabilities.
     """
     d = L.shape[0]
-    npts = w.shape[0]
+    npts = w.shape[1]
     e = np.full(npts, ndtr(b[0] / L[0, 0]))
     prod = e.copy()
-    ys = np.empty((npts, d - 1))
+    ys = np.empty((d - 1, npts))
+    arg = np.empty(npts)
     for k in range(1, d):
-        u = np.clip(w[:, k - 1] * e, _TINY, 1.0 - _EPS)
-        ys[:, k - 1] = ndtri(u)
-        arg = (b[k] - ys[:, :k] @ L[k, :k]) / L[k, k]
-        e = ndtr(arg)
+        np.multiply(w[k - 1], e, out=arg)
+        np.clip(arg, _TINY, 1.0 - _EPS, out=arg)
+        ndtri(arg, out=ys[k - 1])
+        arg = L[k, :k] @ ys[:k]
+        np.subtract(b[k], arg, out=arg)
+        arg /= L[k, k]
+        ndtr(arg, out=e)
         prod *= e
     return prod
 
@@ -172,32 +222,178 @@ def _add_points(L: np.ndarray, b: np.ndarray, q: np.ndarray, shifts: np.ndarray,
     k = shifts.shape[0]
     block = max(1, (1 << 14) // k)
     for a in range(lo, hi, block):
-        w = np.arange(a + 1, min(a + block, hi) + 1, dtype=float)[:, None] * q + shifts[:, None, :]
+        i = np.arange(a + 1, min(a + block, hi) + 1, dtype=float)
+        # (d-1, shift, point): each coordinate's row runs shift by shift
+        w = q[:, None, None] * i + shifts.T[:, :, None]
         # baker's transform |2 frac(w) - 1|, in place
         w -= np.floor(w)
         w *= 2.0
         w -= 1.0
         np.abs(w, out=w)
-        f = _integrand(L, b, w.reshape(-1, q.size))
+        f = _integrand(L, b, w.reshape(q.size, -1))
         sums += f.reshape(k, -1).sum(axis=1)
+
+
+def _bvn(h: np.ndarray, k: np.ndarray, r: np.ndarray):
+    """Phi_2(h, k; r) by Owen's T, elementwise, and a bound on its error.
+
+    Phi_2 = Phi(h)/2 + Phi(k)/2 - T(h, a_h) - T(k, a_k) - beta with
+    a_h = (k - r h) / (h s), a_k = (h - r k) / (k s), s = sqrt(1 - r^2),
+    and beta = 1/2 when min(h, k) < 0 <= max(h, k) (Owen 1956). At h = 0,
+    a_h is its limit from above, +-inf, and at h = k = 0 both slopes are
+    (1 - r) / s. A +inf bound is replaced by _BIG. The bound allows each
+    T(h, a) an error of 32 + 16 h^2 ulps of T(h, inf) = Phi(-|h|)/2 and
+    each summand 8 ulps; where s = 0, which the formula cannot serve, it
+    is 1 + |value|. Against 40-digit quadrature at 1,500 random h in
+    [-38, 38], |a| in [1e-6, 1e6], scipy's owens_t erred by at most 2.3,
+    10, 49 and 865 ulps of T(h, inf) for |h| below 1, 4, 8 and 40.
+    """
+    # a subnormal bound is 0 to double precision, and divides badly
+    h, k = (np.where(np.abs(b) < _TINY, 0.0, np.minimum(b, _BIG)) for b in (h, k))
+    s = np.sqrt((1.0 - r) * (1.0 + r))
+    flat = s == 0.0
+    s = np.where(flat, 1.0, s)
+    both_zero = (h == 0.0) & (k == 0.0)
+
+    def owen_t(x, y):
+        # where (y - r x) / (x s) overflows, x = 0 included, the slope is
+        # its limit +-inf, with x = 0 taken from above
+        num, den = y - r * x, x * s
+        a = np.where(both_zero, (1.0 - r) / s, np.copysign(np.inf, np.where(x < 0.0, -num, num)))
+        finite = ~both_zero & (np.abs(num) < 1e300 * np.abs(den))
+        return owens_t(x, np.divide(num, den, out=a, where=finite))
+
+    th, tk = owen_t(h, k), owen_t(k, h)
+    beta = np.where((np.minimum(h, k) < 0.0) & (np.maximum(h, k) >= 0.0), 0.5, 0.0)
+    ph, pk = 0.5 * ndtr(h), 0.5 * ndtr(k)
+    value = ph + pk - th - tk - beta
+    t_err = sum((32.0 + 16.0 * x * x) * (0.5 * ndtr(-np.abs(x))) for x in (h, k))
+    err = _ULP * (t_err + 8.0 * (ph + pk + np.abs(th) + np.abs(tk) + beta)) + _TINY
+    return value, np.where(flat, 1.0 + np.abs(value), err)
+
+
+def _tvn(h: np.ndarray, r: np.ndarray):
+    """Phi_3(h_t; r_t) of correlation matrices r_t, with an error bound.
+
+    Given X_i = x, the other two bounds are (h_j - r_ij x) / s_ij and
+    (h_k - r_ik x) / s_ik with correlation (r_jk - r_ij r_ik) / (s_ij s_ik),
+    s_ij = sqrt(1 - r_ij^2); i is the variable whose largest correlation
+    is smallest, so the bivariate factor is as smooth as the term allows.
+    The line integral of phi(x) Phi_2 runs over x <= h_i when h_i <= 0,
+    and over x > h_i, subtracted from Phi_2(h_j, h_k; r_jk), when h_i > 0,
+    so it never spans more than _LINE, where it is cut. It is integrated by
+    20- and 40-node Gauss-Legendre rules; the value is the 40-node rule
+    and the error the rules' difference plus the bounds of the Phi_2
+    values, the rounding and the cut.
+    """
+    rows = np.arange(len(h))
+    off = np.abs(r) * (1.0 - np.eye(3))
+    i = np.argmin(off.max(axis=2), axis=1)
+    j, k = (i + 1) % 3, (i + 2) % 3
+    rij, rik, rjk = r[rows, i, j], r[rows, i, k], r[rows, j, k]
+    sj, sk = np.sqrt((1.0 - rij) * (1.0 + rij)), np.sqrt((1.0 - rik) * (1.0 + rik))
+    rc = np.clip((rjk - rij * rik) / (sj * sk), -1.0, 1.0)
+    hi, hj, hk = h[rows, i], h[rows, j], h[rows, k]
+    above = hi > 0.0
+    lo = np.where(above, np.minimum(hi, _LINE), -_LINE)
+    half = 0.5 * (np.where(above, _LINE, np.maximum(hi, -_LINE)) - lo)
+    x = (lo + half)[:, None] + half[:, None] * _GL_NODES
+    # the line's bivariate factors, then Phi_2(h_j, h_k; r_jk) in the last column
+    f, e = _bvn(np.column_stack([(hj[:, None] - rij[:, None] * x) / sj[:, None], hj]),
+                np.column_stack([(hk[:, None] - rik[:, None] * x) / sk[:, None], hk]),
+                np.column_stack([np.broadcast_to(rc[:, None], x.shape), rjk]))
+    wphi = (half / _SQRT_2PI)[:, None] * _GL_WEIGHTS * np.exp(-0.5 * x * x)
+    wf = wphi * f[:, :-1]
+    coarse, fine = wf[:, :_GL_SPLIT].sum(axis=1), wf[:, _GL_SPLIT:].sum(axis=1)
+    bound = (wphi * e[:, :-1])[:, _GL_SPLIT:].sum(axis=1) + 64.0 * _ULP * np.abs(fine) + _CUT
+    value = np.where(above, f[:, -1] - fine, fine)
+    return value, np.abs(fine - coarse) + bound + np.where(above, e[:, -1], 0.0)
+
+
+def _closed_form(upper: np.ndarray, cov: np.ndarray, weights: np.ndarray,
+                 rel_tol: float) -> MvnResult | None:
+    """The d = 2 or 3 stack from its closed form, with points 0, or None
+    when the closed forms' error bound misses rel_tol times the value."""
+    live = (weights > 0) & ~np.isneginf(upper).any(axis=1)
+    upper, cov, w = upper[live], cov[live], weights[live]
+    try:
+        chol = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise NotPDError("covariance matrix is not positive definite") from None
+    var = np.diagonal(cov, axis1=1, axis2=2)
+    if np.any(np.diagonal(chol, axis1=1, axis2=2) ** 2 <= _EPS * np.maximum(var, 1.0)):
+        raise NotPDError("covariance matrix is not positive definite")
+    sd = np.sqrt(var)
+    h, r = upper / sd, cov / (sd[:, :, None] * sd[:, None, :])
+    terms, errors = _bvn(h[:, 0], h[:, 1], r[:, 0, 1]) if upper.shape[1] == 2 else _tvn(h, r)
+    value, error = float(w @ terms), float(w @ errors)
+    if not error <= rel_tol * max(abs(value), _TINY):
+        return None
+    return MvnResult(value, error, True, 0)
+
+
+def _lattice_sum(upper: np.ndarray, cov: np.ndarray, weights: np.ndarray,
+                 rel_tol: float, seed: int, randomizations: int,
+                 start_points: int, max_points: int) -> MvnResult:
+    """The randomized lattice estimate of a validated (t, d) stack, d >= 2.
+
+    Each live term's lattice starts at start_points and the lattice of the
+    term with the largest weighted spread doubles, evaluating only the
+    points it adds, until the t-quantile error meets rel_tol or every term
+    has reached max_points (``converged=False``); ``points`` counts every
+    integrand row."""
+    d = upper.shape[1]
+    live = [k for k in range(len(weights))
+            if weights[k] > 0 and not np.any(np.isneginf(upper[k]))]
+    if not live:
+        return MvnResult(0.0, 0.0, True, 0)
+    factors = [_ordered_cholesky(cov[k], upper[k]) for k in live]
+    w = weights[live]
+    q = np.sqrt(np.array(_PRIMES[: d - 1], dtype=float))
+
+    rng = np.random.Generator(np.random.Philox(key=int(seed) & ((1 << 128) - 1)))
+    shifts = rng.random((randomizations, d - 1))
+    t_quantile = float(stdtrit(randomizations - 1, 0.99865))
+
+    sums = np.zeros((len(live), randomizations))
+    n = np.full(len(live), start_points)  # lattice points per shift of each term
+    for j, (L, b) in enumerate(factors):
+        _add_points(L, b, q, shifts, sums[j], 0, start_points)
+    while True:
+        means = sums / n[:, None]
+        per_shift = w @ means
+        value = float(per_shift.mean())
+        err = t_quantile * (float(per_shift.std(ddof=1)) / math.sqrt(randomizations))
+        points = int(n.sum()) * randomizations
+        if err <= rel_tol * max(abs(value), _TINY):
+            return MvnResult(value, err, True, points)
+        room = n < max_points
+        if not room.any():
+            return MvnResult(value, err, False, points)
+        j = int(np.argmax(np.where(room, w * means.std(axis=1), -1.0)))
+        _add_points(*factors[j], q, shifts, sums[j], n[j], 2 * n[j])
+        n[j] *= 2
 
 
 def mvn_cdf(spec: MvnSpec, seed: int = 0,
             randomizations: int = 10,
             start_points: int = 256,
             max_points: int = 1 << 21) -> MvnResult:
-    """Estimate sum_t w_t P(X_t <= upper_t) for X_t ~ N(0, cov_t).
+    """Evaluate sum_t w_t P(X_t <= upper_t) for X_t ~ N(0, cov_t).
 
-    Dimension 1 delegates to :func:`std_normal_cdf` exactly, and a term
-    with a -inf bound or weight 0 adds exactly 0. Otherwise each term's
-    lattice starts at start_points and the lattice of the term with the
-    largest weighted spread doubles, evaluating only the points it adds,
-    until the t-quantile error estimate meets rel_tol relative accuracy or
-    every term has reached max_points, in which case the best estimate is
-    returned with ``converged=False``; ``points`` counts every evaluation.
-    A rel_tol that is not finite and positive, fewer than two
-    randomizations (no spread to estimate the error from), fewer than one
-    start point, mismatched shapes, no term, or weights that are not
+    A term with a -inf bound or weight 0 adds exactly 0. Dimension 1
+    delegates to :func:`std_normal_cdf` exactly. Dimensions 2 and 3 use
+    the closed forms (Owen's T; one Gauss-Legendre line over it) whenever
+    their deterministic error bound, reported as ``error``, meets rel_tol
+    relative accuracy; these closed forms and d = 1 report ``points`` 0.
+    Otherwise each term's lattice starts at start_points and the lattice
+    of the term with the largest weighted spread doubles, evaluating only
+    the points it adds, until the t-quantile error estimate meets rel_tol
+    or every term has reached max_points, in which case the best estimate
+    is returned with ``converged=False``; ``points`` counts every lattice
+    row evaluated. A rel_tol that is not finite and positive, fewer than
+    two randomizations (no spread to estimate the error from), fewer than
+    one start point, mismatched shapes, no term, or weights that are not
     finite and nonnegative raise ValueError; more than DIMENSION_CAP
     dimensions raise DimensionCapError.
     """
@@ -222,33 +418,9 @@ def mvn_cdf(spec: MvnSpec, seed: int = 0,
                   for w, x, v in zip(weights, upper[:, 0], cov[:, 0, 0]))
         return MvnResult(float(val), 0.0, True, 0)
 
-    live = [k for k in range(len(weights))
-            if weights[k] > 0 and not np.any(np.isneginf(upper[k]))]
-    if not live:
-        return MvnResult(0.0, 0.0, True, 0)
-    factors = [_ordered_cholesky(cov[k], upper[k]) for k in live]
-    w = weights[live]
-    q = np.sqrt(np.array(_PRIMES[: d - 1], dtype=float))
-
-    rng = np.random.Generator(np.random.Philox(key=int(seed) & ((1 << 128) - 1)))
-    shifts = rng.random((randomizations, d - 1))
-    t_quantile = float(stdtrit(randomizations - 1, 0.99865))
-
-    sums = np.zeros((len(live), randomizations))
-    n = np.full(len(live), start_points)  # lattice points per shift of each term
-    for j, (L, b) in enumerate(factors):
-        _add_points(L, b, q, shifts, sums[j], 0, start_points)
-    while True:
-        means = sums / n[:, None]
-        per_shift = w @ means
-        value = float(per_shift.mean())
-        err = t_quantile * (float(per_shift.std(ddof=1)) / math.sqrt(randomizations))
-        points = int(n.sum()) * randomizations
-        if err <= spec.rel_tol * max(abs(value), _TINY):
-            return MvnResult(value, err, True, points)
-        room = n < max_points
-        if not room.any():
-            return MvnResult(value, err, False, points)
-        j = int(np.argmax(np.where(room, w * means.std(axis=1), -1.0)))
-        _add_points(*factors[j], q, shifts, sums[j], n[j], 2 * n[j])
-        n[j] *= 2
+    if d <= 3:
+        exact = _closed_form(upper, cov, weights, spec.rel_tol)
+        if exact is not None:
+            return exact
+    return _lattice_sum(upper, cov, weights, spec.rel_tol, seed,
+                        randomizations, start_points, max_points)

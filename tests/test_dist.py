@@ -54,7 +54,8 @@ class TestStdf:
     @pytest.mark.parametrize("short", [None, 1])
     def test_detailed_sums_the_terms(self, fig2_psum, monkeypatch, short):
         # one MVN call stacks the stdf's terms; the first `short` calls come
-        # back unconverged
+        # back unconverged. Five nodes give terms of dimension 4, which the
+        # lattice integrates.
         import dataclasses
         import extreme_blocks.dist as dist
         import extreme_blocks.mvn as mvn
@@ -69,16 +70,16 @@ class TestStdf:
             return res
 
         def counted(L, b, w):
-            rows.append(w.shape[0])
+            rows.append(w.shape[1])
             return integrand(L, b, w)
 
         monkeypatch.setattr(dist, "mvn_cdf", record)
         monkeypatch.setattr(mvn, "_integrand", counted)
-        y = (1.0, 0.7, 1.3)
-        res = stdf_hr_detailed(fig2_psum, {"1": y[0], "3": y[1], "5": y[2]}, rel_tol=1e-4)
+        y = (1.0, 0.9, 0.7, 1.3, 1.1)
+        res = stdf_hr_detailed(fig2_psum, dict(zip("12356", y)), rel_tol=1e-4)
         assert len(calls) == 1
         spec, out = calls[0]
-        assert spec.upper.shape == (3, 2) and spec.cov.shape == (3, 2, 2)
+        assert spec.upper.shape == (5, 4) and spec.cov.shape == (5, 4, 4)
         assert tuple(spec.weights) == y
         assert res == out
         assert res.converged is (short is None)
@@ -89,6 +90,34 @@ class TestStdf:
         # the pooled value is the weighted sum of the terms evaluated alone
         terms = [real(MvnSpec(u, c, rel_tol=1e-6)) for u, c in zip(spec.upper, spec.cov)]
         assert value == pytest.approx(sum(w * t.value for w, t in zip(y, terms)), rel=1e-4)
+
+    def test_detailed_three_nodes_spend_no_points(self, fig2_psum, monkeypatch):
+        # three nodes give bivariate terms: the closed form evaluates them,
+        # the error is its bound and no lattice point is drawn
+        import extreme_blocks.dist as dist
+        import extreme_blocks.mvn as mvn
+        specs = []
+        real, integrand = dist.mvn_cdf, mvn._integrand
+
+        def record(spec, seed=0):
+            specs.append(spec)
+            return real(spec, seed=seed)
+
+        def refuse(*args):
+            raise AssertionError("no lattice point may be evaluated")
+
+        monkeypatch.setattr(dist, "mvn_cdf", record)
+        monkeypatch.setattr(mvn, "_integrand", refuse)
+        y = (1.0, 0.7, 1.3)
+        res = stdf_hr_detailed(fig2_psum, dict(zip("135", y)), rel_tol=1e-9)
+        assert res.points == 0 and res.converged
+        assert 0 < res.error <= 1e-9 * res.value
+        (spec,) = specs
+        assert spec.upper.shape == (3, 2)
+        monkeypatch.setattr(mvn, "_integrand", integrand)
+        ref = mvn._lattice_sum(spec.upper, spec.cov, spec.weights, 1e-7, 0, 10, 256, 1 << 21)
+        assert ref.converged
+        assert abs(res.value - ref.value) <= ref.error + res.error
 
     def test_all_zero_weights(self, edge_setup):
         _, _, p = edge_setup
@@ -186,27 +215,42 @@ class TestHrCdf:
         # both terms are univariate, hence exact
         assert (res.error, res.converged, res.points) == (0.0, True, 0)
 
-    def test_detailed_flags_an_unconverged_term(self, fig2_psum, monkeypatch):
+    @staticmethod
+    def shorted_hr_cdf(psum, x, monkeypatch):
+        """hr_cdf_detailed at x with its one MVN call reported unconverged;
+        returns (result, the stdf at 1/x, the MVN calls' specs)."""
         import dataclasses
         import extreme_blocks.dist as dist
-        x = {"1": 1.0, "3": 1.4, "5": 0.8}
-        ell = stdf_hr_detailed(fig2_psum, {v: 1 / t for v, t in x.items()}, rel_tol=1e-4)
-        terms = []
+        ell = stdf_hr_detailed(psum, {v: 1 / t for v, t in x.items()}, rel_tol=1e-4)
+        specs = []
         real = dist.mvn_cdf
 
         def short(spec, seed=0):
-            res = real(spec, seed=seed)
-            terms.append(res)
-            return dataclasses.replace(res, converged=False)
+            specs.append(spec)
+            return dataclasses.replace(real(spec, seed=seed), converged=False)
 
         monkeypatch.setattr(dist, "mvn_cdf", short)
-        res = hr_cdf_detailed(fig2_psum, x, rel_tol=1e-4)
-        assert len(terms) == 1  # one MVN call for the stdf's three terms
+        res = hr_cdf_detailed(psum, x, rel_tol=1e-4)
         assert res.converged is False
         assert res.value == math.exp(-ell.value)
         assert res.error == pytest.approx(res.value * ell.error, rel=1e-15)
         assert res.error > 0
-        assert res.points == ell.points > 0
+        assert res.points == ell.points
+        return res, specs
+
+    def test_detailed_flags_an_unconverged_term(self, fig2_psum, monkeypatch):
+        # five nodes: one MVN call for the stdf's five terms of dimension 4,
+        # on the lattice
+        x = {"1": 1.0, "2": 1.1, "3": 1.4, "5": 0.8, "6": 0.9}
+        res, specs = self.shorted_hr_cdf(fig2_psum, x, monkeypatch)
+        assert [s.upper.shape for s in specs] == [(5, 4)]
+        assert res.points > 0
+
+    def test_detailed_closed_form_flags_an_unconverged_term(self, fig2_psum, monkeypatch):
+        # three nodes: bivariate terms in closed form, no lattice point
+        res, specs = self.shorted_hr_cdf(fig2_psum, {"1": 1.0, "3": 1.4, "5": 0.8}, monkeypatch)
+        assert [s.upper.shape for s in specs] == [(3, 2)]
+        assert res.points == 0
 
 
 class TestParetoCdf:

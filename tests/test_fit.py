@@ -186,8 +186,8 @@ class TestNnls:
 class TestFitDelta:
     def test_one_eigh_and_edge_space_nnls(self, fig2_graph, fig2_family, monkeypatch):
         # the fit assembles the (|E|, |E|) Gram G; one eigendecomposition
-        # of G serves the rank test and gives the unconstrained minimiser,
-        # which is the answer when positive; only when an edge must be
+        # of G serves the rank test, a solve gives the unconstrained
+        # minimiser, which is the answer when positive; only when an edge must be
         # clamped does the active set run, on G and h: |E| equations in
         # the |E| unknowns
         import extreme_blocks.fit as fit_mod
@@ -398,6 +398,19 @@ class TestFitDelta:
             tracemalloc.stop()
         assert peak < incidence_bytes
         np.testing.assert_allclose(res.as_vector(g), fam.as_vector(), rtol=1e-10)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_exact_moments_at_61_nodes_recover_to_rounding(self, seed):
+        # the minimiser V diag(lam)^-1 V' h from the rank test's eigenvectors
+        # read these back at 3.5e-12 to 1.1e-11 relative; a solve of G reads
+        # them at 1.4e-13 to 5e-13
+        g = build_block_graph(*clique_tree_edges(np.random.default_rng(seed), 61))
+        fam = random_delta(g, np.random.default_rng(seed))
+        p = path_sum_matrix(fam)
+        limits = {u: GaussianLimit.from_path_sums(p, u) for u in g.nodes[:10]}
+        res = fit_delta_from_covariances(g, {u: lim.cov for u, lim in limits.items()},
+                                         {u: lim.mean for u, lim in limits.items()})
+        np.testing.assert_allclose(res.as_vector(g), fam.as_vector(), rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_factor_matches_stacked_design(self, seed):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import extreme_blocks.mvn as mvn
 from extreme_blocks import (
@@ -22,6 +24,14 @@ def trivariate_orthant_exact(rho):
     return 0.125 + 3 * math.asin(rho) / (4 * math.pi)
 
 
+def lattice(spec, seed=0, randomizations=10, start_points=256, max_points=1 << 21):
+    """mvn_cdf's randomized lattice path, which d >= 4 takes and d = 2, 3
+    take only when the closed forms miss rel_tol."""
+    upper, cov, weights = mvn._stack(spec)
+    return mvn._lattice_sum(upper, cov, weights, spec.rel_tol, seed,
+                            randomizations, start_points, max_points)
+
+
 def per_shift_cdf(spec, seed, randomizations=10, start_points=2048, max_points=1 << 21):
     """Reference copy of the lattice loop that ran each random shift in its
     own integrand calls of at most 2**14 rows, with the error at the t
@@ -38,7 +48,7 @@ def per_shift_cdf(spec, seed, randomizations=10, start_points=2048, max_points=1
             for lo in range(done, n, 1 << 14):
                 i = np.arange(lo + 1, min(lo + (1 << 14), n) + 1, dtype=float)[:, None]
                 w = np.abs(2.0 * np.modf(i * q[None, :] + shifts[r])[0] - 1.0)
-                sums[r] += float(mvn._integrand(L, b, w).sum())
+                sums[r] += float(mvn._integrand(L, b, np.ascontiguousarray(w.T)).sum())
         done, means = n, sums / n
         value = float(means.mean())
         spread = float(means.std(ddof=1)) / math.sqrt(randomizations)
@@ -122,7 +132,7 @@ class TestMvnCdf:
 
     def test_tolerance_flag_when_budget_exhausted(self):
         cov = np.array([[1.0, 0.7], [0.7, 1.0]])
-        res = mvn_cdf(MvnSpec(np.array([0.2, -0.1]), cov, rel_tol=1e-14),
+        res = lattice(MvnSpec(np.array([0.2, -0.1]), cov, rel_tol=1e-14),
                       start_points=256, max_points=512)
         assert not res.converged
         assert res.error > 0
@@ -137,12 +147,12 @@ class TestMvnCdf:
         real = mvn._integrand
 
         def counted(L, b, w):
-            rows.append(w.shape[0])
+            rows.append(w.shape[1])
             return real(L, b, w)
 
         monkeypatch.setattr(mvn, "_integrand", counted)
         cov = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
-        res = mvn_cdf(MvnSpec(np.array([0.4, -0.2, 1.1]), cov, rel_tol=rel_tol),
+        res = lattice(MvnSpec(np.array([0.4, -0.2, 1.1]), cov, rel_tol=rel_tol),
                       randomizations=5, start_points=256, max_points=max_points)
         assert res.points > 5 * 256  # the lattice doubled
         assert sum(rows) == res.points
@@ -162,7 +172,9 @@ class TestMvnCdf:
         cov = a @ a.T + d * np.eye(d)
         spec = MvnSpec(rng.standard_normal(d) + 0.5, cov, rel_tol=rel_tol)
         value, err, points = per_shift_cdf(spec, seed)
-        res = mvn_cdf(spec, seed=seed, start_points=2048)
+        res = lattice(spec, seed=seed, start_points=2048)
+        if d >= 4:  # mvn_cdf's only path from d = 4 on
+            assert mvn_cdf(spec, seed=seed, start_points=2048) == res
         assert res.points == points
         assert res.value == pytest.approx(value, rel=1e-14, abs=0)
         # the error is a spread of per-shift means a few ulps of the value
@@ -227,7 +239,7 @@ class TestDefaultStartAccuracy:
     def misses(upper, cov, exact, rel_tol, start_points):
         out = 0
         for seed in range(6):
-            res = mvn_cdf(MvnSpec(upper, cov, rel_tol=rel_tol), seed=seed,
+            res = lattice(MvnSpec(upper, cov, rel_tol=rel_tol), seed=seed,
                           start_points=start_points)
             assert res.converged
             assert abs(res.value - exact) <= 2 * rel_tol * exact
@@ -272,7 +284,7 @@ class TestStackedSpec:
         # three standard errors over 10 shifts stopped this query at a true
         # relative error of 1.51e-5
         cov = np.array([[1.0, 0.9], [0.9, 1.0]])
-        res = mvn_cdf(MvnSpec(np.zeros(2), cov, rel_tol=1e-5), seed=4)
+        res = lattice(MvnSpec(np.zeros(2), cov, rel_tol=1e-5), seed=4)
         assert res.converged
         assert abs(res.value - orthant_exact(0.9)) <= 1e-5 * orthant_exact(0.9)
 
@@ -296,16 +308,17 @@ class TestStackedSpec:
         rows = []
         real = mvn._integrand
         monkeypatch.setattr(mvn, "_integrand",
-                            lambda L, b, w: rows.append(w.shape[0]) or real(L, b, w))
+                            lambda L, b, w: rows.append(w.shape[1]) or real(L, b, w))
         upper, cov = self.random_terms(np.random.default_rng(5), 3, 3)
-        alone = mvn_cdf(MvnSpec(upper[0], cov[0], rel_tol=1e-4), seed=2)
+        alone = lattice(MvnSpec(upper[0], cov[0], rel_tol=1e-4), seed=2)
         upper[1, 2] = -np.inf
         rows.clear()
-        res = mvn_cdf(MvnSpec(upper, cov, rel_tol=1e-4, weights=[1.0, 1.0, 0.0]), seed=2)
+        res = lattice(MvnSpec(upper, cov, rel_tol=1e-4, weights=[1.0, 1.0, 0.0]), seed=2)
         assert res == alone
-        assert sum(rows) == res.points
-        nothing = mvn_cdf(MvnSpec(upper[1:], cov[1:], weights=[1.0, 0.0]))
-        assert nothing == MvnResult(0.0, 0.0, True, 0)
+        assert sum(rows) == res.points > 0
+        for run in (lattice, mvn_cdf):
+            nothing = run(MvnSpec(upper[1:], cov[1:], weights=[1.0, 0.0]))
+            assert nothing == MvnResult(0.0, 0.0, True, 0)
 
     def test_the_noisiest_term_doubles(self, monkeypatch):
         # a term whose integrand is nearly constant keeps its starting
@@ -316,13 +329,13 @@ class TestStackedSpec:
 
         def counted(L, b, w):
             key = float(b.max())
-            rows[key] = rows.get(key, 0) + w.shape[0]
+            rows[key] = rows.get(key, 0) + w.shape[1]
             return real(L, b, w)
 
         monkeypatch.setattr(mvn, "_integrand", counted)
         cov = np.array([[[1.0, 0.6, 0.3], [0.6, 1.0, 0.5], [0.3, 0.5, 1.0]]] * 2)
         upper = np.array([[0.1, 0.2, 0.3], [9.0, 8.0, 7.0]])
-        res = mvn_cdf(MvnSpec(upper, cov, rel_tol=1e-6), randomizations=5, start_points=256)
+        res = lattice(MvnSpec(upper, cov, rel_tol=1e-6), randomizations=5, start_points=256)
         assert res.converged
         assert rows[9.0] == 5 * 256
         assert rows[0.3] > 5 * 256
@@ -330,7 +343,7 @@ class TestStackedSpec:
 
     def test_unconverged_only_when_no_term_can_double(self):
         upper, cov = self.random_terms(np.random.default_rng(6), 3, 3)
-        res = mvn_cdf(MvnSpec(upper, cov, rel_tol=1e-14), randomizations=4,
+        res = lattice(MvnSpec(upper, cov, rel_tol=1e-14), randomizations=4,
                       start_points=128, max_points=512)
         assert not res.converged
         assert res.points == 3 * 512 * 4
@@ -375,3 +388,118 @@ class TestStackedSpec:
         cov = np.stack([np.eye(3), np.array(bad), np.eye(3)])
         with pytest.raises(NotPDError):
             mvn_cdf(MvnSpec(np.zeros((3, 3)), cov))
+
+
+def bvn_by_quad(h, k, r):
+    """Phi_2(h, k; r) as the integral over x <= h of phi(x) Phi((k - r x) / s)
+    by adaptive quadrature; returns (value, quadrature error estimate)."""
+    from scipy.integrate import quad
+    from scipy.special import ndtr
+    s = math.sqrt((1 - r) * (1 + r))
+    val, err, *_ = quad(lambda x: math.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
+                        * float(ndtr((k - r * x) / s)),
+                        -math.inf, h, epsabs=1e-300, epsrel=1e-13, limit=400, full_output=1)
+    return val, err
+
+
+BOUNDS = st.one_of(st.floats(-8.0, 8.0), st.just(0.0), st.just(math.inf))
+CORRELATIONS = st.floats(-0.999, 0.999)
+KERNEL_CASES = settings(max_examples=1000, deadline=None, derandomize=True,
+                        suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestClosedForms:
+    """d = 2 and 3 are served by Owen's T and one Gauss-Legendre line over
+    it; the reported error is a bound, so every value must lie within it of
+    an independent evaluation."""
+
+    @KERNEL_CASES
+    @given(h=BOUNDS, k=BOUNDS, r=CORRELATIONS)
+    def test_bivariate_matches_scipy(self, h, k, r):
+        from scipy.stats import multivariate_normal
+        value, error = (float(a[0]) for a in mvn._bvn(np.array([h]), np.array([k]), np.array([r])))
+        # scipy's bivariate routine (Genz's BVN) states an absolute error of 1e-15
+        ref = multivariate_normal.cdf([h, k], cov=[[1.0, r], [r, 1.0]])
+        assert 0.0 <= error < 1e-13
+        assert abs(value - ref) <= error + 1e-15
+
+    @KERNEL_CASES
+    @given(h=BOUNDS, k=BOUNDS, r=CORRELATIONS,
+           scale=st.lists(st.floats(0.01, 100.0), min_size=2, max_size=2))
+    def test_bivariate_covariances_through_mvn_cdf(self, h, k, r, scale):
+        # mvn_cdf standardises the covariance; away from the tails the
+        # closed form meets 1e-6 and spends no lattice point
+        from scipy.stats import multivariate_normal
+        sd = np.sqrt(scale)
+        cov = np.array([[scale[0], r * sd[0] * sd[1]], [r * sd[0] * sd[1], scale[1]]])
+        res = mvn_cdf(MvnSpec(np.array([h, k]) * sd, cov, rel_tol=1e-6), max_points=1 << 10)
+        if min(h, k) >= -2.0 and r >= -0.5:
+            assert res.points == 0
+        if res.points == 0:
+            ref = multivariate_normal.cdf([h, k], cov=[[1.0, r], [r, 1.0]])
+            assert abs(res.value - ref) <= res.error + 1e-15
+
+    @KERNEL_CASES
+    @given(h=st.floats(-8.0, 8.0), k=st.floats(-8.0, 8.0), r=CORRELATIONS)
+    def test_bivariate_error_bounds_the_tails(self, h, k, r):
+        # relative to the value: far tails cancel in the Owen's T sum, and
+        # the bound must grow with the cancellation
+        value, error = (float(a[0]) for a in mvn._bvn(np.array([h]), np.array([k]), np.array([r])))
+        ref, ref_err = bvn_by_quad(h, k, r)
+        assert abs(value - ref) <= error + ref_err
+
+    @KERNEL_CASES
+    @given(rho=st.floats(-0.499, 0.999))
+    def test_trivariate_equicorrelated_orthant(self, rho):
+        cov = np.full((3, 3), rho)
+        np.fill_diagonal(cov, 1.0)
+        value, error = (float(a[0]) for a in mvn._tvn(np.zeros((1, 3)), cov[None]))
+        assert abs(value - trivariate_orthant_exact(rho)) <= error + 1e-15
+
+    @settings(KERNEL_CASES, max_examples=400)  # each case runs an adaptive quadrature
+    @given(h=st.lists(BOUNDS, min_size=3, max_size=3),
+           r=st.lists(CORRELATIONS, min_size=3, max_size=3))
+    def test_trivariate_matches_a_quadrature_line(self, h, r):
+        from scipy.integrate import quad
+        r01, r02, r12 = r
+        corr = np.array([[1.0, r01, r02], [r01, 1.0, r12], [r02, r12, 1.0]])
+        assume(np.linalg.eigvalsh(corr)[0] > 1e-3)
+        value, error = (float(a[0]) for a in mvn._tvn(np.array([h]), corr[None]))
+        # integrate over the first variable, whichever the kernel chose
+        s1, s2 = math.sqrt(1 - r01 * r01), math.sqrt(1 - r02 * r02)
+        rc = (r12 - r01 * r02) / (s1 * s2)
+
+        def line(x):
+            b = mvn._bvn(np.array([(h[1] - r01 * x) / s1]), np.array([(h[2] - r02 * x) / s2]),
+                         np.array([rc]))
+            return math.exp(-0.5 * x * x) / math.sqrt(2 * math.pi) * float(b[0][0])
+
+        ref, ref_err, *_ = quad(line, -math.inf, h[0], epsabs=1e-15, epsrel=1e-12,
+                                limit=400, full_output=1)
+        assert abs(value - ref) <= error + ref_err + 1e-15
+
+    def test_stack_mixing_fallback_and_exact_terms(self):
+        # alone, the ordinary term meets 1e-4 in closed form and the
+        # far-tail one does not: its Owen's T terms near 1e-7 cancel to
+        # 9.6e-19. A stack falls back when the far tail carries it.
+        cov = np.array([[[1.0, -0.3], [-0.3, 1.0]]] * 2)
+        upper = np.array([[0.4, -0.3], [-5.0, -5.0]])
+        exact = np.array([bvn_by_quad(*u, -0.3)[0] for u in upper])
+        ordinary = mvn_cdf(MvnSpec(upper[0], cov[0], rel_tol=1e-4))
+        far = mvn_cdf(MvnSpec(upper[1], cov[1], rel_tol=1e-4))
+        assert ordinary.points == 0 and far.points > 0
+        weights = np.array([1e-20, 1.0])
+        res = mvn_cdf(MvnSpec(upper, cov, rel_tol=1e-4, weights=weights), seed=3)
+        assert res.converged and res.points > 0
+        assert abs(res.value - weights @ exact) <= 1e-4 * (weights @ exact)
+        # weighted the other way, the ordinary term carries the stack
+        res = mvn_cdf(MvnSpec(upper, cov, rel_tol=1e-4, weights=weights[::-1]), seed=3)
+        assert res.points == 0
+        assert abs(res.value - weights[::-1] @ exact) <= res.error + 1e-15
+
+    def test_far_tail_query_falls_back_and_meets_its_tolerance(self):
+        cov = np.array([[1.0, -0.3], [-0.3, 1.0]])
+        res = mvn_cdf(MvnSpec(np.array([-5.0, -5.5]), cov, rel_tol=1e-4), seed=1)
+        exact = bvn_by_quad(-5.0, -5.5, -0.3)[0]
+        assert res.points > 0 and res.converged
+        assert abs(res.value - exact) <= 1e-4 * exact

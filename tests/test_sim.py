@@ -226,7 +226,10 @@ class TestPinnedOutputs:
     def test_stdf(self, fig1_family):
         value, err = stdf_hr_detailed(path_sum_matrix(fig1_family),
                                       {"0": 1.0, "3": 0.5, "4": 2.0, "7": 0.8}, rel_tol=1e-4)
-        np.testing.assert_allclose([value, err], [3.304440199101496, 0.00027501933183578806],
+        # four trivariate terms in closed form: the value is 2.8e-5 from the
+        # lattice's former 3.304440199101496 (error 2.75e-4) and 4.4e-16
+        # from adaptive quadrature over scipy's bivariate normal
+        np.testing.assert_allclose([value, err], [3.3044684961305197, 1.9515228331702967e-13],
                                    rtol=1e-12, atol=0)
 
 
