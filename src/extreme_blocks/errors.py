@@ -117,12 +117,13 @@ class SingularBlockError(NumericalError):
 
 
 class UnderdeterminedError(NumericalError):
-    """Design matrix rank below the number of edges."""
+    """The moments leave these edges unidentified; with every node observed,
+    that happens only when every anchor weight is 0."""
 
-    def __init__(self, null_edges, message=None):
+    def __init__(self, null_edges, reason):
         self.null_edges = tuple(null_edges)
         edges = ", ".join(f"{a}-{b}" for a, b in self.null_edges)
-        super().__init__(message or f"design matrix rank-deficient; null-space edges: {edges}")
+        super().__init__(f"edge parameters not identified, {reason}: {edges}")
 
 
 class InconsistentInputError(NumericalError):

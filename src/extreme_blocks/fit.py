@@ -6,10 +6,10 @@ the model covariances, which are linear in the squared edge parameters.
 The resulting nonnegativity-constrained linear least-squares problem is
 solved from its |E|-square normal equations, which are assembled from
 counts over the classes of where paths enter cliques, never from the
-design. One eigendecomposition of the Gram matrix decides identifiability
-and one linear solve gives the unconstrained minimiser; when that is
-positive it is the answer, and only otherwise does a Lawson-Hanson
-active-set iteration run on the Gram matrix and target.
+design. With every node observed, any anchor of positive weight fixes
+every edge, so the Gram matrix is positive definite and the problem has
+one solution; it is found by one Lawson-Hanson active-set run on the Gram
+matrix and target, warm-started from the unconstrained minimiser.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import numpy as np
 from .errors import (
     ConstantColumnError,
     KOutOfRangeError,
+    NumericalError,
     ScaleError,
     UnderdeterminedError,
     UnknownNodeError,
@@ -124,49 +125,61 @@ class FitResult:
 
 
 # the active set stops when every zero-clamped coordinate has gradient at
-# most KKT_TOL max|h|, or after MAX_ITER_PER_UNKNOWN steps per unknown
+# most KKT_TOL max|h|; MAX_ITER_PER_UNKNOWN steps per unknown without that
+# raise NumericalError
 KKT_TOL = 1e-10
 MAX_ITER_PER_UNKNOWN = 10
 
 
 def nnls_active_set(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Minimize ||a x - b||_2 subject to x >= 0 (Lawson-Hanson), given its
-    normal equations: gram = a'a and rhs = a'b.
+    normal equations: gram = a'a, positive definite, and rhs = a'b.
 
-    Each active-set step solves the passive block of the Gram matrix (the
-    fast NNLS of Bro & de Jong), starting from x = 0. The stopping
-    tolerance KKT_TOL max|rhs| and the clamp of vanishing coordinates are
-    both relative, so scaling a or b scales x alike.
+    Each step solves the passive block of the Gram matrix (the fast NNLS
+    of Bro & de Jong). The passive set starts full and sheds non-positive
+    coordinates until its solution is positive: a feasible start, from
+    which each outer step adds one coordinate. The stopping tolerance
+    KKT_TOL max|rhs| and the clamp of vanishing coordinates are both
+    relative, so scaling a or b scales x alike.
     """
     n = len(rhs)
-    x = np.zeros(n)
-    scale = float(np.abs(rhs).max()) if n else 0.0
-    if scale == 0.0:
-        return x
-    passive = np.zeros(n, dtype=bool)
-    tol = KKT_TOL * scale
+    if not np.any(rhs):
+        return np.zeros(n)
+    tol = KKT_TOL * float(np.abs(rhs).max())
 
-    for _ in range(MAX_ITER_PER_UNKNOWN * n):
+    def solve(passive):
+        sol = np.zeros(n)
+        cols = np.flatnonzero(passive)
+        sol[cols] = np.linalg.solve(gram[np.ix_(cols, cols)], rhs[cols])
+        return sol
+
+    passive = np.ones(n, dtype=bool)
+    x = solve(passive)
+    while not np.all(x[passive] > 0):
+        passive &= x > 0
+        x = solve(passive)
+
+    budget = MAX_ITER_PER_UNKNOWN * n
+    while True:
         grad = rhs - gram @ x
         grad[passive] = -np.inf
         t = int(np.argmax(grad))
         if grad[t] <= tol:
-            break
+            return x
+        if budget == 0:
+            raise NumericalError(f"NNLS active set unconverged after {MAX_ITER_PER_UNKNOWN * n} steps")
+        budget -= 1
         passive[t] = True
         while True:
-            sol = np.zeros(n)
-            cols = np.flatnonzero(passive)
-            sol[cols] = np.linalg.solve(gram[np.ix_(cols, cols)], rhs[cols])
-            if np.all(sol[cols] > 0):
+            sol = solve(passive)
+            if np.all(sol[passive] > 0):
                 x = sol
                 break
             bad = passive & (sol <= 0)
-            ratios = x[bad] / (x[bad] - sol[bad])
-            alpha = float(ratios.min())
+            alpha = float(np.min(x[bad] / (x[bad] - sol[bad])))
             x = x + alpha * (sol - x)
             passive &= x > 1e-14 * np.abs(x).max()
             x[~passive] = 0.0
-    return x
 
 
 def _empirical_moments(spacings: Mapping[str, np.ndarray]):
@@ -214,11 +227,6 @@ def _moment(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
     if not np.all(np.isfinite(value)):
         raise ValueError(f"{name} has a non-finite entry")
     return value
-
-
-# eigenvalues of the Gram matrix at or below this fraction of the largest
-# count as zero: the design's singular values below 1e-6 of the largest
-RANK_TOL = 1e-12
 
 
 def _normal_equations(g: BlockGraph, moments: Mapping[str, tuple], weights: Mapping[str, float],
@@ -292,22 +300,12 @@ def fit_delta_from_covariances(g: BlockGraph, covs: Mapping[str, np.ndarray],
                       None if means is None else _moment(f"mean of anchor {u!r}", means[u], (m,)))
     mean_weight = _weight("mean_weight", mean_weight)
 
-    gram, target = _normal_equations(g, moments, weights, mean_weight if means is not None else 0.0)
-    # G = V diag(lam) V' shares the design's null space; it is decided at
-    # a relative eigenvalue threshold, since G squares the design's
-    # singular values and cannot resolve them below about 1e-8
-    lam, vec = np.linalg.eigh(gram)
-    null = lam <= RANK_TOL * lam[-1]
-    if null.any():
-        involved = np.any(np.abs(vec[:, null]) > 1e-8, axis=1)
-        raise UnderdeterminedError([e for e, bad in zip(edges, involved) if bad])
-
-    # G is positive definite, so a positive unconstrained minimiser G^-1 h
-    # is the NNLS solution; otherwise the active set runs. A solve is about
-    # 10x more accurate than V diag(lam)^-1 V' h from the eigenvectors.
-    delta2 = np.linalg.solve(gram, target)
-    if not np.all(delta2 > 0):
-        delta2 = nnls_active_set(gram, target)
+    # any anchor of positive weight fixes every path sum (p_ui = Sigma_u,ii / 4),
+    # and the path sums fix every edge, so G is then positive definite
+    if edges and not any(weights.values()):
+        raise UnderdeterminedError(edges, "every anchor weight is 0")
+    delta2 = nnls_active_set(*_normal_equations(g, moments, weights,
+                                                mean_weight if means is not None else 0.0))
     delta2_hat = {e: float(v) for e, v in zip(edges, delta2)}
 
     # the objective is measured on the fitted path sums, not expanded from

@@ -364,16 +364,3 @@ def _entry_classes(g: BlockGraph) -> tuple[np.ndarray, np.ndarray]:
             ends[k, side] = v if g._up_clique[v] == ci else n + ci
     return classes, ends
 
-
-def sigma_coefficient_matrix(g: BlockGraph, u: str) -> np.ndarray:
-    """Coefficients of Sigma_u as a linear map of the sorted delta^2 vector.
-
-    Returns an array of shape (m, m, |E|) with m = |V| - 1 such that
-    Sigma_u = coeffs @ delta2_vector: the path-edge incidence, read off
-    the entry classes and anchored as P is for Sigma_u, with coefficients
-    in {0, +/-2, 4}.
-    """
-    iu = g.index(u)
-    classes, ends = _entry_classes(g)
-    a, b = classes[:, ends[:, 0]], classes[:, ends[:, 1]]
-    return _anchor(a[:, None] * b[None] + b[:, None] * a[None], iu)[1]

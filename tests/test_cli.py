@@ -294,6 +294,17 @@ class TestFitCommand:
         back = ebio.load_params_json(out / "delta2_k200.json")
         assert set(back) == set(FIG2_DELTA)
 
+    def test_one_column_table_fits_no_edges(self, tmp_path, capsys):
+        gpath, dpath, out = tmp_path / "one.json", tmp_path / "data.csv", tmp_path / "fit"
+        ebio.dump_graph_json(gpath, ["a"], [])
+        ebio.write_samples_csv(dpath, ("a",), np.random.default_rng(0).random((30, 1)))
+        assert run(["fit", "--graph", str(gpath), "--data", str(dpath),
+                    "--k", "5,10", "--out", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out.strip())["ks"] == [5, 10]
+        for k in (5, 10):
+            assert json.loads((out / f"delta2_k{k}.json").read_text()) == {"edges": []}
+        assert [r["objective"] for r in json.loads((out / "fit.json").read_text())["results"]] == [0.0, 0.0]
+
     @pytest.mark.parametrize("ks", [",", "", "10,10", "10,20,10"])
     def test_empty_or_repeated_k_usage_exit(self, fig2_files, tmp_path, capsys, ks):
         # an empty sweep would write an empty ksweep.csv, and a repeated k

@@ -11,6 +11,7 @@ from extreme_blocks import (
     ConstantColumnError,
     GaussianLimit,
     KOutOfRangeError,
+    NumericalError,
     SampleSet,
     ScaleError,
     UnderdeterminedError,
@@ -26,6 +27,20 @@ from extreme_blocks import (
 )
 from conftest import FIG2_DELTA
 from gen import clique_tree_edges, random_block_graph, random_delta
+from oracle import sigma_coefficient_matrix
+
+
+def noisy_spacings_61(seed: int = 1, k: int = 100):
+    """Spacings at every anchor of a raw table on a 61-node clique tree:
+    conditioned samples at four anchors plus a noise floor, so that many
+    edges clamp (17 of 116 at seed 1)."""
+    g = build_block_graph(*clique_tree_edges(np.random.default_rng(seed), 61))
+    fam = random_delta(g, np.random.default_rng(seed), lo=0.4, hi=2.0)
+    rng = np.random.default_rng(seed)
+    raw = np.vstack([sample_pareto_conditioned(fam, u, 200, int(s))
+                     for u, s in zip(rng.choice(g.nodes, 4, replace=False), rng.integers(0, 2**31, 4))])
+    pareto = rank_transform(SampleSet(raw + rng.random(raw.shape), g.nodes, "raw"))
+    return g, {u: log_spacings(pareto, u, k) for u in g.nodes}
 
 
 class TestRankTransform:
@@ -184,53 +199,93 @@ class TestNnls:
 
 
 class TestFitDelta:
-    def test_one_eigh_and_edge_space_nnls(self, fig2_graph, fig2_family, monkeypatch):
-        # the fit assembles the (|E|, |E|) Gram G; one eigendecomposition
-        # of G serves the rank test, a solve gives the unconstrained
-        # minimiser, which is the answer when positive; only when an edge must be
-        # clamped does the active set run, on G and h: |E| equations in
-        # the |E| unknowns
+    def test_one_active_set_call_on_the_gram(self, fig2_graph, fig2_family, monkeypatch):
+        # the fit assembles the (|E|, |E|) Gram G and solves it only inside
+        # one active-set call on G and h, for exact moments (whose
+        # unconstrained minimiser is the answer) and for moments that
+        # clamp an edge alike; no decomposition decides identifiability
         import extreme_blocks.fit as fit_mod
-        from extreme_blocks.model import sigma_coefficient_matrix
         limits = {u: gaussian_limit(fig2_family, u) for u in fig2_graph.nodes}
         exact = {u: lim.cov for u, lim in limits.items()}, {u: lim.mean for u, lim in limits.items()}
         # covariances of a delta^2 with one negative entry: its minimiser is infeasible
         flipped = fig2_family.as_vector()
         flipped[0] = -0.5
         clamped = {u: sigma_coefficient_matrix(fig2_graph, u) @ flipped for u in fig2_graph.nodes}
-        decompositions, systems = [], []
-        real_eigh, real_nnls = np.linalg.eigh, fit_mod.nnls_active_set
-
-        def eigh(a, *args, **kwargs):
-            decompositions.append(a.shape)
-            return real_eigh(a, *args, **kwargs)
+        systems = []
+        real_nnls = fit_mod.nnls_active_set
 
         def refuse(*args, **kwargs):
-            raise AssertionError("the fit needs no svd, qr or lstsq")
+            raise AssertionError("the fit needs no eigh, svd, qr or lstsq")
 
         def nnls(a, b, **kwargs):
             systems.append((a.shape, b.shape))
             return real_nnls(a, b, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigh", eigh)
-        for name in ("svd", "qr", "lstsq"):
+        for name in ("eigh", "svd", "qr", "lstsq"):
             monkeypatch.setattr(np.linalg, name, refuse)
         monkeypatch.setattr(fit_mod, "nnls_active_set", nnls)
         n_edges = len(fig2_graph.edges)
 
         res = fit_delta_from_covariances(fig2_graph, *exact)
-        assert decompositions == [(n_edges, n_edges)]
-        assert systems == []
+        assert systems == [((n_edges, n_edges), (n_edges,))]
         assert res.objective <= 1e-18
         for e, v in FIG2_DELTA.items():
             assert res.delta2_hat[e] == pytest.approx(v, abs=1e-9)
 
-        decompositions.clear()
+        systems.clear()
         res = fit_delta_from_covariances(fig2_graph, clamped)
-        assert decompositions == [(n_edges, n_edges)]
         assert systems == [((n_edges, n_edges), (n_edges,))]
         assert res.as_vector(fig2_graph)[0] == 0.0
         assert np.all(res.as_vector(fig2_graph) >= 0) and res.objective > 0
+
+    def test_noisy_fit_at_61_nodes_starts_from_the_minimiser(self, monkeypatch):
+        # from x = 0 the active set took 104 passive solves here; from the
+        # unconstrained minimiser, less its non-positive coordinates, it
+        # takes 6. Reference: scipy's NNLS on R x = R^-T h with G = R'R
+        import extreme_blocks.fit as fit_mod
+        g, spacings = noisy_spacings_61()
+        solves, systems = [], []
+        real_solve, real_nnls = np.linalg.solve, fit_mod.nnls_active_set
+
+        def solve(a, b):
+            solves.append(a.shape)
+            return real_solve(a, b)
+
+        def nnls(gram, rhs):
+            systems.append((gram, rhs))
+            return real_nnls(gram, rhs)
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        monkeypatch.setattr(fit_mod, "nnls_active_set", nnls)
+        res = fit_delta(g, spacings)
+        monkeypatch.undo()
+        assert len(solves) < 10
+        (gram, rhs), = systems
+        r = np.linalg.cholesky(gram).T
+        expect = scipy.optimize.nnls(r, np.linalg.solve(r.T, rhs))[0]
+        got = res.as_vector(g)
+        assert np.count_nonzero(got == 0) == np.count_nonzero(expect == 0) > 0
+        np.testing.assert_allclose(got, expect, rtol=1e-9, atol=1e-9 * expect.max())
+
+    def test_exhausted_active_set_budget_raises(self, monkeypatch):
+        # the warm start leaves a clamped edge whose gradient is positive,
+        # so this fit needs an outer step; without a budget for one the
+        # unmet KKT test is raised, not returned
+        import extreme_blocks.fit as fit_mod
+        g, spacings = noisy_spacings_61()
+        monkeypatch.setattr(fit_mod, "MAX_ITER_PER_UNKNOWN", 0)
+        with pytest.raises(NumericalError, match="unconverged after 0 steps") as err:
+            fit_delta(g, spacings)
+        assert err.value.exit_code == 3
+
+    def test_graph_without_edges_fits_to_nothing(self):
+        g = build_block_graph(["a"], [])
+        res = fit_delta_from_covariances(g, {"a": np.zeros((0, 0))}, {"a": np.zeros(0)})
+        assert res.delta2_hat == {} and res.objective == 0.0
+        pareto = rank_transform(SampleSet(np.arange(10.0)[:, None], ("a",)))
+        res = fit_delta(g, {"a": log_spacings(pareto, "a", 5)})
+        assert res.delta2_hat == {} and res.objective == 0.0
+        assert res.diagnostics == {"a": {"rows": 5}}
 
     def test_exact_moments_recover_exactly(self, fig2_graph, fig2_family):
         covs = {u: gaussian_limit(fig2_family, u).cov for u in fig2_graph.nodes}
@@ -279,7 +334,6 @@ class TestFitDelta:
         # three-point midpoint check of the quadratic objective
         edges = fig2_graph.edges_sorted()
         covs = {u: gaussian_limit(fig2_family, u).cov for u in fig2_graph.nodes}
-        from extreme_blocks.model import sigma_coefficient_matrix
         m = len(fig2_graph.nodes) - 1
         blocks = [sigma_coefficient_matrix(fig2_graph, u).reshape(m * m, len(edges))
                   for u in fig2_graph.nodes]
@@ -305,7 +359,7 @@ class TestFitDelta:
         limits = {u: gaussian_limit(fam, u) for u in g.nodes}
         covs = {u: lim.cov for u, lim in limits.items()}
         means = {u: lim.mean for u, lim in limits.items()}
-        for res in (fit_delta_from_covariances(g, covs),  # raises if rank-deficient
+        for res in (fit_delta_from_covariances(g, covs),
                     fit_delta_from_covariances(g, covs, means)):
             for e, v in fam.edge_params.items():
                 assert res.delta2_hat[e] == pytest.approx(v, abs=1e-7)
@@ -332,30 +386,27 @@ class TestFitDelta:
         with pytest.raises(ValueError, match=name):
             fit_delta_from_covariances(fig2_graph, covs, means, **weights)
 
-    def test_underdetermined_reports_null_edges(self, fig2_graph, fig2_family, monkeypatch):
-        # an edge no covariance entry depends on has a zero row and column
-        # in G: its unit vector spans G's null space
+    def test_zero_weights_name_every_edge_before_the_gram(self, fig2_graph, fig2_family,
+                                                          monkeypatch):
+        # with every node observed, one anchor of positive weight identifies
+        # every edge; with none, no edge is identified, which is known from
+        # the weights before G is assembled
         import extreme_blocks.fit as fit_mod
-        real = fit_mod._normal_equations
-        dead_edge = ("5", "6")
-        edges = fig2_graph.edges_sorted()
-        dead_idx = edges.index(dead_edge)
 
-        def crippled(*args):
-            gram, target = real(*args)
-            gram[dead_idx, :] = gram[:, dead_idx] = 0.0
-            return gram, target
+        def refuse(*args):
+            raise AssertionError("G assembled for weights that identify nothing")
 
-        monkeypatch.setattr(fit_mod, "_normal_equations", crippled)
-        covs = {u: gaussian_limit(fig2_family, u).cov for u in fig2_graph.nodes}
-        with pytest.raises(UnderdeterminedError) as err:
-            fit_delta_from_covariances(fig2_graph, covs)
-        assert err.value.null_edges == (dead_edge,)
+        monkeypatch.setattr(fit_mod, "_normal_equations", refuse)
+        covs = {u: gaussian_limit(fig2_family, u).cov for u in ("1", "2")}
+        with pytest.raises(UnderdeterminedError, match="every anchor weight is 0") as err:
+            fit_delta_from_covariances(fig2_graph, covs, anchor_weights={"1": 0.0, "2": 0.0})
+        assert err.value.null_edges == fig2_graph.edges_sorted()
+        assert err.value.exit_code == 3
 
     def test_rank_deficient_fit_stays_small(self):
-        # zero weights on every anchor leave no information; the null space
-        # comes from the eigenvalues of the (|E|, |E|) Gram G, not from the
-        # tall design, which is never formed
+        # zero weights on every anchor leave no information, which is
+        # known from the weights alone: neither the tall design nor G is
+        # formed
         g = build_block_graph(*clique_tree_edges(np.random.default_rng(5), 21))
         covs = {u: np.eye(20) for u in g.nodes}
         tracemalloc.start()
@@ -401,9 +452,9 @@ class TestFitDelta:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_exact_moments_at_61_nodes_recover_to_rounding(self, seed):
-        # the minimiser V diag(lam)^-1 V' h from the rank test's eigenvectors
-        # read these back at 3.5e-12 to 1.1e-11 relative; a solve of G reads
-        # them at 1.4e-13 to 5e-13
+        # a minimiser from G's eigenvectors read these back at 3.5e-12 to
+        # 1.1e-11 relative; the active set's first solve of G reads them at
+        # 1.4e-13 to 5e-13
         g = build_block_graph(*clique_tree_edges(np.random.default_rng(seed), 61))
         fam = random_delta(g, np.random.default_rng(seed))
         p = path_sum_matrix(fam)
@@ -416,7 +467,6 @@ class TestFitDelta:
     def test_factor_matches_stacked_design(self, seed):
         # reference: the stacked design of every anchor's coefficient rows
         # (plus the -1/2-diagonal mean rows), solved by scipy's NNLS
-        from extreme_blocks.model import sigma_coefficient_matrix
         rng = np.random.default_rng(300 + seed)
         g = random_block_graph(rng, max_nodes=12)
         fam = random_delta(g, rng)
@@ -452,7 +502,6 @@ class TestFitDelta:
     def test_asymmetric_covariance_matches_the_full_fold(self, seed):
         # the target sees (c_ij + c_ji) / 2; the objective still counts
         # every entry of an asymmetric Sigma_hat_u
-        from extreme_blocks.model import sigma_coefficient_matrix
         rng = np.random.default_rng(700 + seed)
         g = random_block_graph(rng, max_nodes=10)
         fam = random_delta(g, rng)

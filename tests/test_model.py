@@ -22,10 +22,10 @@ from extreme_blocks.model import (
     _anchor,
     _clique_precisions,
     _increment_law,
-    sigma_coefficient_matrix,
 )
 from conftest import FIG2_DELTA
 from gen import clique_tree_edges, random_block_graph, random_delta, random_tree
+from oracle import sigma_coefficient_matrix
 
 
 def triangle(d12, d13, d23):

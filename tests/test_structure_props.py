@@ -7,8 +7,6 @@ a brute-force reference that finds explicit paths by a breadth-first
 search over the clique list and shares no code with the library.
 """
 
-from collections import deque
-
 import numpy as np
 import pytest
 import scipy.optimize
@@ -26,8 +24,9 @@ from extreme_blocks import (
     sample_increments,
     sample_limit_field,
 )
-from extreme_blocks.model import sigma_coefficient_matrix
+from extreme_blocks.fit import _normal_equations
 from gen import random_delta
+from oracle import explicit_paths, sigma_coefficient_matrix
 
 PROPS = settings(max_examples=40, deadline=None,
                  suppress_health_check=[HealthCheck.too_slow])
@@ -52,23 +51,6 @@ def block_graphs(draw, tree: bool = False):
 
 def any_graph():
     return st.one_of(block_graphs(), block_graphs(tree=True))
-
-
-def explicit_paths(cliques, source):
-    """Node sequence of the path from source to every node, found by a
-    breadth-first search over the clique list."""
-    adj = {}
-    for c in cliques:
-        for v in c:
-            adj.setdefault(v, set()).update(w for w in c if w != v)
-    paths, queue = {source: (source,)}, deque([source])
-    while queue:
-        v = queue.popleft()
-        for w in sorted(adj[v]):
-            if w not in paths:
-                paths[w] = paths[v] + (w,)
-                queue.append(w)
-    return paths
 
 
 def explicit_sum(fam, path):
@@ -130,37 +112,40 @@ def test_path_sums_match_explicit_paths(case):
             assert abs(p.entry(u, v) - explicit_sum(fam, paths[v])) <= 1e-12
 
 
-def explicit_incidence(g, cliques):
-    """inc[i, j, e] = 1 when edge e (in sorted order) lies on the explicit
-    path from node i to node j."""
-    column = {e: k for k, e in enumerate(g.edges_sorted())}
-    inc = np.zeros((len(g.nodes), len(g.nodes), len(column)))
-    for i, a in enumerate(g.nodes):
-        for j, path in explicit_paths(cliques, a).items():
-            for e in zip(path, path[1:]):
-                inc[i, g.nodes.index(j), column[tuple(sorted(e))]] = 1.0
-    return inc
-
-
 @PROPS
 @given(any_graph(), st.data())
 def test_covariance_coefficients_and_precision(case, data):
-    g, cliques, seed = case
+    g, _, seed = case
     fam = random_delta(g, np.random.default_rng(seed))
     u = data.draw(st.sampled_from(g.nodes))
     lim = gaussian_limit(fam, u)
     cov = lim.cov
     coeffs = sigma_coefficient_matrix(g, u)
     assert np.abs(coeffs @ fam.as_vector() - cov).max() <= 1e-12
-    inc = explicit_incidence(g, cliques)
-    rest = [g.nodes.index(v) for v in lim.nodes]
-    iu = inc[g.nodes.index(u), rest]
-    assert np.array_equal(coeffs, 2.0 * (iu[:, None] + iu[None, :] - inc[np.ix_(rest, rest)]))
     theta = precision_matrix(fam, u)
     assert np.abs(cov @ theta - np.eye(len(cov))).max() <= 1e-8
     assert np.abs(theta - np.linalg.inv(cov)).max() <= 1e-10 * max(1.0, np.abs(theta).max())
     adjacent = np.array([[a == b or g.has_edge(a, b) for b in lim.nodes] for a in lim.nodes])
     assert np.all(theta[~adjacent] == 0.0)
+
+
+@PROPS
+@given(any_graph(), st.data(), st.booleans())
+def test_gram_is_positive_definite_for_any_weighted_anchor(case, data, with_means):
+    # any anchor of positive weight fixes P (p_ui = Sigma_u,ii / 4) and P
+    # fixes every edge, so the fit needs no rank test. G does not depend
+    # on the moments' values, only on the weights; every single anchor is
+    # tried, since a larger set only adds positive semidefinite terms
+    g, _, seed = case
+    rng = np.random.default_rng(seed)
+    drawn = data.draw(st.lists(st.sampled_from(g.nodes), min_size=1, unique=True))
+    m = len(g.nodes) - 1
+    mean_weight = float(rng.uniform(0.2, 3.0)) if with_means else 0.0
+    for anchors in [drawn] + [[u] for u in g.nodes]:
+        moments = {u: (np.zeros((m, m)), np.zeros(m) if with_means else None) for u in anchors}
+        weights = {u: float(w) for u, w in zip(anchors, 10.0 ** rng.uniform(-3, 3, len(anchors)))}
+        gram, _ = _normal_equations(g, moments, weights, mean_weight)
+        np.linalg.cholesky(gram)
 
 
 @PROPS
