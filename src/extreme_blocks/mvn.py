@@ -14,10 +14,12 @@ query is the one-term case. Which path serves a stack depends on d:
   to the lattice unchanged.
 - Otherwise, and for d >= 4, each term is moved to the unit cube by the
   separation-of-variables transform with greedy variable reordering by
-  expected truncation, and integrated with a randomized rank-1 lattice
-  rule (square-root-of-primes generators, baker's transform) under K
-  random shifts that all terms share. A term's lattice starts at 256
-  points per shift and a doubling evaluates only its new points, each
+  expected truncation, and integrated with a randomized embedded rank-1
+  lattice rule {k z / n : k < n} (a component-by-component generating
+  vector z for n = 2**8..2**16, Cools, Kuo & Nuyens 2006; baker's
+  transform) under K = 20 random shifts that all terms share. A term's
+  lattice starts at 128 points per shift. The n-point lattice is the even
+  half of the 2n-point one, so a doubling evaluates only the odd k, each
   block of them under all K shifts in one integrand call of at most
   2**14 points in total.
 
@@ -25,10 +27,10 @@ On the lattice the estimate under shift r is S_r = sum_t w_t mean_{t,r};
 the value is the mean of the S_r and the reported error is
 t_{K-1}(0.99865) sd(S) / sqrt(K), the Student-t quantile at the coverage
 of three normal standard errors (Genz & Bretz 2009): about 99.7% of
-queries fall within it, where the factor 3 covered about 98.5% at K = 10
-(t_9(0.99865) = 4.09). While the error exceeds rel_tol times the value,
-the lattice of the term with the largest w_t sd_r(mean_{t,r}) doubles, so
-a stack spends its points on the terms that carry its variance.
+queries fall within it (t_19(0.99865) = 3.45). While the error exceeds
+rel_tol times the value, the lattice of the term with the largest
+w_t sd_r(mean_{t,r}) doubles, so a stack spends its points on the terms
+that carry its variance.
 """
 
 from __future__ import annotations
@@ -43,9 +45,16 @@ from .errors import DimensionCapError, NotPDError
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-# square-root-of-primes lattice generators cover the dimension cap (25)
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
-           47, 53, 59, 61, 67, 71, 73, 79, 83, 89)
+# Generating vector of an embedded rank-1 lattice in base 2, one component
+# per cube coordinate up to the dimension cap (25): a component-by-component
+# search for 2**8..2**16 points with weights 1/j**2 (Cools, Kuo & Nuyens
+# 2006); tests/oracle.py:embedded_cbc re-derives it.
+_LATTICE_Z = np.array((1, 44437, 2787, 36997, 35205, 43099, 2531, 17659, 22707, 7723,
+                       48781, 29795, 16951, 8045, 19803, 8851, 39635, 48935, 38199,
+                       17353, 13691, 63993, 60993, 10365), dtype=np.uint64)
+# The largest start_points or max_points: a lattice then stays below 2**32
+# points, so the numerators (k z mod n) k stay below 2**64.
+_MAX_LATTICE = 1 << 31
 
 DIMENSION_CAP = 25
 _TINY = 1e-300
@@ -211,26 +220,40 @@ def _stack(spec: MvnSpec):
     return upper, cov, weights
 
 
-def _add_points(L: np.ndarray, b: np.ndarray, q: np.ndarray, shifts: np.ndarray,
-                sums: np.ndarray, lo: int, hi: int) -> None:
-    """Add lattice points lo+1..hi under every shift to the per-shift sums.
+def _lattice_numerators(z: np.ndarray, lo: int, hi: int, block: int):
+    """Numerators (k z mod hi) of the points that take a rank-1 lattice
+    from lo to hi points, in blocks of at most block points, (d-1, points).
 
-    i*q + shift for i <= n is a prefix of the doubled lattice, so a doubling
-    adds only its new half, a block of lattice points at a time under every
-    shift at once.
+    From lo = 0 these are every k < hi; a doubling, hi = 2 lo, adds the odd
+    k, since the even ones are the lo-point lattice. The arithmetic is
+    exact in uint64 for hi <= 2**32.
+    """
+    first, step = (0, 1) if lo == 0 else (1, 2)
+    zn = z % np.uint64(hi)
+    for a in range(first, hi, step * block):
+        k = np.arange(a, min(a + step * block, hi), step, dtype=np.uint64)
+        yield np.multiply.outer(zn, k) % np.uint64(hi)
+
+
+def _add_points(L: np.ndarray, b: np.ndarray, z: np.ndarray, shifts: np.ndarray,
+                sums: np.ndarray, lo: int, hi: int) -> None:
+    """Add the points that grow a term's lattice from lo to hi points, under
+    every shift, to the per-shift sums.
+
+    The hi-point lattice {k z / hi} holds the lo-point one, so a doubling
+    evaluates only its new points, a block of them under every shift at
+    once, at most 2**14 rows per integrand call; each shifted point is
+    folded by the baker's transform |2 frac(x) - 1|.
     """
     k = shifts.shape[0]
-    block = max(1, (1 << 14) // k)
-    for a in range(lo, hi, block):
-        i = np.arange(a + 1, min(a + block, hi) + 1, dtype=float)
+    for num in _lattice_numerators(z, lo, hi, max(1, (1 << 14) // k)):
         # (d-1, shift, point): each coordinate's row runs shift by shift
-        w = q[:, None, None] * i + shifts.T[:, :, None]
-        # baker's transform |2 frac(w) - 1|, in place
+        w = (num / hi)[:, None, :] + shifts.T[:, :, None]
         w -= np.floor(w)
         w *= 2.0
         w -= 1.0
         np.abs(w, out=w)
-        f = _integrand(L, b, w.reshape(q.size, -1))
+        f = _integrand(L, b, w.reshape(z.size, -1))
         sums += f.reshape(k, -1).sum(axis=1)
 
 
@@ -337,11 +360,11 @@ def _lattice_sum(upper: np.ndarray, cov: np.ndarray, weights: np.ndarray,
                  start_points: int, max_points: int) -> MvnResult:
     """The randomized lattice estimate of a validated (t, d) stack, d >= 2.
 
-    Each live term's lattice starts at start_points and the lattice of the
-    term with the largest weighted spread doubles, evaluating only the
-    points it adds, until the t-quantile error meets rel_tol or every term
-    has reached max_points (``converged=False``); ``points`` counts every
-    integrand row."""
+    Each live term's lattice {k z / n} starts at n = start_points under
+    every shift, and the lattice of the term with the largest weighted
+    spread doubles, evaluating only its odd k, until the t-quantile error
+    meets rel_tol or every term has reached max_points
+    (``converged=False``); ``points`` counts every integrand row."""
     d = upper.shape[1]
     live = [k for k in range(len(weights))
             if weights[k] > 0 and not np.any(np.isneginf(upper[k]))]
@@ -349,7 +372,7 @@ def _lattice_sum(upper: np.ndarray, cov: np.ndarray, weights: np.ndarray,
         return MvnResult(0.0, 0.0, True, 0)
     factors = [_ordered_cholesky(cov[k], upper[k]) for k in live]
     w = weights[live]
-    q = np.sqrt(np.array(_PRIMES[: d - 1], dtype=float))
+    z = _LATTICE_Z[: d - 1]
 
     rng = np.random.Generator(np.random.Philox(key=int(seed) & ((1 << 128) - 1)))
     shifts = rng.random((randomizations, d - 1))
@@ -358,7 +381,7 @@ def _lattice_sum(upper: np.ndarray, cov: np.ndarray, weights: np.ndarray,
     sums = np.zeros((len(live), randomizations))
     n = np.full(len(live), start_points)  # lattice points per shift of each term
     for j, (L, b) in enumerate(factors):
-        _add_points(L, b, q, shifts, sums[j], 0, start_points)
+        _add_points(L, b, z, shifts, sums[j], 0, start_points)
     while True:
         means = sums / n[:, None]
         per_shift = w @ means
@@ -371,13 +394,13 @@ def _lattice_sum(upper: np.ndarray, cov: np.ndarray, weights: np.ndarray,
         if not room.any():
             return MvnResult(value, err, False, points)
         j = int(np.argmax(np.where(room, w * means.std(axis=1), -1.0)))
-        _add_points(*factors[j], q, shifts, sums[j], n[j], 2 * n[j])
+        _add_points(*factors[j], z, shifts, sums[j], n[j], 2 * n[j])
         n[j] *= 2
 
 
 def mvn_cdf(spec: MvnSpec, seed: int = 0,
-            randomizations: int = 10,
-            start_points: int = 256,
+            randomizations: int = 20,
+            start_points: int = 128,
             max_points: int = 1 << 21) -> MvnResult:
     """Evaluate sum_t w_t P(X_t <= upper_t) for X_t ~ N(0, cov_t).
 
@@ -386,16 +409,19 @@ def mvn_cdf(spec: MvnSpec, seed: int = 0,
     the closed forms (Owen's T; one Gauss-Legendre line over it) whenever
     their deterministic error bound, reported as ``error``, meets rel_tol
     relative accuracy; these closed forms and d = 1 report ``points`` 0.
-    Otherwise each term's lattice starts at start_points and the lattice
-    of the term with the largest weighted spread doubles, evaluating only
-    the points it adds, until the t-quantile error estimate meets rel_tol
+    Otherwise each term's embedded rank-1 lattice starts at start_points
+    per shift, under randomizations random shifts, and the lattice of the
+    term with the largest weighted spread doubles, evaluating only the
+    points it adds, until the t-quantile error estimate meets rel_tol
     or every term has reached max_points, in which case the best estimate
     is returned with ``converged=False``; ``points`` counts every lattice
     row evaluated. A rel_tol that is not finite and positive, fewer than
     two randomizations (no spread to estimate the error from), fewer than
-    one start point, mismatched shapes, no term, or weights that are not
-    finite and nonnegative raise ValueError; more than DIMENSION_CAP
-    dimensions raise DimensionCapError.
+    one start point, a start_points or max_points above 2**31 (the
+    lattice arithmetic is exact in 64 bits only below 2**32 points),
+    mismatched shapes, no term, or weights that are not finite and
+    nonnegative raise ValueError; more than DIMENSION_CAP dimensions raise
+    DimensionCapError.
     """
     if not 0.0 < spec.rel_tol < math.inf:
         raise ValueError(f"rel_tol must be finite and positive, got {spec.rel_tol}")
@@ -403,6 +429,9 @@ def mvn_cdf(spec: MvnSpec, seed: int = 0,
         raise ValueError(f"randomizations must be at least 2, got {randomizations}")
     if start_points < 1:
         raise ValueError(f"start_points must be at least 1, got {start_points}")
+    for name, value in (("start_points", start_points), ("max_points", max_points)):
+        if value > _MAX_LATTICE:
+            raise ValueError(f"{name} must be at most 2**31, got {value}")
     upper, cov, weights = _stack(spec)
     d = upper.shape[1]
     if d > DIMENSION_CAP:

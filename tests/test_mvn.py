@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -24,38 +26,46 @@ def trivariate_orthant_exact(rho):
     return 0.125 + 3 * math.asin(rho) / (4 * math.pi)
 
 
-def lattice(spec, seed=0, randomizations=10, start_points=256, max_points=1 << 21):
+LATTICE = {name: arg.default for name, arg in inspect.signature(mvn_cdf).parameters.items()
+           if name in ("randomizations", "start_points", "max_points")}
+
+
+def lattice(spec, seed=0, randomizations=LATTICE["randomizations"],
+            start_points=LATTICE["start_points"], max_points=LATTICE["max_points"]):
     """mvn_cdf's randomized lattice path, which d >= 4 takes and d = 2, 3
-    take only when the closed forms miss rel_tol."""
+    take only when the closed forms miss rel_tol, with mvn_cdf's defaults."""
     upper, cov, weights = mvn._stack(spec)
     return mvn._lattice_sum(upper, cov, weights, spec.rel_tol, seed,
                             randomizations, start_points, max_points)
 
 
-def per_shift_cdf(spec, seed, randomizations=10, start_points=2048, max_points=1 << 21):
-    """Reference copy of the lattice loop that ran each random shift in its
+def per_shift_cdf(spec, seed, randomizations=LATTICE["randomizations"],
+                  start_points=LATTICE["start_points"], max_points=LATTICE["max_points"]):
+    """Reference copy of the lattice loop that runs each random shift in its
     own integrand calls of at most 2**14 rows, with the error at the t
-    quantile; returns (value, error, points)."""
-    import extreme_blocks.mvn as mvn
+    quantile; returns (value, error, points). The n-point lattice is
+    {k z / n : k < n}; a doubling to n points adds its odd k."""
     from scipy.special import stdtrit
     d = len(spec.upper)
     L, b = mvn._ordered_cholesky(spec.cov, spec.upper)
-    q = np.sqrt(np.array(mvn._PRIMES[: d - 1], dtype=float))
+    z = [int(c) for c in mvn._LATTICE_Z[: d - 1]]
     shifts = np.random.Generator(np.random.Philox(key=seed)).random((randomizations, d - 1))
-    sums, done, n = np.zeros(randomizations), 0, start_points
+    sums, n = np.zeros(randomizations), start_points
+    new = range(n)
     while True:
-        for r in range(randomizations):
-            for lo in range(done, n, 1 << 14):
-                i = np.arange(lo + 1, min(lo + (1 << 14), n) + 1, dtype=float)[:, None]
-                w = np.abs(2.0 * np.modf(i * q[None, :] + shifts[r])[0] - 1.0)
+        for lo in range(0, len(new), 1 << 14):
+            x = np.array([[k * c % n / n for c in z] for k in new[lo:lo + (1 << 14)]])
+            for r in range(randomizations):
+                w = np.abs(2.0 * np.modf(x + shifts[r])[0] - 1.0)
                 sums[r] += float(mvn._integrand(L, b, np.ascontiguousarray(w.T)).sum())
-        done, means = n, sums / n
+        means = sums / n
         value = float(means.mean())
         spread = float(means.std(ddof=1)) / math.sqrt(randomizations)
         err = stdtrit(randomizations - 1, 0.99865) * spread
         if err <= spec.rel_tol * value or n >= max_points:
             return value, err, n * randomizations
         n *= 2
+        new = range(1, n, 2)
 
 
 class TestStdNormal:
@@ -172,9 +182,9 @@ class TestMvnCdf:
         cov = a @ a.T + d * np.eye(d)
         spec = MvnSpec(rng.standard_normal(d) + 0.5, cov, rel_tol=rel_tol)
         value, err, points = per_shift_cdf(spec, seed)
-        res = lattice(spec, seed=seed, start_points=2048)
+        res = lattice(spec, seed=seed)
         if d >= 4:  # mvn_cdf's only path from d = 4 on
-            assert mvn_cdf(spec, seed=seed, start_points=2048) == res
+            assert mvn_cdf(spec, seed=seed) == res
         assert res.points == points
         assert res.value == pytest.approx(value, rel=1e-14, abs=0)
         # the error is a spread of per-shift means a few ulps of the value
@@ -231,9 +241,9 @@ class TestTrivariateOrthant:
 
 
 class TestDefaultStartAccuracy:
-    """The 256-point start stops at the first lattice whose t-quantile
-    error estimate meets the tolerance. Against closed forms it misses the
-    tolerance no more often than the former 2048-point start."""
+    """The default start stops at the first lattice whose t-quantile error
+    estimate meets the tolerance. Against closed forms it misses the
+    tolerance no more often than a 2048-point start on as many shifts."""
 
     @staticmethod
     def misses(upper, cov, exact, rel_tol, start_points):
@@ -252,14 +262,14 @@ class TestDefaultStartAccuracy:
         cov = np.full((3, 3), rho)
         np.fill_diagonal(cov, 1.0)
         args = np.zeros(3), cov, trivariate_orthant_exact(rho), rel_tol
-        assert self.misses(*args, 256) <= self.misses(*args, 2048)
+        assert self.misses(*args, LATTICE["start_points"]) <= self.misses(*args, 2048)
 
     @pytest.mark.parametrize("rel_tol", [1e-4, 1e-5])
     @pytest.mark.parametrize("rho", [-0.9, -0.5, 0.5, 0.9])
     def test_bivariate_arcsine(self, rho, rel_tol):
         cov = np.array([[1.0, rho], [rho, 1.0]])
         args = np.zeros(2), cov, orthant_exact(rho), rel_tol
-        assert self.misses(*args, 256) <= self.misses(*args, 2048)
+        assert self.misses(*args, LATTICE["start_points"]) <= self.misses(*args, 2048)
 
 
 class TestStackedSpec:
@@ -281,8 +291,8 @@ class TestStackedSpec:
             assert stacked == plain
 
     def test_the_t_quantile_meets_the_tolerance(self):
-        # three standard errors over 10 shifts stopped this query at a true
-        # relative error of 1.51e-5
+        # under the former square-root-of-primes rule, three standard errors
+        # over 10 shifts stopped this query at a true relative error of 1.51e-5
         cov = np.array([[1.0, 0.9], [0.9, 1.0]])
         res = lattice(MvnSpec(np.zeros(2), cov, rel_tol=1e-5), seed=4)
         assert res.converged
@@ -503,3 +513,117 @@ class TestClosedForms:
         exact = bvn_by_quad(-5.0, -5.5, -0.3)[0]
         assert res.points > 0 and res.converged
         assert abs(res.value - exact) <= 1e-4 * exact
+
+
+def stack_by_quad(spec):
+    """sum_t w_t Phi_4(upper_t; cov_t) of a stack of dimension 4 as one
+    adaptive quadrature line; returns (value, error).
+
+    Each term conditions on its first variable: Phi_4 is the integral over
+    x <= h_0 of phi(x) Phi_3 of the other three given x, the trivariate
+    factor by mvn._tvn. Term t's x runs over [-9, min(h_0, 9)], mapped onto
+    one u in [0, 1] that all terms share. The error is quad's estimate plus
+    the largest integrand of the _tvn bounds and the 2 Phi(-9) cut.
+    """
+    from scipy.integrate import quad
+    cut = 9.0
+    sd = np.sqrt(np.diagonal(spec.cov, axis1=1, axis2=2))
+    h = spec.upper / sd
+    corr = spec.cov / (sd[:, :, None] * sd[:, None, :])
+    r0 = corr[:, 0, 1:]
+    s = np.sqrt((1.0 - r0) * (1.0 + r0))
+    cond = (corr[:, 1:, 1:] - r0[:, :, None] * r0[:, None, :]) / (s[:, :, None] * s[:, None, :])
+    cond[:, range(3), range(3)] = 1.0
+    top = np.clip(h[:, 0], -cut, cut)
+    scale = spec.weights * (top + cut) / math.sqrt(2 * math.pi)
+    bound = [0.0]
+
+    def line(u):
+        x = -cut + (top + cut) * u
+        value, err = mvn._tvn((h[:, 1:] - r0 * x[:, None]) / s, cond)
+        wphi = scale * np.exp(-0.5 * x * x)
+        bound[0] = max(bound[0], float(wphi @ err))
+        return float(wphi @ value)
+
+    val, err, *_ = quad(line, 0.0, 1.0, epsabs=1e-300, epsrel=1e-10, limit=400, full_output=1)
+    return val, err + bound[0] + 2.0 * spec.weights.sum() * std_normal_cdf(-cut)
+
+
+class TestEmbeddedLattice:
+    """The rank-1 lattice {k z / n} with the CBC generating vector z: its
+    doublings, its generating vector, and its error's coverage."""
+
+    @pytest.mark.parametrize("start, dims, block", [(128, 24, 1 << 14), (128, 4, 100), (3, 6, 7)])
+    def test_doublings_evaluate_each_point_once(self, start, dims, block):
+        z = mvn._LATTICE_Z[:dims]
+        top = 8 * start
+        seen = []
+        for lo, hi in [(0, start), (start, 2 * start), (2 * start, 4 * start),
+                       (4 * start, 8 * start)]:
+            for num in mvn._lattice_numerators(z, lo, hi, block):
+                assert num.shape[0] == dims and 0 < num.shape[1] <= block
+                assert num.max() < hi
+                seen.append(num.T.astype(np.int64) * (top // hi))
+        seen = np.concatenate(seen)
+        lattice_points = np.arange(top)[:, None] * z.astype(np.int64) % top
+        assert len(seen) == top
+        # z_1 = 1, so a point's first numerator is its index k
+        assert np.array_equal(seen[np.argsort(seen[:, 0])], lattice_points)
+
+    def test_generating_vector_is_the_cbc_search(self):
+        # the first three components serve every d <= 4 query
+        from oracle import embedded_cbc
+        assert embedded_cbc(3) == tuple(int(c) for c in mvn._LATTICE_Z[:3])
+        assert len(mvn._LATTICE_Z) == mvn.DIMENSION_CAP - 1
+
+    @pytest.mark.parametrize("option", ["start_points", "max_points"])
+    def test_lattice_past_two_to_the_31_rejected(self, monkeypatch, option):
+        # past 2**31 points per shift, (k z mod n) k could overflow 64 bits
+        def refuse(*args):
+            raise AssertionError("no lattice may be built")
+
+        monkeypatch.setattr(mvn, "_lattice_numerators", refuse)
+        monkeypatch.setattr(mvn, "_integrand", refuse)
+        with pytest.raises(ValueError, match=option):
+            mvn_cdf(MvnSpec(np.zeros(4), np.eye(4)), **{option: (1 << 31) + 1})
+
+    @pytest.mark.parametrize("rel_tol", [1e-4, 1e-5])
+    def test_error_covers_stdf_stacks(self, rel_tol, stdf_references):
+        over = missed = runs = 0
+        for spec, ref in stdf_references:
+            for seed in range(4):
+                res = mvn_cdf(dataclasses.replace(spec, rel_tol=rel_tol), seed=seed)
+                assert res.converged and res.points > 0
+                runs += 1
+                over += abs(res.value - ref) > res.error
+                missed += abs(res.value - ref) > 2 * rel_tol * ref
+        assert runs >= 400
+        assert missed == 0
+        assert over <= 0.02 * runs
+
+
+@pytest.fixture(scope="module")
+def stdf_references():
+    """100 stdf stacks of dimension 4 with their values by quadrature: the
+    stacks stdf_hr_detailed sends to mvn_cdf for 5 nodes of seeded 12-node
+    clique trees, with weights in [0.2, 2] as the tail queries draw them."""
+    import extreme_blocks.dist as dist
+    from extreme_blocks import build_block_graph, path_sum_matrix, stdf_hr_detailed
+    from gen import clique_tree_edges, random_delta
+    specs = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dist, "mvn_cdf", lambda spec, seed: specs.append(spec)
+                   or MvnResult(0.0, 0.0, True, 0))
+        for i in range(100):
+            rng = np.random.default_rng([41, i])
+            g = build_block_graph(*clique_tree_edges(rng, 12))
+            p = path_sum_matrix(random_delta(g, rng))
+            nodes = rng.choice(g.nodes, 5, replace=False)
+            stdf_hr_detailed(p, dict(zip(nodes, rng.uniform(0.2, 2.0, 5))))
+    out = []
+    for spec in specs:
+        assert spec.upper.shape == (5, 4)
+        value, error = stack_by_quad(spec)
+        assert error <= 1e-8 * value
+        out.append((spec, value))
+    return out
