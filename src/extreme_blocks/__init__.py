@@ -33,7 +33,7 @@ from .errors import (
     UnknownCliqueError,
     UnknownNodeError,
 )
-from .graph import BlockGraph, build_block_graph, canonical_edge, clique_degree, separator_node, shortest_path
+from .graph import BlockGraph, build_block_graph, canonical_edge
 from .model import (
     DeltaFamily,
     GaussianLimit,
@@ -49,7 +49,6 @@ from .model import (
 )
 from .mvn import MvnResult, MvnSpec, mvn_cdf, std_normal_cdf
 from .dist import (
-    StdfQuery,
     extremal_coefficient,
     extremal_coefficient_detailed,
     hr_cdf,

@@ -87,11 +87,13 @@ def _add_common(p: argparse.ArgumentParser, *names):
                        help="comma-separated latent node ids or a mask JSON file")
 
 
+def _load_graph(args):
+    return build_block_graph(*ebio.load_graph_json(args.graph))
+
+
 def _load_model(args):
-    nodes, edges = ebio.load_graph_json(args.graph)
-    g = build_block_graph(nodes, edges)
-    params = ebio.load_params_json(args.params)
-    return g, validate_delta(g, params)
+    g = _load_graph(args)
+    return g, validate_delta(g, ebio.load_params_json(args.params))
 
 
 def _latent_list(raw: str) -> list[str]:
@@ -108,16 +110,14 @@ def _emit(record: dict):
 
 
 def cmd_validate(args) -> int:
-    nodes, edges = ebio.load_graph_json(args.graph)
-    g = build_block_graph(nodes, edges)
+    g = _load_graph(args)
     report = {
         "nodes": list(g.nodes),
         "cliques": [sorted(c) for c in g.cliques],
         "separators": sorted(g.separators),
     }
     if args.params:
-        params = ebio.load_params_json(args.params)
-        validate_delta(g, params)
+        validate_delta(g, ebio.load_params_json(args.params))
         report["cnd"] = {"-".join(sorted(c)): "ok" for c in g.cliques}
     if args.format == "json":
         _emit(report)
@@ -190,55 +190,41 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _subset(args, g):
+def _tail_query(args, evaluate, **lists) -> int:
+    """Evaluate one tail query on P over --subset and emit its record.
+
+    lists holds the command's per-node option, if it takes one, by name;
+    None reads as all ones. evaluate gets the subset, or the mapping of
+    the subset to that option's values.
+    """
+    g, fam = _load_model(args)
     subset = [v for v in args.subset.split(",") if v]
     for i, v in enumerate(subset):
         g.index(v)
         if v in subset[:i]:
             raise ValueError(f"--subset repeats node {v!r}")
-    return subset
+    query, at = {"subset": subset}, subset
+    for name, raw in lists.items():
+        values = [1.0] * len(subset) if raw is None else [float(x) for x in raw.split(",")]
+        if len(values) != len(subset):
+            raise ValueError(f"--{name} length must match --subset")
+        query[name], at = values, dict(zip(subset, values))
+    res = evaluate(path_sum_matrix(fam), at, rel_tol=args.tol, seed=args.seed)
+    _emit({"query": query, "value": res.value,
+           "error_estimate": res.error, "converged": res.converged, "seed": args.seed})
+    return 0
 
 
 def cmd_stdf(args) -> int:
-    g, fam = _load_model(args)
-    subset = _subset(args, g)
-    if args.weights:
-        w = [float(x) for x in args.weights.split(",")]
-        if len(w) != len(subset):
-            raise ValueError("--weights length must match --subset")
-    else:
-        w = [1.0] * len(subset)
-    rel_tol = args.tol if args.tol is not None else 1e-6
-    p = path_sum_matrix(fam)
-    res = stdf_hr_detailed(p, dict(zip(subset, w)), rel_tol=rel_tol, seed=args.seed)
-    _emit({"query": {"subset": subset, "weights": w}, "value": res.value,
-           "error_estimate": res.error, "converged": res.converged, "seed": args.seed})
-    return 0
+    return _tail_query(args, stdf_hr_detailed, weights=args.weights or None)
 
 
 def cmd_pareto_cdf(args) -> int:
-    g, fam = _load_model(args)
-    subset = _subset(args, g)
-    z = [float(x) for x in args.point.split(",")]
-    if len(z) != len(subset):
-        raise ValueError("--point length must match --subset")
-    rel_tol = args.tol if args.tol is not None else 1e-6
-    p = path_sum_matrix(fam)
-    res = pareto_cdf_detailed(p, dict(zip(subset, z)), rel_tol=rel_tol, seed=args.seed)
-    _emit({"query": {"subset": subset, "point": z}, "value": res.value,
-           "error_estimate": res.error, "converged": res.converged, "seed": args.seed})
-    return 0
+    return _tail_query(args, pareto_cdf_detailed, point=args.point)
 
 
 def cmd_ec(args) -> int:
-    g, fam = _load_model(args)
-    subset = _subset(args, g)
-    rel_tol = args.tol if args.tol is not None else 1e-6
-    p = path_sum_matrix(fam)
-    res = extremal_coefficient_detailed(p, subset, rel_tol=rel_tol, seed=args.seed)
-    _emit({"query": {"subset": subset}, "value": res.value,
-           "error_estimate": res.error, "converged": res.converged, "seed": args.seed})
-    return 0
+    return _tail_query(args, extremal_coefficient_detailed)
 
 
 def cmd_fit(args) -> int:
@@ -247,8 +233,7 @@ def cmd_fit(args) -> int:
         raise ValueError("--k lists no tail size")
     if len(set(ks)) < len(ks):
         raise ValueError(f"--k repeats a tail size: {args.k}")
-    nodes, edges = ebio.load_graph_json(args.graph)
-    g = build_block_graph(nodes, edges)
+    g = _load_graph(args)
     file_nodes, data = ebio.read_samples_csv(args.data)
     if tuple(sorted(file_nodes)) != g.nodes:
         raise ValueError("data columns do not match the graph's node set")
@@ -282,8 +267,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_recover(args) -> int:
-    nodes, edges = ebio.load_graph_json(args.graph)
-    g = build_block_graph(nodes, edges)
+    g = _load_graph(args)
     latent = _latent_list(args.latent)
     mask = ObservationMask.from_latent(g, latent)
     ok, offending = check_identifiable(g, mask)
@@ -292,8 +276,7 @@ def cmd_recover(args) -> int:
     obs_nodes, values = ebio.read_matrix_csv(args.pathsums)
     if tuple(obs_nodes) != mask.observed:
         raise ValueError("path-sum matrix headers must list the observed nodes in sorted order")
-    tol = args.tol if args.tol is not None else 1e-9
-    p_full = recover_path_sums(g, PathSumMatrix(tuple(obs_nodes), values), mask, tol=tol)
+    p_full = recover_path_sums(g, PathSumMatrix(tuple(obs_nodes), values), mask, tol=args.tol)
     fam = recover_edge_params(p_full, g)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -310,8 +293,7 @@ def cmd_recover(args) -> int:
 
 
 def cmd_check_identifiable(args) -> int:
-    nodes, edges = ebio.load_graph_json(args.graph)
-    g = build_block_graph(nodes, edges)
+    g = _load_graph(args)
     mask = ObservationMask.from_latent(g, _latent_list(args.latent))
     ok, offending = check_identifiable(g, mask)
     _emit({"identifiable": ok, "offending": list(offending)})
@@ -342,16 +324,16 @@ def build_parser() -> _Parser:
     p = sub.add_parser("stdf", help="evaluate the stable tail dependence function")
     _add_common(p, "graph", "params", "subset", "seed", "tol", "jsonflag")
     p.add_argument("--weights", help="comma-separated weights (default: all ones)")
-    p.set_defaults(func=cmd_stdf)
+    p.set_defaults(func=cmd_stdf, tol=1e-6)
 
     p = sub.add_parser("pareto-cdf", help="evaluate the multivariate Pareto CDF")
     _add_common(p, "graph", "params", "subset", "seed", "tol", "jsonflag")
     p.add_argument("--point", required=True, help="comma-separated evaluation point")
-    p.set_defaults(func=cmd_pareto_cdf)
+    p.set_defaults(func=cmd_pareto_cdf, tol=1e-6)
 
     p = sub.add_parser("ec", help="extremal coefficient of a node subset")
     _add_common(p, "graph", "params", "subset", "seed", "tol", "jsonflag")
-    p.set_defaults(func=cmd_ec)
+    p.set_defaults(func=cmd_ec, tol=1e-6)
 
     p = sub.add_parser("fit", help="moment-based estimation from a raw sample CSV")
     _add_common(p, "graph", "out", "jsonflag")
@@ -363,7 +345,7 @@ def build_parser() -> _Parser:
     _add_common(p, "graph", "latent", "tol", "out")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--pathsums", required=True, help="restricted path-sum matrix CSV")
-    p.set_defaults(func=cmd_recover)
+    p.set_defaults(func=cmd_recover, tol=1e-9)
 
     p = sub.add_parser("check-identifiable", help="latent-node identifiability check")
     _add_common(p, "graph", "latent", "jsonflag")

@@ -13,7 +13,6 @@ dropped before evaluation, matching the continuous limits of the formulas.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -23,11 +22,10 @@ from .errors import (
     NonPositiveCoordinateError,
     SubsetTooSmallError,
 )
-from .model import GaussianLimit, PathSumMatrix, _anchor, clique_limit_params
-from .mvn import MvnSpec, MvnResult, mvn_cdf, std_normal_cdf
+from .model import GaussianLimit, PathSumMatrix, _anchor
+from .mvn import MvnSpec, MvnResult, mvn_cdf
 
 __all__ = [
-    "StdfQuery",
     "stdf_hr",
     "stdf_hr_detailed",
     "hr_cdf",
@@ -36,29 +34,8 @@ __all__ = [
     "pareto_cdf_detailed",
     "extremal_coefficient",
     "extremal_coefficient_detailed",
-    "clique_limit_params",
     "nu_hr",
-    "std_normal_cdf",
-    "mvn_cdf",
-    "MvnSpec",
-    "MvnResult",
 ]
-
-
-@dataclass(frozen=True)
-class StdfQuery:
-    """Nonnegative weights over a node subset plus the matching path sums."""
-
-    param: PathSumMatrix
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (len(self.param.nodes),):
-            raise ValueError("weights and parameter nodes do not align")
-        if np.any(w < 0) or np.any(~np.isfinite(w)):
-            raise ValueError("weights must be finite and nonnegative")
-        object.__setattr__(self, "weights", w)
 
 
 def _as_values(p: PathSumMatrix,
@@ -73,12 +50,7 @@ def _as_values(p: PathSumMatrix,
     return p, arr
 
 
-def _as_query(p: PathSumMatrix, values: Mapping[str, float] | Sequence[float]) -> StdfQuery:
-    return StdfQuery(*_as_values(p, values))
-
-
-def stdf_hr_detailed(p: PathSumMatrix | StdfQuery,
-                     weights: Mapping[str, float] | Sequence[float] | None = None,
+def stdf_hr_detailed(p: PathSumMatrix, weights: Mapping[str, float] | Sequence[float],
                      *, rel_tol: float = 1e-6, seed: int = 0) -> MvnResult:
     """stdf value with its quadrature error, points and converged flag.
 
@@ -86,15 +58,16 @@ def stdf_hr_detailed(p: PathSumMatrix | StdfQuery,
     :func:`mvn_cdf` call on a shared lattice, so the error is that of the
     pooled estimate rather than a sum of per-term errors; unpacks as
     (value, error)."""
-    q = p if isinstance(p, StdfQuery) else _as_query(p, weights)
-    y = q.weights
+    p, y = _as_values(p, weights)
+    if not np.all((y >= 0) & (y < np.inf)):
+        raise ValueError("weights must be finite and nonnegative")
     support = np.flatnonzero(y > 0)
     if support.size == 0:
         raise AllZeroWeightsError("stdf query needs at least one positive weight")
     if support.size == 1:
         return MvnResult(float(y[support[0]]), 0.0, True, 0)
 
-    mat = q.param.values[np.ix_(support, support)]
+    mat = p.values[np.ix_(support, support)]
     ys = y[support]
     logy = np.log(ys)
     anchored = [_anchor(mat, si) for si in range(support.size)]
@@ -104,8 +77,7 @@ def stdf_hr_detailed(p: PathSumMatrix | StdfQuery,
     return mvn_cdf(MvnSpec(upper, cov, rel_tol=rel_tol, weights=ys), seed=seed)
 
 
-def stdf_hr(p: PathSumMatrix | StdfQuery,
-            weights: Mapping[str, float] | Sequence[float] | None = None,
+def stdf_hr(p: PathSumMatrix, weights: Mapping[str, float] | Sequence[float],
             *, rel_tol: float = 1e-6, seed: int = 0) -> float:
     """Stable tail dependence function of the max-stable limit.
 
@@ -124,7 +96,7 @@ def hr_cdf_detailed(p: PathSumMatrix,
     sub, point = _as_values(p, x)
     if np.any(point <= 0):
         raise NonPositiveCoordinateError("max-stable CDF needs strictly positive coordinates")
-    ell = stdf_hr_detailed(StdfQuery(sub, 1.0 / point), rel_tol=rel_tol, seed=seed)
+    ell = stdf_hr_detailed(sub, 1.0 / point, rel_tol=rel_tol, seed=seed)
     h = math.exp(-ell.value)
     return MvnResult(h, h * ell.error, ell.converged, ell.points)
 
@@ -150,7 +122,7 @@ def pareto_cdf_detailed(p: PathSumMatrix,
     ys = [1.0 / zz, np.ones_like(zz)]
     if np.any(zz < 1.0):  # otherwise 1/min(z, 1) is exactly the ones of l(1)
         ys.insert(0, 1.0 / np.minimum(zz, 1.0))
-    terms = [stdf_hr_detailed(StdfQuery(sub, y), rel_tol=rel_tol, seed=seed) for y in ys]
+    terms = [stdf_hr_detailed(sub, y, rel_tol=rel_tol, seed=seed) for y in ys]
     floor, at_z, one = terms if len(terms) == 3 else (terms[1], *terms)
     val = (floor.value - at_z.value) / one.value
     return MvnResult(min(max(val, 0.0), 1.0),
@@ -179,7 +151,7 @@ def extremal_coefficient_detailed(p: PathSumMatrix, A: Iterable[str],
     if len(subset) < 2:
         raise SubsetTooSmallError("extremal coefficient needs at least two nodes")
     sub = p.restrict(subset)
-    return stdf_hr_detailed(StdfQuery(sub, np.ones(len(subset))), rel_tol=rel_tol, seed=seed)
+    return stdf_hr_detailed(sub, np.ones(len(subset)), rel_tol=rel_tol, seed=seed)
 
 
 def extremal_coefficient(p: PathSumMatrix, A: Iterable[str],

@@ -248,9 +248,6 @@ class BlockGraph:
     def has_edge(self, a: str, b: str) -> bool:
         return canonical_edge(a, b) in self.edges
 
-    def neighbors(self, v: str) -> tuple[str, ...]:
-        return tuple(self.nodes[w] for w in self._adj[self.index(v)])
-
     def shortest_path(self, u: str, v: str) -> tuple[Edge, ...]:
         """Ordered edges of the unique shortest path from u to v.
 
@@ -290,9 +287,10 @@ class BlockGraph:
     def separator_node(self, u: str, C: Iterable[str]) -> str:
         """u itself if u is in C, else the single node of C through which
         every path from u into C passes: the first member of C on the path
-        from u to any member."""
+        from u to any member. An unknown u is reported before an unknown C."""
+        iu = self.index(u)
         ci = self.clique_index(C)
-        path = self._path(self.index(u), self._members[ci][0])
+        path = self._path(iu, self._members[ci][0])
         return self.nodes[next(x for x in path if self.nodes[x] in self.cliques[ci])]
 
     def cliques_at(self, v: str) -> tuple[int, ...]:
@@ -313,15 +311,3 @@ def build_block_graph(nodes: Iterable[str], edges: Iterable[Sequence[str]]) -> B
     """Validate and build a BlockGraph; see class docstring for guarantees."""
     return BlockGraph(nodes, edges)
 
-
-def shortest_path(g: BlockGraph, u: str, v: str) -> tuple[Edge, ...]:
-    return g.shortest_path(u, v)
-
-
-def separator_node(g: BlockGraph, u: str, C: Iterable[str]) -> str:
-    g.index(u)
-    return g.separator_node(u, C)
-
-
-def clique_degree(g: BlockGraph, v: str) -> int:
-    return g.clique_degree(v)

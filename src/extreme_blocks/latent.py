@@ -64,7 +64,8 @@ def recover_path_sums(g: BlockGraph, p_obs: PathSumMatrix, mask: ObservationMask
     smallest observed node in its direction, read off the latent node's
     labels: for every node, the clique at the latent node that holds the
     first edge of the path to it. All anchor quadruples must agree within
-    tol, and the reconstruction must restrict back to the input.
+    tol, every edge parameter must be positive, and the reconstruction
+    must restrict back to the input.
     """
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"tol must be finite and non-negative, got {tol}")
@@ -108,23 +109,24 @@ def recover_path_sums(g: BlockGraph, p_obs: PathSumMatrix, mask: ObservationMask
     delta2: dict[tuple[str, str], float] = {}
     for a, b in g.edges_sorted():
         ia, ib = g.index(a), g.index(b)
-        if row[ia] >= 0 and row[ib] >= 0:
-            delta2[(a, b)] = p(ia, ib)
-            continue
-        ci = g.clique_of_edge(a, b)
-        values = [0.5 * (p(x1, y1) + p(x2, y2) - p(x1, x2) - p(y1, y2))
-                  for x1, x2 in anchors(ia, ci) for y1, y2 in anchors(ib, ci)]
-        spread = max(values) - min(values)
-        if spread > tol:
+        if row[ia] >= 0 and row[ib] >= 0:  # the four-point identity reads p(a, b) itself
+            value = p(ia, ib)
+        else:
+            ci = g.clique_of_edge(a, b)
+            values = [0.5 * (p(x1, y1) + p(x2, y2) - p(x1, x2) - p(y1, y2))
+                      for x1, x2 in anchors(ia, ci) for y1, y2 in anchors(ib, ci)]
+            spread = max(values) - min(values)
+            if spread > tol:
+                raise InconsistentInputError(
+                    f"recovered edge parameter for ({a}, {b}) differs by {spread:.3e} "
+                    "across anchor quadruples"
+                )
+            value = values[0]
+        if value <= 0:
             raise InconsistentInputError(
-                f"recovered edge parameter for ({a}, {b}) differs by {spread:.3e} "
-                "across anchor quadruples"
+                f"recovered edge parameter for ({a}, {b}) is non-positive: {value:.3e}"
             )
-        if values[0] <= 0:
-            raise InconsistentInputError(
-                f"recovered edge parameter for ({a}, {b}) is non-positive: {values[0]:.3e}"
-            )
-        delta2[(a, b)] = values[0]
+        delta2[(a, b)] = value
 
     full = path_sum_matrix(DeltaFamily(g, delta2))
     # closing the loop: the reconstruction must restrict back to the input

@@ -19,9 +19,9 @@ targets) sums the clique matrices Delta_C along shortest paths into P.
 Sigma_u's coefficients in delta^2 come from where paths enter cliques:
 edge (a, b) lies on the path from x to y exactly when the path from x
 enters the edge's clique at one end and the path from y at the other.
-One sum of zero-row-sum clique precisions gives every Theta_u by
-deleting u, and the graph check measures Theta_u Sigma_u - I at one
-anchor.
+Theta_u is the sum of the zero-row-sum clique precisions with u left
+out, written clique by clique into its (n-1) x (n-1) array, and the graph
+check measures Theta_u Sigma_u - I at one anchor.
 """
 
 from __future__ import annotations
@@ -78,10 +78,6 @@ class DeltaFamily:
 
     def delta2(self, a: str, b: str) -> float:
         return self.edge_params[canonical_edge(a, b)]
-
-    def clique_matrix(self, ci: int) -> tuple[list[str], np.ndarray]:
-        """Members (sorted) and the read-only matrix Delta_C of clique ci."""
-        return sorted(self.graph.cliques[ci]), self.blocks[ci]
 
     def as_vector(self) -> np.ndarray:
         """delta^2 values in sorted-edge order (the canonical layout)."""
@@ -225,14 +221,20 @@ def clique_limit_params(d: DeltaFamily, C: Iterable[str], s: str) -> tuple[np.nd
     return _increment_law(d, ci, d.graph.index(s))
 
 
-def _clique_precisions(d: DeltaFamily) -> np.ndarray:
-    """Sum of the clique precisions over all nodes. With K = Psi_C^-1 at
-    the first member s, clique C adds K on its other members, -K 1 between
-    them and s, and 1'K 1 at (s, s); the rows sum to zero, so leaving out
-    any member t leaves Psi_C^-1 at t. Entries between non-adjacent nodes
-    are never written: the zero pattern is exact."""
+def precision_matrix(d: DeltaFamily, u: str) -> np.ndarray:
+    """Theta_u, the inverse of Sigma_u: the sum of the clique precisions
+    with u left out, written straight into the (n-1) x (n-1) result.
+
+    With K = Psi_C^-1 at the first member s, clique C adds K on its other
+    members, -K 1 between them and s, and 1'K 1 at (s, s); the rows sum to
+    zero, so leaving out any member t leaves Psi_C^-1 at t. Entries
+    between non-adjacent nodes are never written: the zero pattern is
+    exact.
+    """
     g = d.graph
-    theta = np.zeros((len(g.nodes),) * 2)
+    iu = g.index(u)
+    at = list(range(iu)) + [-1] + list(range(iu, len(g.nodes) - 1))  # rows of Theta_u; u has none
+    theta = np.zeros((len(g.nodes) - 1,) * 2)
     for ci, members in enumerate(g._members):
         s, idx = members[0], members[1:]
         try:
@@ -240,28 +242,16 @@ def _clique_precisions(d: DeltaFamily) -> np.ndarray:
         except np.linalg.LinAlgError as exc:  # cannot occur for a valid family
             raise SingularBlockError(f"increment block of clique {sorted(g.cliques[ci])} is singular") from exc
         col = k.sum(axis=1)
-        theta[np.ix_(idx, idx)] += k  # a node's diagonal collects every clique at it
-        theta[idx, s] = theta[s, idx] = -col
-        theta[s, s] += col.sum()
+        corner = col.sum()
+        rows = [at[t] for t in idx]
+        if iu in idx:  # u's row and column of the block are left out
+            keep = [j for j, t in enumerate(idx) if t != iu]
+            rows, k, col = [rows[j] for j in keep], k[np.ix_(keep, keep)], col[keep]
+        theta[np.ix_(rows, rows)] += k  # a node's diagonal collects every clique at it
+        if s != iu:
+            theta[rows, at[s]] = theta[at[s], rows] = -col
+            theta[at[s], at[s]] += corner
     return theta
-
-
-# entries held at once by a row-block pass over an n x n matrix
-_BLOCK = 1 << 16
-
-
-def precision_matrix(d: DeltaFamily, u: str) -> np.ndarray:
-    """Theta_u, the inverse of Sigma_u: the clique precisions without u,
-    squeezed out of the n x n sum in place a block of rows at a time. A
-    block lands before the rows still to be read, so one block is held."""
-    rest = np.delete(np.arange(len(d.graph.nodes)), d.graph.index(u))
-    theta = _clique_precisions(d)
-    m, flat = len(rest), theta.reshape(-1)
-    step = max(1, _BLOCK // len(theta))
-    for lo in range(0, m, step):
-        rows = rest[lo:lo + step]
-        flat[lo * m:(lo + len(rows)) * m] = theta[np.ix_(rows, rest)].ravel()
-    return flat[:m * m].reshape(m, m)
 
 
 def check_cnd(m: np.ndarray | PathSumMatrix) -> bool:
@@ -284,6 +274,10 @@ def check_cnd(m: np.ndarray | PathSumMatrix) -> bool:
     return _is_pd(_anchor(m, d)[1] - 2.0 * m[d, d])
 
 
+# entries held at once by a row-block pass over an n x n matrix
+_BLOCK = 1 << 16
+
+
 @dataclass(frozen=True)
 class GraphCheckReport:
     """Largest |Theta_u Sigma_u - I| entry at one anchor."""
@@ -304,7 +298,7 @@ def extremal_graph_check(lim: GaussianLimit, theta: np.ndarray,
     theta carries the graph's zero pattern, so this tests that the P
     behind Sigma_u has an inverse that vanishes off the edges. One anchor
     suffices: every Theta_v is the same clique-precision sum with v
-    deleted, and Sigma_u fixes P. Rows of theta are taken a block at a
+    left out, and Sigma_u fixes P. Rows of theta are taken a block at a
     time against the rows of Sigma_u at the block's nonzero columns, so
     one product block is held beyond the two matrices. The default
     tolerance is 100 eps max|Sigma_u| max|Theta_u|, the rounding the

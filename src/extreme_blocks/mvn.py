@@ -335,10 +335,8 @@ def _tvn(h: np.ndarray, r: np.ndarray):
 
 def _closed_form(upper: np.ndarray, cov: np.ndarray, weights: np.ndarray,
                  rel_tol: float) -> MvnResult | None:
-    """The d = 2 or 3 stack from its closed form, with points 0, or None
-    when the closed forms' error bound misses rel_tol times the value."""
-    live = (weights > 0) & ~np.isneginf(upper).any(axis=1)
-    upper, cov, w = upper[live], cov[live], weights[live]
+    """The live d = 2 or 3 stack from its closed form, with points 0, or
+    None when the closed forms' error bound misses rel_tol times the value."""
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
@@ -349,7 +347,7 @@ def _closed_form(upper: np.ndarray, cov: np.ndarray, weights: np.ndarray,
     sd = np.sqrt(var)
     h, r = upper / sd, cov / (sd[:, :, None] * sd[:, None, :])
     terms, errors = _bvn(h[:, 0], h[:, 1], r[:, 0, 1]) if upper.shape[1] == 2 else _tvn(h, r)
-    value, error = float(w @ terms), float(w @ errors)
+    value, error = float(weights @ terms), float(weights @ errors)
     if not error <= rel_tol * max(abs(value), _TINY):
         return None
     return MvnResult(value, error, True, 0)
@@ -358,33 +356,29 @@ def _closed_form(upper: np.ndarray, cov: np.ndarray, weights: np.ndarray,
 def _lattice_sum(upper: np.ndarray, cov: np.ndarray, weights: np.ndarray,
                  rel_tol: float, seed: int, randomizations: int,
                  start_points: int, max_points: int) -> MvnResult:
-    """The randomized lattice estimate of a validated (t, d) stack, d >= 2.
+    """The randomized lattice estimate of a validated, live (t, d) stack,
+    t >= 1, d >= 2.
 
-    Each live term's lattice {k z / n} starts at n = start_points under
-    every shift, and the lattice of the term with the largest weighted
-    spread doubles, evaluating only its odd k, until the t-quantile error
-    meets rel_tol or every term has reached max_points
-    (``converged=False``); ``points`` counts every integrand row."""
+    Each term's lattice {k z / n} starts at n = start_points under every
+    shift, and the lattice of the term with the largest weighted spread
+    doubles, evaluating only its odd k, until the t-quantile error meets
+    rel_tol or every term has reached max_points (``converged=False``);
+    ``points`` counts every integrand row."""
     d = upper.shape[1]
-    live = [k for k in range(len(weights))
-            if weights[k] > 0 and not np.any(np.isneginf(upper[k]))]
-    if not live:
-        return MvnResult(0.0, 0.0, True, 0)
-    factors = [_ordered_cholesky(cov[k], upper[k]) for k in live]
-    w = weights[live]
+    factors = [_ordered_cholesky(c, b) for c, b in zip(cov, upper)]
     z = _LATTICE_Z[: d - 1]
 
     rng = np.random.Generator(np.random.Philox(key=int(seed) & ((1 << 128) - 1)))
     shifts = rng.random((randomizations, d - 1))
     t_quantile = float(stdtrit(randomizations - 1, 0.99865))
 
-    sums = np.zeros((len(live), randomizations))
-    n = np.full(len(live), start_points)  # lattice points per shift of each term
+    sums = np.zeros((len(weights), randomizations))
+    n = np.full(len(weights), start_points)  # lattice points per shift of each term
     for j, (L, b) in enumerate(factors):
         _add_points(L, b, z, shifts, sums[j], 0, start_points)
     while True:
         means = sums / n[:, None]
-        per_shift = w @ means
+        per_shift = weights @ means
         value = float(per_shift.mean())
         err = t_quantile * (float(per_shift.std(ddof=1)) / math.sqrt(randomizations))
         points = int(n.sum()) * randomizations
@@ -393,7 +387,7 @@ def _lattice_sum(upper: np.ndarray, cov: np.ndarray, weights: np.ndarray,
         room = n < max_points
         if not room.any():
             return MvnResult(value, err, False, points)
-        j = int(np.argmax(np.where(room, w * means.std(axis=1), -1.0)))
+        j = int(np.argmax(np.where(room, weights * means.std(axis=1), -1.0)))
         _add_points(*factors[j], z, shifts, sums[j], n[j], 2 * n[j])
         n[j] *= 2
 
@@ -404,8 +398,11 @@ def mvn_cdf(spec: MvnSpec, seed: int = 0,
             max_points: int = 1 << 21) -> MvnResult:
     """Evaluate sum_t w_t P(X_t <= upper_t) for X_t ~ N(0, cov_t).
 
-    A term with a -inf bound or weight 0 adds exactly 0. Dimension 1
-    delegates to :func:`std_normal_cdf` exactly. Dimensions 2 and 3 use
+    A term with a -inf bound or weight 0 adds exactly 0: once the stack
+    passes the checks below, such terms are dropped, so no variance or
+    factor of theirs is tested, and a stack of none returns 0 with error
+    0 and no points. Dimension 1 delegates to :func:`std_normal_cdf`
+    exactly. Dimensions 2 and 3 use
     the closed forms (Owen's T; one Gauss-Legendre line over it) whenever
     their deterministic error bound, reported as ``error``, meets rel_tol
     relative accuracy; these closed forms and d = 1 report ``points`` 0.
@@ -439,6 +436,10 @@ def mvn_cdf(spec: MvnSpec, seed: int = 0,
     atol = 1e-12 * np.maximum(1.0, np.abs(cov).max(axis=(1, 2)))
     if not np.all(np.abs(cov - cov.transpose(0, 2, 1)) <= atol[:, None, None]):
         raise NotPDError("covariance matrix is not symmetric")
+    live = (weights > 0) & ~np.isneginf(upper).any(axis=1)
+    if not live.any():
+        return MvnResult(0.0, 0.0, True, 0)
+    upper, cov, weights = upper[live], cov[live], weights[live]
 
     if d == 1:
         if np.any(cov[:, 0, 0] <= 0):

@@ -3,9 +3,15 @@
 Increments are drawn clique by clique: within a clique the log-increments
 are jointly normal with the clique-limit parameters anchored at its
 separator toward the chosen node, and distinct cliques are independent.
-Streams come from a counter-based generator (Philox) keyed by
-(seed, clique index), so per-clique draws are independent, order-insensitive,
-and reproducible regardless of how many workers execute them.
+
+Each logical stream is a Philox counter-based generator keyed by the pair
+(seed, tag): the user seed occupies the high 64 bits of the 128-bit key and
+the tag the low 64. Tags 0, 1, 2, ... index cliques; the radial Pareto
+stream uses a reserved high tag so it can never collide with a clique
+index. Draw indices advance the Philox counter, so a stream's output is a
+pure function of (seed, tag, draw index): per-clique draws are
+independent, order-insensitive, and reproducible regardless of how many
+workers execute them.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ import numpy as np
 
 from .errors import SingularBlockError, UnknownNodeError
 from .model import DeltaFamily, _increment_law
-from .sim_keys import PARETO_STREAM_TAG, philox_stream
 
 __all__ = [
     "IncrementDraw",
@@ -29,6 +34,13 @@ __all__ = [
     "sample_pareto_conditioned",
     "mc_stdf",
 ]
+
+_PARETO_STREAM_TAG = 1 << 62
+
+
+def _philox_stream(seed: int, tag: int) -> np.random.Generator:
+    key = ((int(seed) & ((1 << 64) - 1)) << 64) | (int(tag) & ((1 << 64) - 1))
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass(frozen=True)
@@ -82,7 +94,7 @@ def _ln_increments(d: DeltaFamily, u: str, n: int, seed: int, threads: int = 1):
             raise SingularBlockError(
                 f"increment covariance for targets {[g.nodes[t] for t in targets]} "
                 "is not factorizable") from exc
-        rng = philox_stream(seed, ci)
+        rng = _philox_stream(seed, ci)
         z = rng.standard_normal((n, len(targets)))
         out[targets] = (mean[None, :] + z @ chol.T).T
 
@@ -133,7 +145,7 @@ def sample_pareto_conditioned(d: DeltaFamily, u: str, n: int, rng_seed: int,
     """Spectral construction of (Y | Y_u > 1): rows P_i * A_u^(i) with P_i
     independent unit Pareto. Columns follow the sorted node order."""
     field = sample_limit_field(d, u, n, rng_seed, threads)
-    rng = philox_stream(rng_seed, PARETO_STREAM_TAG)
+    rng = _philox_stream(rng_seed, _PARETO_STREAM_TAG)
     radial = 1.0 / (1.0 - rng.random(n))
     return radial[:, None] * field.matrix
 

@@ -2,7 +2,8 @@
 
 Paths are found by a breadth-first search over explicit node lists, and
 the covariance coefficients are read off the resulting path incidence.
-The MVN lattice's generating vector is re-derived by its search.
+The MVN lattice's generating vector is re-derived by its search. The
+clique precisions are summed over all nodes, so Theta_u is a plain gather.
 """
 
 import math
@@ -53,6 +54,25 @@ def sigma_coefficient_matrix(g, u):
     rest = [i for i in range(len(g.nodes)) if i != iu]
     at_u = inc[iu, rest]
     return 2.0 * (at_u[:, None] + at_u[None, :] - inc[np.ix_(rest, rest)])
+
+
+def clique_precisions(fam):
+    """Sum of the clique precisions over all nodes, from the family's
+    clique matrices Delta_C. With K = Psi_C^-1 at the first member s,
+    clique C adds K on its other members, -K 1 between them and s, and
+    1'K 1 at (s, s); the rows sum to zero, so deleting u's row and column
+    gives Theta_u."""
+    g = fam.graph
+    theta = np.zeros((len(g.nodes),) * 2)
+    for m, members in zip(fam.blocks, g._members):
+        s, idx = members[0], members[1:]
+        row = m[0, 1:]
+        k = np.linalg.inv(2.0 * (row[:, None] + row[None, :] - m[1:, 1:]))
+        col = k.sum(axis=1)
+        theta[np.ix_(idx, idx)] += k
+        theta[idx, s] = theta[s, idx] = -col
+        theta[s, s] += col.sum()
+    return theta
 
 
 def embedded_cbc(dims):

@@ -47,7 +47,8 @@ def test_traced_tail_queries_see_every_mvn_term():
 
 
 @pytest.mark.parametrize("workload, layers", [
-    ("structure-n301", ("graph.build_s", "model.path_sums_s", "sim.field_s", "latent.recover_s")),
+    ("structure-n301", ("graph.build_s", "model.path_sums_s", "model.precision_s", "sim.field_s",
+                        "latent.recover_s")),
     ("fit-sweep", ("fit.fit_s", "fit.nnls_s", "model.path_sums_s")),
 ])
 def test_traced_workload_sees_its_layers(workload, layers):

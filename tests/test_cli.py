@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from extreme_blocks import io as ebio
-from extreme_blocks import std_normal_cdf
+from extreme_blocks import build_block_graph, std_normal_cdf
 from extreme_blocks.cli import run
 from conftest import FIG1_DELTA, FIG1_EDGES, FIG1_NODES, FIG2_DELTA, FIG2_EDGES, FIG2_NODES, FIG4_EDGES, FIG4_NODES
 
@@ -448,6 +448,20 @@ def test_recover_inconsistent_input_exit_three(tmp_path, capsys):
     assert diag["error"] == "InconsistentInputError"
 
 
+def test_recover_non_positive_observed_edge_exit_three(tmp_path, capsys):
+    # nothing latent: the observed edge (a, b) is read directly as -1
+    gpath, mpath, latent = tmp_path / "path.json", tmp_path / "p.csv", tmp_path / "mask.json"
+    ebio.dump_graph_json(gpath, ["a", "b", "c"], [("a", "b"), ("b", "c")])
+    ebio.write_matrix_csv(mpath, ("a", "b", "c"),
+                          np.array([[0.0, -1.0, 1.0], [-1.0, 0.0, 2.0], [1.0, 2.0, 0.0]]))
+    latent.write_text(json.dumps({"latent": []}))
+    assert run(["recover", "--graph", str(gpath), "--latent", str(latent),
+                "--pathsums", str(mpath), "--out", str(tmp_path / "r")]) == 3
+    diag = json.loads(capsys.readouterr().out.strip())
+    assert diag["error"] == "InconsistentInputError" and "non-positive" in diag["message"]
+    assert not (tmp_path / "r").exists()
+
+
 def test_recover_non_finite_input_exit_one(tmp_path, capsys):
     from extreme_blocks import ObservationMask, build_block_graph, path_sum_matrix
     from gen import random_delta
@@ -518,19 +532,19 @@ def test_threads_below_one_or_not_integer_rejected(monkeypatch, fig1_files, tmp_
 
 
 def test_params_builds_clique_precisions_once(monkeypatch, fig2_files, tmp_path, capsys):
-    import extreme_blocks.model as model
+    # one inverse per clique: Theta_u is the clique precisions, each built once
     calls = []
-    real = model._clique_precisions
+    real = np.linalg.inv
 
-    def counted(d):
-        calls.append(d)
-        return real(d)
+    def counted(a):
+        calls.append(a.shape)
+        return real(a)
 
-    monkeypatch.setattr(model, "_clique_precisions", counted)
+    monkeypatch.setattr(np.linalg, "inv", counted)
     gpath, ppath = fig2_files
     assert run(["params", "--graph", str(gpath), "--params", str(ppath),
                 "--anchor", "4", "--out", str(tmp_path / "p")]) == 0
-    assert len(calls) == 1
+    assert len(calls) == len(build_block_graph(FIG2_NODES, FIG2_EDGES).cliques)
     record = json.loads(capsys.readouterr().out.strip())
     assert record["passed"] is True
     assert 0.0 <= record["graph_check_max_violation"] <= record["tolerance"] < 1e-9

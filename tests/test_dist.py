@@ -11,7 +11,6 @@ from extreme_blocks import (
     NonPositiveCoordinateError,
     SubsetTooSmallError,
     build_block_graph,
-    StdfQuery,
     extremal_coefficient,
     extremal_coefficient_detailed,
     hr_cdf,
@@ -124,6 +123,14 @@ class TestStdf:
         with pytest.raises(AllZeroWeightsError):
             stdf_hr(p, [0.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [float("nan"), -0.5, float("inf")])
+    def test_weights_must_be_finite_and_nonnegative(self, edge_setup, bad):
+        _, _, p = edge_setup
+        for run in (stdf_hr, stdf_hr_detailed):
+            for weights in ([1.0, bad], {"a": bad, "b": 1.0}):
+                with pytest.raises(ValueError, match="finite and nonnegative"):
+                    run(p, weights)
+
     def test_zero_weights_restrict(self, fig2_psum):
         # zeros drop coordinates; equals evaluating the restricted matrix
         full = stdf_hr(fig2_psum, [1.0, 0.0, 0.7, 0.0, 1.3, 0.0])
@@ -203,6 +210,14 @@ class TestHrCdf:
         with pytest.raises(NonPositiveCoordinateError):
             hr_cdf(p, [1.0, 0.0])
 
+    def test_nan_rejected(self, edge_setup):
+        # a NaN coordinate is a NaN stdf weight 1/x
+        _, _, p = edge_setup
+        for run in (hr_cdf, hr_cdf_detailed):
+            for x in ([1.0, float("nan")], {"a": float("nan"), "b": 1.0}):
+                with pytest.raises(ValueError, match="finite and nonnegative"):
+                    run(p, x)
+
     def test_detailed_two_node_closed_form(self, edge_setup):
         # l(y) = y1 Phi(a + ln(y1/y2)/2a) + y2 Phi(a + ln(y2/y1)/2a), a = sqrt(p12) = 1
         _, _, p = edge_setup
@@ -277,13 +292,20 @@ class TestParetoCdf:
         with pytest.raises(NonPositiveCoordinateError):
             pareto_cdf(p, [-1.0, 2.0])
 
+    def test_nan_rejected(self, edge_setup):
+        _, _, p = edge_setup
+        for run in (pareto_cdf, pareto_cdf_detailed):
+            for z in ([2.0, float("nan")], {"a": float("nan"), "b": 2.0}):
+                with pytest.raises(ValueError, match="finite and nonnegative"):
+                    run(p, z)
+
     def test_detailed_propagates_its_three_terms(self, fig2_psum):
         z = {"1": 2.0, "3": 0.5, "5": 3.0}
         res = pareto_cdf_detailed(fig2_psum, z, rel_tol=1e-3, seed=4)
         assert pareto_cdf(fig2_psum, z, rel_tol=1e-3, seed=4) == res.value
         sub = fig2_psum.restrict(z)
         zz = np.array([z[v] for v in sub.nodes])
-        floor, at_z, one = (stdf_hr_detailed(StdfQuery(sub, y), rel_tol=1e-3, seed=4)
+        floor, at_z, one = (stdf_hr_detailed(sub, y, rel_tol=1e-3, seed=4)
                             for y in (1.0 / np.minimum(zz, 1.0), 1.0 / zz, np.ones(3)))
         v = (floor.value - at_z.value) / one.value
         assert res.value == v
@@ -299,7 +321,7 @@ class TestParetoCdf:
         z = {"1": 2.0, "3": 1.0, "5": 3.0}
         sub = fig2_psum.restrict(z)
         zz = np.array([z[v] for v in sub.nodes])
-        floor, at_z, one = (stdf_hr_detailed(StdfQuery(sub, y), rel_tol=1e-3, seed=4)
+        floor, at_z, one = (stdf_hr_detailed(sub, y, rel_tol=1e-3, seed=4)
                             for y in (1.0 / np.minimum(zz, 1.0), 1.0 / zz, np.ones(3)))
         assert floor == one
         calls = []

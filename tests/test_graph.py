@@ -11,9 +11,6 @@ from extreme_blocks import (
     UnknownCliqueError,
     UnknownNodeError,
     build_block_graph,
-    clique_degree,
-    separator_node,
-    shortest_path,
 )
 from conftest import FIG1_EDGES, FIG1_NODES, FIG2_EDGES, FIG2_NODES
 from gen import clique_tree_edges, random_block_graph
@@ -117,44 +114,44 @@ class TestBuild:
 
 class TestShortestPath:
     def test_fig1_7_to_0(self, fig1_graph):
-        assert shortest_path(fig1_graph, "7", "0") == (("7", "6"), ("6", "2"), ("2", "0"))
+        assert fig1_graph.shortest_path("7", "0") == (("7", "6"), ("6", "2"), ("2", "0"))
 
     def test_same_node_empty(self, fig1_graph):
-        assert shortest_path(fig1_graph, "3", "3") == ()
+        assert fig1_graph.shortest_path("3", "3") == ()
 
     def test_fig2_1_to_5_vs_bfs_oracle(self, fig2_graph):
-        got = shortest_path(fig2_graph, "1", "5")
+        got = fig2_graph.shortest_path("1", "5")
         assert got == bfs_path(FIG2_NODES, FIG2_EDGES, "1", "5")
         assert got == (("1", "2"), ("2", "4"), ("4", "5"))
 
     def test_unknown_node(self, fig1_graph):
         with pytest.raises(UnknownNodeError):
-            shortest_path(fig1_graph, "7", "zz")
+            fig1_graph.shortest_path("7", "zz")
 
     @pytest.mark.parametrize("seed", range(5))
     def test_path_symmetry_random(self, seed):
         g = random_block_graph(np.random.default_rng(seed))
         for u in g.nodes:
             for v in g.nodes:
-                fwd = shortest_path(g, u, v)
+                fwd = g.shortest_path(u, v)
                 rev = tuple((b, a) for a, b in reversed(fwd))
-                assert rev == shortest_path(g, v, u)
+                assert rev == g.shortest_path(v, u)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_path_concatenation_through_separator(self, seed):
         g = random_block_graph(np.random.default_rng(seed))
         for u in g.nodes:
             for c in g.cliques:
-                s = separator_node(g, u, c)
+                s = g.separator_node(u, c)
                 for v in sorted(c - {s}):
-                    assert shortest_path(g, u, v) == shortest_path(g, u, s) + ((s, v),)
+                    assert g.shortest_path(u, v) == g.shortest_path(u, s) + ((s, v),)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_path_meets_clique_in_at_most_one_edge(self, seed):
         g = random_block_graph(np.random.default_rng(seed))
         for u in g.nodes:
             for v in g.nodes:
-                path = shortest_path(g, u, v)
+                path = g.shortest_path(u, v)
                 per_clique = {}
                 for a, b in path:
                     ci = g.clique_of_edge(a, b)
@@ -164,14 +161,14 @@ class TestShortestPath:
 
 class TestSeparatorNode:
     def test_fig1_examples(self, fig1_graph):
-        assert separator_node(fig1_graph, "7", {"0", "1", "2"}) == "2"
-        assert separator_node(fig1_graph, "4", {"2", "4", "5", "6"}) == "4"
+        assert fig1_graph.separator_node("7", {"0", "1", "2"}) == "2"
+        assert fig1_graph.separator_node("4", {"2", "4", "5", "6"}) == "4"
 
     def test_member_is_its_own_separator(self, fig2_graph):
-        assert separator_node(fig2_graph, "2", {"2", "3", "4"}) == "2"
+        assert fig2_graph.separator_node("2", {"2", "3", "4"}) == "2"
 
     def test_fig1_u4_c67_vs_enumeration_oracle(self, fig1_graph):
-        s = separator_node(fig1_graph, "4", {"6", "7"})
+        s = fig1_graph.separator_node("4", {"6", "7"})
         assert s == "6"
         # every simple path from 4 into the clique passes through s
         for v in ("6", "7"):
@@ -180,7 +177,12 @@ class TestSeparatorNode:
 
     def test_unknown_clique(self, fig1_graph):
         with pytest.raises(UnknownCliqueError):
-            separator_node(fig1_graph, "7", {"0", "1"})
+            fig1_graph.separator_node("7", {"0", "1"})
+
+    def test_unknown_node_is_reported_before_the_clique(self, fig1_graph):
+        for clique in ({"0", "1", "2"}, {"0", "1"}):
+            with pytest.raises(UnknownNodeError):
+                fig1_graph.separator_node("zz", clique)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_partition_property(self, seed):
@@ -188,7 +190,7 @@ class TestSeparatorNode:
         for u in g.nodes:
             parts = []
             for c in g.cliques:
-                s = separator_node(g, u, c)
+                s = g.separator_node(u, c)
                 parts.append(c - {s})
             union = set().union(*parts) if parts else set()
             assert union == set(g.nodes) - {u}
@@ -197,20 +199,20 @@ class TestSeparatorNode:
 
 class TestCliqueDegree:
     def test_fig4_center(self, fig4_graph):
-        assert clique_degree(fig4_graph, "3") == 3
+        assert fig4_graph.clique_degree("3") == 3
 
     def test_tree_leaf(self):
         g = build_block_graph("abc", [("a", "b"), ("b", "c")])
-        assert clique_degree(g, "a") == 1
-        assert clique_degree(g, "b") == 2
+        assert g.clique_degree("a") == 1
+        assert g.clique_degree("b") == 2
 
     def test_fig1_node6(self, fig1_graph):
         memberships = sum(1 for c in fig1_graph.cliques if "6" in c)
-        assert clique_degree(fig1_graph, "6") == memberships == 2
+        assert fig1_graph.clique_degree("6") == memberships == 2
 
     def test_unknown_node(self, fig1_graph):
         with pytest.raises(UnknownNodeError):
-            clique_degree(fig1_graph, "nope")
+            fig1_graph.clique_degree("nope")
 
 
 class TestScale:

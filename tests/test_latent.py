@@ -109,6 +109,17 @@ class TestRecoverPathSums:
         with pytest.raises(InconsistentInputError):
             recover_path_sums(fig4_graph, PathSumMatrix(obs.nodes, bad), mask)
 
+    def test_non_positive_observed_edge_rejected(self):
+        # with nothing latent every edge is read directly; p_ab = -1 and
+        # p_bc = 2 restrict back to p_ac = 1, so only the edge check sees it
+        g = build_block_graph("abc", [("a", "b"), ("b", "c")])
+        mask = ObservationMask.from_latent(g, [])
+        obs = PathSumMatrix(tuple("abc"), np.array([[0.0, -1.0, 1.0],
+                                                    [-1.0, 0.0, 2.0],
+                                                    [1.0, 2.0, 0.0]]))
+        with pytest.raises(InconsistentInputError, match=r"\(a, b\) is non-positive"):
+            recover_path_sums(g, obs, mask)
+
     @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
     def test_non_finite_input_rejected(self, fig4_graph, fig4_family, bad):
         # an infinite entry used to come back as a non-finite P, a NaN as

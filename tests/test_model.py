@@ -18,14 +18,10 @@ from extreme_blocks import (
     sample_limit_field,
     validate_delta,
 )
-from extreme_blocks.model import (
-    _anchor,
-    _clique_precisions,
-    _increment_law,
-)
+from extreme_blocks.model import _anchor, _increment_law
 from conftest import FIG2_DELTA
 from gen import clique_tree_edges, random_block_graph, random_delta, random_tree
-from oracle import sigma_coefficient_matrix
+from oracle import clique_precisions, sigma_coefficient_matrix
 
 
 def triangle(d12, d13, d23):
@@ -37,14 +33,12 @@ class TestValidateDelta:
     def test_two_clique_scalar_psi(self):
         g = build_block_graph("ab", [("a", "b")])
         fam = validate_delta(g, {("a", "b"): 0.7})
-        members, m = fam.clique_matrix(0)
-        assert np.allclose(_anchor(m, 0)[1], [[2.8]])
+        assert np.allclose(_anchor(fam.blocks[0], 0)[1], [[2.8]])
 
     def test_unit_triangle_valid(self):
         g, params = triangle(1.0, 1.0, 1.0)
         fam = validate_delta(g, params)
-        _, m = fam.clique_matrix(0)
-        psi = _anchor(m, 0)[1]
+        psi = _anchor(fam.blocks[0], 0)[1]
         assert np.allclose(psi, [[4.0, 2.0], [2.0, 4.0]])
         assert np.allclose(np.linalg.eigvalsh(psi), [2.0, 6.0])
 
@@ -78,11 +72,11 @@ class TestCliqueBlocks:
     def test_blocks_are_read_only_delta_c(self, fig1_family):
         g = fig1_family.graph
         for ci, m in enumerate(fig1_family.blocks):
-            members, same = fig1_family.clique_matrix(ci)
-            assert same is m and not m.flags.writeable
+            assert not m.flags.writeable
             with pytest.raises(ValueError):
                 m[0, 1] = 1.0
-            assert members == sorted(g.cliques[ci])
+            members = sorted(g.cliques[ci])
+            assert [g.nodes[v] for v in g._members[ci]] == members
             for i, a in enumerate(members):
                 for j, b in enumerate(members):
                     assert m[i, j] == (0.0 if a == b else fig1_family.delta2(a, b))
@@ -235,10 +229,13 @@ class TestPrecision:
         rng = np.random.default_rng(30 + seed)
         g = random_block_graph(rng)
         fam = random_delta(g, rng)
-        for u in g.nodes:
+        full = clique_precisions(fam)
+        for i, u in enumerate(g.nodes):
             lim = gaussian_limit(fam, u)
             theta = precision_matrix(fam, u)
             m = len(lim.nodes)
+            rest = [j for j in range(m + 1) if j != i]
+            assert theta.tobytes() == full[np.ix_(rest, rest)].tobytes()
             assert np.abs(theta @ lim.cov - np.eye(m)).max() < 1e-10
             for a in range(m):
                 for b in range(a + 1, m):
@@ -259,15 +256,15 @@ class TestPrecision:
                                atol=1e-10)
 
     def test_in_place_compaction_matches_gather(self):
-        # rows are moved in blocks inside the n x n sum; the result must be
-        # the plain gather, bit for bit, with about one n x n matrix held
+        # Theta_u is written at its own size; it must be the gather from the
+        # sum over all nodes, bit for bit, with one (n-1) x (n-1) matrix held
         import tracemalloc
         n = 1001
         rng = np.random.default_rng(101)
         nodes, edges = clique_tree_edges(rng, n)
         g = build_block_graph(nodes, edges)
         fam = random_delta(g, rng)
-        full = _clique_precisions(fam)
+        full = clique_precisions(fam)
         for u in (nodes[0], nodes[n // 2], nodes[-1]):
             rest = [i for i in range(n) if i != g.index(u)]
             tracemalloc.start()
@@ -276,9 +273,10 @@ class TestPrecision:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert np.array_equal(theta, full[np.ix_(rest, rest)])
+            gather = full[np.ix_(rest, rest)]
+            assert theta.tobytes() == gather.tobytes()
             assert theta.shape == (n - 1, n - 1) and theta.flags.c_contiguous
-            assert peak < 1.2 * full.nbytes
+            assert peak < 1.2 * gather.nbytes
 
 
 class TestCheckCnd:

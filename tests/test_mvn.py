@@ -319,16 +319,34 @@ class TestStackedSpec:
         real = mvn._integrand
         monkeypatch.setattr(mvn, "_integrand",
                             lambda L, b, w: rows.append(w.shape[1]) or real(L, b, w))
-        upper, cov = self.random_terms(np.random.default_rng(5), 3, 3)
-        alone = lattice(MvnSpec(upper[0], cov[0], rel_tol=1e-4), seed=2)
+        upper, cov = self.random_terms(np.random.default_rng(5), 3, 4)
+        alone = mvn_cdf(MvnSpec(upper[0], cov[0], rel_tol=1e-4), seed=2)
         upper[1, 2] = -np.inf
         rows.clear()
-        res = lattice(MvnSpec(upper, cov, rel_tol=1e-4, weights=[1.0, 1.0, 0.0]), seed=2)
+        res = mvn_cdf(MvnSpec(upper, cov, rel_tol=1e-4, weights=[1.0, 1.0, 0.0]), seed=2)
         assert res == alone
         assert sum(rows) == res.points > 0
-        for run in (lattice, mvn_cdf):
-            nothing = run(MvnSpec(upper[1:], cov[1:], weights=[1.0, 0.0]))
+        for d in range(1, 5):
+            upper, cov = self.random_terms(np.random.default_rng(d), 2, d)
+            upper[0, -1] = -np.inf
+            rows.clear()
+            nothing = mvn_cdf(MvnSpec(upper, cov, weights=[1.0, 0.0]))
             assert nothing == MvnResult(0.0, 0.0, True, 0)
+            assert rows == []
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_dead_terms_are_not_factored(self, d):
+        # a term that adds nothing is dropped before its variance or
+        # Cholesky factor is looked at, in every dimension
+        upper, cov = self.random_terms(np.random.default_rng(10 + d), 3, d)
+        alone = mvn_cdf(MvnSpec(upper[0], cov[0], rel_tol=1e-4), seed=1)
+        cov[1] = 0.0
+        cov[2] = -np.eye(d)
+        upper[2, 0] = -np.inf
+        res = mvn_cdf(MvnSpec(upper, cov, rel_tol=1e-4, weights=[1.0, 0.0, 2.0]), seed=1)
+        assert res == alone
+        with pytest.raises(NotPDError):
+            mvn_cdf(MvnSpec(upper[1:2], cov[1:2], rel_tol=1e-4))
 
     def test_the_noisiest_term_doubles(self, monkeypatch):
         # a term whose integrand is nearly constant keeps its starting
