@@ -29,7 +29,6 @@ from .errors import (
     ScaleError,
     SingularBlockError,
     SubsetTooSmallError,
-    UnderdeterminedError,
     UnknownCliqueError,
     UnknownNodeError,
 )
@@ -47,7 +46,7 @@ from .model import (
     precision_matrix,
     validate_delta,
 )
-from .mvn import MvnResult, MvnSpec, mvn_cdf, std_normal_cdf
+from .mvn import MvnResult, mvn_cdf, std_normal_cdf
 from .dist import (
     extremal_coefficient,
     extremal_coefficient_detailed,

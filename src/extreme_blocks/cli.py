@@ -47,6 +47,13 @@ def _threads(raw: str) -> int:
     return value
 
 
+def _seed(raw: str) -> int:
+    value = int(raw)
+    if not 0 <= value < 1 << 64:
+        raise argparse.ArgumentTypeError(f"must be an integer in [0, 2**64), got {raw!r}")
+    return value
+
+
 def _tolerance(raw: str) -> float:
     value = float(raw)
     if not 0.0 < value < float("inf"):
@@ -66,7 +73,7 @@ def _add_common(p: argparse.ArgumentParser, *names):
     if "n" in names:
         p.add_argument("--n", type=int, required=True, help="number of draws")
     if "seed" in names:
-        p.add_argument("--seed", type=int, default=0,
+        p.add_argument("--seed", type=_seed, default=0,
                        help="random seed (mandatory for stochastic commands)")
     if "threads" in names:
         p.add_argument("--threads", type=_threads, default=os.environ.get("EXTREME_BLOCKS_THREADS", "1"),
@@ -317,7 +324,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="sample the limiting field or conditioned Pareto vectors")
     _add_common(p, "graph", "params", "anchor", "n", "threads", "out", "format")
-    p.add_argument("--seed", type=int, required=True, help="random seed")
+    p.add_argument("--seed", type=_seed, required=True, help="random seed")
     p.add_argument("--law", choices=("field", "pareto"), default="field")
     p.set_defaults(func=cmd_simulate)
 

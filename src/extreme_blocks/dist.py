@@ -23,7 +23,7 @@ from .errors import (
     SubsetTooSmallError,
 )
 from .model import GaussianLimit, PathSumMatrix, _anchor
-from .mvn import MvnSpec, MvnResult, mvn_cdf
+from .mvn import MvnResult, mvn_cdf
 
 __all__ = [
     "stdf_hr",
@@ -74,7 +74,7 @@ def stdf_hr_detailed(p: PathSumMatrix, weights: Mapping[str, float] | Sequence[f
     upper = np.array([2.0 * row + (logy[si] - np.delete(logy, si))
                       for si, (row, _) in enumerate(anchored)])
     cov = np.array([psi for _, psi in anchored])
-    return mvn_cdf(MvnSpec(upper, cov, rel_tol=rel_tol, weights=ys), seed=seed)
+    return mvn_cdf(upper, cov, ys, rel_tol=rel_tol, seed=seed)
 
 
 def stdf_hr(p: PathSumMatrix, weights: Mapping[str, float] | Sequence[float],
@@ -177,4 +177,4 @@ def nu_hr(p: PathSumMatrix, u: str, x: Mapping[str, float],
     bound = np.array([float(x[v]) for v in lim.nodes])
     if not np.all(bound > 0):
         raise NonPositiveCoordinateError("nu needs strictly positive bounds")
-    return mvn_cdf(MvnSpec(np.log(bound) - lim.mean, lim.cov, rel_tol=rel_tol), seed=seed)
+    return mvn_cdf(np.log(bound) - lim.mean, lim.cov, rel_tol=rel_tol, seed=seed)

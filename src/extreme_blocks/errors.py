@@ -2,8 +2,8 @@
 
 Two broad families matter for the CLI exit-code contract: validation
 failures (bad graphs, parameters, masks, domains) and numerical failures
-(singular blocks, rank-deficient designs, MVN terms past the dimension
-cap, inconsistent reconstructions).
+(singular blocks, non-positive-definite covariances, MVN terms past the
+dimension cap, an unconverged NNLS, inconsistent reconstructions).
 Usage problems (bad flags, unparseable files) never reach this module.
 """
 
@@ -49,12 +49,9 @@ class NonPositiveParamError(ExtremeBlocksError):
 class NotCNDError(ExtremeBlocksError):
     """A clique matrix is not conditionally negative definite."""
 
-    def __init__(self, clique, message=None):
+    def __init__(self, clique):
         self.clique = tuple(sorted(clique))
-        super().__init__(
-            message
-            or f"clique {self.clique} parameter matrix is not conditionally negative definite"
-        )
+        super().__init__(f"clique {self.clique} parameter matrix is not conditionally negative definite")
 
 
 class NotSymmetricError(ExtremeBlocksError):
@@ -90,12 +87,9 @@ class ScaleError(ExtremeBlocksError):
 
 
 class NotIdentifiableError(ExtremeBlocksError):
-    def __init__(self, offending, message=None):
+    def __init__(self, offending):
         self.offending = tuple(sorted(offending))
-        super().__init__(
-            message
-            or f"latent nodes with clique degree < 3: {', '.join(self.offending)}"
-        )
+        super().__init__(f"latent nodes with clique degree < 3: {', '.join(self.offending)}")
 
 
 class NumericalError(ExtremeBlocksError):
@@ -114,16 +108,6 @@ class DimensionCapError(NumericalError):
 
 class SingularBlockError(NumericalError):
     pass
-
-
-class UnderdeterminedError(NumericalError):
-    """The moments leave these edges unidentified; with every node observed,
-    that happens only when every anchor weight is 0."""
-
-    def __init__(self, null_edges, reason):
-        self.null_edges = tuple(null_edges)
-        edges = ", ".join(f"{a}-{b}" for a, b in self.null_edges)
-        super().__init__(f"edge parameters not identified, {reason}: {edges}")
 
 
 class InconsistentInputError(NumericalError):

@@ -6,10 +6,11 @@ the model covariances, which are linear in the squared edge parameters.
 The resulting nonnegativity-constrained linear least-squares problem is
 solved from its |E|-square normal equations, which are assembled from
 counts over the classes of where paths enter cliques, never from the
-design. With every node observed, any anchor of positive weight fixes
-every edge, so the Gram matrix is positive definite and the problem has
-one solution; it is found by one Lawson-Hanson active-set run on the Gram
-matrix and target, warm-started from the unconstrained minimiser.
+design. Every anchor and every mean row weighs 1. With every node
+observed, any one anchor fixes every edge, so the Gram matrix is positive
+definite and the problem has one solution; it is found by one
+Lawson-Hanson active-set run on the Gram matrix and target, warm-started
+from the unconstrained minimiser.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .errors import (
     KOutOfRangeError,
     NumericalError,
     ScaleError,
-    UnderdeterminedError,
     UnknownNodeError,
 )
 from .graph import BlockGraph, Edge
@@ -182,41 +182,24 @@ def nnls_active_set(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
             x[~passive] = 0.0
 
 
-def _empirical_moments(spacings: Mapping[str, np.ndarray]):
-    covs, means = {}, {}
+def fit_delta(g: BlockGraph, spacings: Mapping[str, np.ndarray]) -> FitResult:
+    """Estimate delta^2 by matching model to empirical covariances.
+
+    Minimizes sum_u || Sigma_u(delta^2) - Sigma_hat_u ||_F^2 over
+    delta^2 >= 0, the sum over the anchors of `spacings`. Because Sigma_u
+    is linear in delta^2, this is a nonnegativity-constrained linear
+    least-squares problem. The diagnostics give each anchor's number of
+    spacing rows.
+    """
+    covs, rows = {}, {}
     for u, mat in spacings.items():
         mat = np.asarray(mat, dtype=float)
         if mat.ndim != 2 or mat.shape[0] < 2:
             raise ValueError(f"anchor {u!r}: spacings need at least two rows")
         covs[u] = np.cov(mat, rowvar=False, ddof=1)
-        means[u] = mat.mean(axis=0)
-    return covs, means
-
-
-def fit_delta(g: BlockGraph, spacings: Mapping[str, np.ndarray], *,
-              include_means: bool = False, mean_weight: float = 1.0,
-              anchor_weights: Mapping[str, float] | None = None) -> FitResult:
-    """Estimate delta^2 by matching model to empirical covariances.
-
-    Minimizes sum_u w_u || Sigma_u(delta^2) - Sigma_hat_u ||_F^2 over
-    delta^2 >= 0; optionally adds the mean condition mu_u = -2 p_u with
-    weight `mean_weight`. Because Sigma_u is linear in delta^2, this is a
-    nonnegativity-constrained linear least-squares problem. The
-    diagnostics give each anchor's number of spacing rows.
-    """
-    covs, means = _empirical_moments(spacings)
-    res = fit_delta_from_covariances(g, covs, means if include_means else None,
-                                     mean_weight=mean_weight, anchor_weights=anchor_weights)
-    rows = {u: {"rows": int(np.asarray(m).shape[0])} for u, m in spacings.items()}
+        rows[u] = {"rows": mat.shape[0]}
+    res = fit_delta_from_covariances(g, covs)
     return FitResult(res.delta2_hat, res.objective, rows)
-
-
-def _weight(name: str, w) -> float:
-    """A least-squares weight: finite and non-negative."""
-    w = float(w)
-    if not 0.0 <= w < np.inf:
-        raise ValueError(f"{name} must be finite and non-negative, got {w}")
-    return w
 
 
 def _moment(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
@@ -229,40 +212,40 @@ def _moment(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
     return value
 
 
-def _normal_equations(g: BlockGraph, moments: Mapping[str, tuple], weights: Mapping[str, float],
-                      mean_weight: float) -> tuple[np.ndarray, np.ndarray]:
-    """G = sum_u w_u D_u'D_u and h = sum_u w_u D_u' vec(Sigma_hat_u), plus
-    the mean rows at weight mean_weight, with no design D_u formed.
+def _normal_equations(g: BlockGraph, moments: Mapping[str, tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """G = sum_u D_u'D_u and h = sum_u D_u' vec(Sigma_hat_u) over the anchors
+    u of `moments`, plus the mean rows when means are given, with no design
+    D_u formed.
 
     Over all n x n entries, with anchor u's row and column zero, D_u's
     column for edge e is 2 (c 1' + 1 c' - X_e): X_e is the edge's path
     incidence and c = X_e 1_u. Each is a sum over the two orientations
     (p, q) of the edge's entry classes, X_e of 1_p 1_q' and c of
     [u in p] 1_q, so every inner product is a product of class counts
-    K = N'N and weighted counts K_w = N' diag(w) N. Per pair of
-    orientations (p, q) of e and (r, s) of f:
-      sum_u w_u c_e.c_f             = K_w[p, r] K[q, s]
-      sum_u w_u (1'c_e)(1'c_f)      = K_w[p, r] |q| |s|
-      sum_u w_u c_e'X_f 1           = w(p) K[q, r] |s|
-      <X_e, X_f>                    = K[p, r] K[q, s]
-    The mean rows -2 c add 4 mean_weight c_e.c_f. The target needs the
-    class sums of the weighted Sigma_hat_u and, per anchor class, of its
-    row sums and means.
+    K = N'N and anchor counts K_w = N' diag(w) N, with w the anchors'
+    indicator. Per pair of orientations (p, q) of e and (r, s) of f:
+      sum_u c_e.c_f             = K_w[p, r] K[q, s]
+      sum_u (1'c_e)(1'c_f)      = K_w[p, r] |q| |s|
+      sum_u c_e'X_f 1           = w(p) K[q, r] |s|
+      <X_e, X_f>                = K[p, r] K[q, s]
+    The mean rows -2 c add 4 c_e.c_f. The target needs the class sums of
+    the summed Sigma_hat_u and, per anchor class, of its row sums and means.
     """
     n = len(g.nodes)
     classes, ends = _entry_classes(g)
-    w = np.zeros(n)
-    spread = np.zeros((n, n))  # sum_u w_u Sigma_hat_u, zero at anchor u's row and column
-    lines = np.zeros((n, n))   # column u: w_u (4 Sigma_hat_u 1 - 2 mean_weight mu_hat_u)
+    mean_weight = 0.0 if any(mean_hat is None for _, mean_hat in moments.values()) else 1.0
+    w = np.zeros(n)            # 1 at the anchors
+    spread = np.zeros((n, n))  # sum_u Sigma_hat_u, zero at anchor u's row and column
+    lines = np.zeros((n, n))   # column u: 4 Sigma_hat_u 1 - 2 mu_hat_u
     for u, (cov_hat, mean_hat) in moments.items():
         iu = g.index(u)
         rest = np.r_[:iu, iu + 1:n]
-        w[iu] = weights[u]
-        spread[np.ix_(rest, rest)] += w[iu] * cov_hat
+        w[iu] = 1.0
+        spread[np.ix_(rest, rest)] += cov_hat
         line = 2.0 * (cov_hat.sum(axis=0) + cov_hat.sum(axis=1))
         if mean_hat is not None:
-            line -= 2.0 * mean_weight * mean_hat
-        lines[rest, iu] = w[iu] * line
+            line -= 2.0 * mean_hat
+        lines[rest, iu] = line
     count = classes.T @ classes
     wcount = classes.T @ (w[:, None] * classes)
     size, wsize = np.diagonal(count), np.diagonal(wcount)
@@ -282,30 +265,24 @@ def _normal_equations(g: BlockGraph, moments: Mapping[str, tuple], weights: Mapp
 
 
 def fit_delta_from_covariances(g: BlockGraph, covs: Mapping[str, np.ndarray],
-                               means: Mapping[str, np.ndarray] | None = None, *,
-                               mean_weight: float = 1.0,
-                               anchor_weights: Mapping[str, float] | None = None) -> FitResult:
+                               means: Mapping[str, np.ndarray] | None = None) -> FitResult:
+    """Minimize sum_u || Sigma_u(delta^2) - Sigma_hat_u ||_F^2 over delta^2 >= 0
+    and the anchors u of `covs`, plus || 2 p_u + mu_hat_u ||^2 per anchor
+    when `means` is given."""
     if not covs:
         raise ValueError("need covariance estimates for at least one anchor")
     edges = g.edges_sorted()
     m = len(g.nodes) - 1
-    weights, moments = {}, {}
+    moments = {}
     for u in covs:
-        if anchor_weights and u not in anchor_weights:
-            raise ValueError(f"anchor_weights has no weight for anchor {u!r}")
-        weights[u] = _weight(f"weight of anchor {u!r}", anchor_weights[u]) if anchor_weights else 1.0
         if means is not None and u not in means:
             raise ValueError(f"means has no mean for anchor {u!r}")
         moments[u] = (_moment(f"covariance of anchor {u!r}", covs[u], (m, m)),
                       None if means is None else _moment(f"mean of anchor {u!r}", means[u], (m,)))
-    mean_weight = _weight("mean_weight", mean_weight)
 
-    # any anchor of positive weight fixes every path sum (p_ui = Sigma_u,ii / 4),
-    # and the path sums fix every edge, so G is then positive definite
-    if edges and not any(weights.values()):
-        raise UnderdeterminedError(edges, "every anchor weight is 0")
-    delta2 = nnls_active_set(*_normal_equations(g, moments, weights,
-                                                mean_weight if means is not None else 0.0))
+    # any anchor fixes every path sum (p_ui = Sigma_u,ii / 4), and the path
+    # sums fix every edge, so G is positive definite
+    delta2 = nnls_active_set(*_normal_equations(g, moments))
     delta2_hat = {e: float(v) for e, v in zip(edges, delta2)}
 
     # the objective is measured on the fitted path sums, not expanded from
@@ -314,7 +291,7 @@ def fit_delta_from_covariances(g: BlockGraph, covs: Mapping[str, np.ndarray],
     objective = 0.0
     for u, (cov_hat, mean_hat) in moments.items():
         pu, cov = _anchor(fitted, g.index(u))
-        objective += weights[u] * float(np.sum((cov - cov_hat) ** 2))
+        objective += float(np.sum((cov - cov_hat) ** 2))
         if mean_hat is not None:
-            objective += weights[u] * mean_weight * float(np.sum((2.0 * pu + mean_hat) ** 2))
+            objective += float(np.sum((2.0 * pu + mean_hat) ** 2))
     return FitResult(delta2_hat=delta2_hat, objective=objective)

@@ -47,11 +47,11 @@ from .graph import BlockGraph, Edge, canonical_edge
 PD_REL_TOL = 1e-10
 
 
-def _is_pd(m: np.ndarray, rel: float = PD_REL_TOL) -> bool:
+def _is_pd(m: np.ndarray) -> bool:
     if m.size == 0:
         return True
     w = np.linalg.eigvalsh((m + m.T) / 2.0)
-    return w[0] > 0 and w[0] > rel * w[-1]
+    return w[0] > 0 and w[0] > PD_REL_TOL * w[-1]
 
 
 class DeltaFamily:

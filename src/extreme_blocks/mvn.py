@@ -18,7 +18,8 @@ query is the one-term case. Which path serves a stack depends on d:
   lattice rule {k z / n : k < n} (a component-by-component generating
   vector z for n = 2**8..2**16, Cools, Kuo & Nuyens 2006; baker's
   transform) under K = 20 random shifts that all terms share. A term's
-  lattice starts at 128 points per shift. The n-point lattice is the even
+  lattice starts at 128 points per shift and grows to at most 2**20
+  (20,971,520 rows under the 20 shifts). The n-point lattice is the even
   half of the 2n-point one, so a doubling evaluates only the odd k, each
   block of them under all K shifts in one integrand call of at most
   2**14 points in total.
@@ -102,21 +103,6 @@ def std_normal_cdf(x: float) -> float:
 
 
 @dataclass(frozen=True)
-class MvnSpec:
-    """Weighted orthant query sum_t w_t P(X_t <= upper_t), X_t ~ N(0, cov_t).
-
-    A plain query P(X <= upper) has upper (d,) and cov (d, d); a stack of
-    t terms has upper (t, d), cov (t, d, d) and nonnegative weights (t,),
-    ones when omitted.
-    """
-
-    upper: np.ndarray
-    cov: np.ndarray
-    rel_tol: float = 1e-6
-    weights: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class MvnResult:
     value: float
     error: float
@@ -149,17 +135,14 @@ def _ordered_cholesky(cov: np.ndarray, upper: np.ndarray):
             s = (b[i] - L[i, :k] @ y[:k]) / math.sqrt(denom)
             p = ndtr(s)
             if p < best_p:
-                best_p, best = p, i
+                best_p, best, pivot = p, i, denom
         if best != k:
             c[[k, best], :] = c[[best, k], :]
             c[:, [k, best]] = c[:, [best, k]]
             L[[k, best], :] = L[[best, k], :]
             b[[k, best]] = b[[best, k]]
 
-        dk = c[k, k] - L[k, :k] @ L[k, :k]
-        if dk <= _EPS * max(c[k, k], 1.0):
-            raise NotPDError("covariance matrix is not positive definite")
-        L[k, k] = math.sqrt(dk)
+        L[k, k] = math.sqrt(pivot)
         for i in range(k + 1, d):
             L[i, k] = (c[i, k] - L[i, :k] @ L[k, :k]) / L[k, k]
 
@@ -197,10 +180,10 @@ def _integrand(L: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
     return prod
 
 
-def _stack(spec: MvnSpec):
-    """The spec's terms as upper (t, d), cov (t, d, d) and weights (t,)."""
-    upper = np.asarray(spec.upper, dtype=float)
-    cov = np.asarray(spec.cov, dtype=float)
+def _stack(upper, cov, weights):
+    """The query's terms as upper (t, d), cov (t, d, d) and weights (t,)."""
+    upper = np.asarray(upper, dtype=float)
+    cov = np.asarray(cov, dtype=float)
     if upper.ndim < 2:
         upper, cov = np.atleast_1d(upper)[None], np.atleast_2d(cov)[None]
     if upper.ndim != 2 or upper.size == 0:
@@ -212,7 +195,7 @@ def _stack(spec: MvnSpec):
         raise ValueError("upper has a NaN entry")
     if not np.all(np.isfinite(cov)):
         raise ValueError("covariance has a non-finite entry")
-    weights = np.ones(t) if spec.weights is None else np.asarray(spec.weights, dtype=float)
+    weights = np.ones(t) if weights is None else np.asarray(weights, dtype=float)
     if weights.shape != (t,):
         raise ValueError(f"weights must have shape ({t},), got {weights.shape}")
     if not np.all((weights >= 0) & (weights < np.inf)):
@@ -368,7 +351,7 @@ def _lattice_sum(upper: np.ndarray, cov: np.ndarray, weights: np.ndarray,
     factors = [_ordered_cholesky(c, b) for c, b in zip(cov, upper)]
     z = _LATTICE_Z[: d - 1]
 
-    rng = np.random.Generator(np.random.Philox(key=int(seed) & ((1 << 128) - 1)))
+    rng = np.random.Generator(np.random.Philox(key=seed))
     shifts = rng.random((randomizations, d - 1))
     t_quantile = float(stdtrit(randomizations - 1, 0.99865))
 
@@ -392,36 +375,45 @@ def _lattice_sum(upper: np.ndarray, cov: np.ndarray, weights: np.ndarray,
         n[j] *= 2
 
 
-def mvn_cdf(spec: MvnSpec, seed: int = 0,
-            randomizations: int = 20,
-            start_points: int = 128,
-            max_points: int = 1 << 21) -> MvnResult:
+def _check_seed(seed) -> int:
+    """A seed is an integer in [0, 2**64); anything else raises ValueError."""
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return int(seed)
+
+
+def mvn_cdf(upper, cov, weights=None, *, rel_tol: float = 1e-6, seed: int = 0,
+            randomizations: int = 20, start_points: int = 128, max_points: int = 1 << 20) -> MvnResult:
     """Evaluate sum_t w_t P(X_t <= upper_t) for X_t ~ N(0, cov_t).
 
-    A term with a -inf bound or weight 0 adds exactly 0: once the stack
-    passes the checks below, such terms are dropped, so no variance or
-    factor of theirs is tested, and a stack of none returns 0 with error
-    0 and no points. Dimension 1 delegates to :func:`std_normal_cdf`
-    exactly. Dimensions 2 and 3 use
-    the closed forms (Owen's T; one Gauss-Legendre line over it) whenever
-    their deterministic error bound, reported as ``error``, meets rel_tol
+    A plain query P(X <= upper) passes upper (d,) and cov (d, d); a stack
+    of t terms passes upper (t, d), cov (t, d, d) and nonnegative weights
+    (t,), ones when omitted. A term with a -inf bound or weight 0 adds
+    exactly 0: once the stack passes the checks below, such terms are
+    dropped, so no variance or factor of theirs is tested, and a stack of
+    none returns 0 with error 0 and no points. Dimension 1 delegates to
+    :func:`std_normal_cdf` exactly. Dimensions 2 and 3 use the closed
+    forms (Owen's T; one Gauss-Legendre line over it) whenever their
+    deterministic error bound, reported as ``error``, meets rel_tol
     relative accuracy; these closed forms and d = 1 report ``points`` 0.
     Otherwise each term's embedded rank-1 lattice starts at start_points
-    per shift, under randomizations random shifts, and the lattice of the
-    term with the largest weighted spread doubles, evaluating only the
-    points it adds, until the t-quantile error estimate meets rel_tol
-    or every term has reached max_points, in which case the best estimate
-    is returned with ``converged=False``; ``points`` counts every lattice
-    row evaluated. A rel_tol that is not finite and positive, fewer than
-    two randomizations (no spread to estimate the error from), fewer than
-    one start point, a start_points or max_points above 2**31 (the
-    lattice arithmetic is exact in 64 bits only below 2**32 points),
-    mismatched shapes, no term, or weights that are not finite and
-    nonnegative raise ValueError; more than DIMENSION_CAP dimensions raise
-    DimensionCapError.
+    per shift, under randomizations random shifts drawn from seed, and the
+    lattice of the term with the largest weighted spread doubles,
+    evaluating only the points it adds, until the t-quantile error
+    estimate meets rel_tol or every term has reached max_points per
+    shift, in which case the best estimate is returned with
+    ``converged=False``; ``points`` counts every lattice row evaluated.
+    A rel_tol that is not finite and positive, a seed that is not an
+    integer in [0, 2**64), fewer than two randomizations (no spread to
+    estimate the error from), fewer than one start point, a start_points
+    or max_points above 2**31 (the lattice arithmetic is exact in 64 bits
+    only below 2**32 points), mismatched shapes, no term, or weights that
+    are not finite and nonnegative raise ValueError; more than
+    DIMENSION_CAP dimensions raise DimensionCapError.
     """
-    if not 0.0 < spec.rel_tol < math.inf:
-        raise ValueError(f"rel_tol must be finite and positive, got {spec.rel_tol}")
+    if not 0.0 < rel_tol < math.inf:
+        raise ValueError(f"rel_tol must be finite and positive, got {rel_tol}")
+    seed = _check_seed(seed)
     if randomizations < 2:
         raise ValueError(f"randomizations must be at least 2, got {randomizations}")
     if start_points < 1:
@@ -429,7 +421,7 @@ def mvn_cdf(spec: MvnSpec, seed: int = 0,
     for name, value in (("start_points", start_points), ("max_points", max_points)):
         if value > _MAX_LATTICE:
             raise ValueError(f"{name} must be at most 2**31, got {value}")
-    upper, cov, weights = _stack(spec)
+    upper, cov, weights = _stack(upper, cov, weights)
     d = upper.shape[1]
     if d > DIMENSION_CAP:
         raise DimensionCapError(f"dimension {d} exceeds the supported cap of {DIMENSION_CAP}")
@@ -449,8 +441,8 @@ def mvn_cdf(spec: MvnSpec, seed: int = 0,
         return MvnResult(float(val), 0.0, True, 0)
 
     if d <= 3:
-        exact = _closed_form(upper, cov, weights, spec.rel_tol)
+        exact = _closed_form(upper, cov, weights, rel_tol)
         if exact is not None:
             return exact
-    return _lattice_sum(upper, cov, weights, spec.rel_tol, seed,
+    return _lattice_sum(upper, cov, weights, rel_tol, seed,
                         randomizations, start_points, max_points)

@@ -5,13 +5,13 @@ are jointly normal with the clique-limit parameters anchored at its
 separator toward the chosen node, and distinct cliques are independent.
 
 Each logical stream is a Philox counter-based generator keyed by the pair
-(seed, tag): the user seed occupies the high 64 bits of the 128-bit key and
-the tag the low 64. Tags 0, 1, 2, ... index cliques; the radial Pareto
-stream uses a reserved high tag so it can never collide with a clique
-index. Draw indices advance the Philox counter, so a stream's output is a
-pure function of (seed, tag, draw index): per-clique draws are
-independent, order-insensitive, and reproducible regardless of how many
-workers execute them.
+(seed, tag): the user seed, an integer in [0, 2**64), occupies the high 64
+bits of the 128-bit key and the tag the low 64. Tags 0, 1, 2, ... index
+cliques; the radial Pareto stream uses a reserved high tag so it can never
+collide with a clique index. Draw indices advance the Philox counter, so
+a stream's output is a pure function of (seed, tag, draw index):
+per-clique draws are independent, order-insensitive, and reproducible
+regardless of how many workers execute them.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import SingularBlockError, UnknownNodeError
 from .model import DeltaFamily, _increment_law
+from .mvn import _check_seed
 
 __all__ = [
     "IncrementDraw",
@@ -39,8 +40,7 @@ _PARETO_STREAM_TAG = 1 << 62
 
 
 def _philox_stream(seed: int, tag: int) -> np.random.Generator:
-    key = ((int(seed) & ((1 << 64) - 1)) << 64) | (int(tag) & ((1 << 64) - 1))
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=(int(seed) << 64) | tag))
 
 
 @dataclass(frozen=True)
@@ -79,8 +79,10 @@ def _ln_increments(d: DeltaFamily, u: str, n: int, seed: int, threads: int = 1):
     separator; row u is zero.
 
     A clique's targets draw from its increment law at its separator, by
-    dense index.
+    dense index. A seed that is not an integer in [0, 2**64) raises
+    ValueError.
     """
+    seed = _check_seed(seed)
     g = d.graph
     walk = g._walk(g.index(u))
     out = np.zeros((len(g.nodes), n))
@@ -152,7 +154,7 @@ def sample_pareto_conditioned(d: DeltaFamily, u: str, n: int, rng_seed: int,
 
 def mc_stdf(d: DeltaFamily, u: str,
             x: Mapping[str, float] | Sequence[float],
-            n: int, rng_seed: int, threads: int = 1) -> tuple[float, float]:
+            n: int, rng_seed: int) -> tuple[float, float]:
     """Monte-Carlo stdf estimate E[max_v x_v A_uv] with its standard error."""
     g = d.graph
     if isinstance(x, Mapping):
@@ -165,7 +167,7 @@ def mc_stdf(d: DeltaFamily, u: str,
             raise ValueError("weight vector does not match the node count")
     if np.any(vec < 0) or np.any(~np.isfinite(vec)):
         raise ValueError("weights must be finite and nonnegative")
-    field = sample_limit_field(d, u, n, rng_seed, threads)
+    field = sample_limit_field(d, u, n, rng_seed)
     maxima = (field.matrix * vec[None, :]).max(axis=1)
     est = float(maxima.mean())
     se = float(maxima.std(ddof=1) / np.sqrt(n)) if n > 1 else float("inf")

@@ -221,14 +221,14 @@ def test_criterion_10_mvn_oracle():
     arcsine_ok = True
     for rho in (-0.9, -0.5, 0.0, 0.5, 0.9):
         cov = np.array([[1.0, rho], [rho, 1.0]])
-        res = eb.mvn_cdf(eb.MvnSpec(np.zeros(2), cov, rel_tol=1e-6))
+        res = eb.mvn_cdf(np.zeros(2), cov, rel_tol=1e-6)
         exact = 0.25 + math.asin(rho) / (2 * math.pi)
         arcsine_ok = arcsine_ok and abs(res.value - exact) <= 1e-6 * exact
-    one_d = eb.mvn_cdf(eb.MvnSpec(np.array([0.37]), np.array([[2.25]])))
+    one_d = eb.mvn_cdf(np.array([0.37]), np.array([[2.25]]))
     dim1_ok = one_d.value == eb.std_normal_cdf(0.37 / 1.5)
     cov = np.diag([1.0, 4.0, 9.0])
     upper = np.array([0.5, -1.0, 2.0])
-    res = eb.mvn_cdf(eb.MvnSpec(upper, cov))
+    res = eb.mvn_cdf(upper, cov)
     prod = (eb.std_normal_cdf(0.5) * eb.std_normal_cdf(-0.5)
             * eb.std_normal_cdf(2.0 / 3.0))
     indep_ok = abs(res.value - prod) <= 1e-10

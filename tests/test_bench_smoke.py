@@ -44,6 +44,8 @@ def test_traced_tail_queries_see_every_mvn_term():
     # every stdf of the workload has at least two positive weights, so
     # each makes exactly one mvn_cdf call for all of its terms
     assert metrics["mvn.calls"]["value"] == metrics["dist.stdf_calls"]["value"]
+    # no query of the workload may run out of its lattice budget
+    assert metrics["mvn.unconverged"]["value"] == 0
 
 
 @pytest.mark.parametrize("workload, layers", [

@@ -172,8 +172,8 @@ def first_stdf_short(monkeypatch):
     real = dist.mvn_cdf
     stdfs = []
 
-    def first_short(spec, seed=0):
-        res = real(spec, seed=seed)
+    def first_short(upper, cov, weights=None, **options):
+        res = real(upper, cov, weights, **options)
         stdfs.append(res)
         return dataclasses.replace(res, converged=False) if len(stdfs) == 1 else res
 
@@ -567,3 +567,62 @@ def test_validate_rejects_boolean_delta2(tmp_path, capsys):
     assert run(["validate", "--graph", str(gpath), "--params", str(ppath)]) == 1
     diag = json.loads(capsys.readouterr().out.strip())
     assert diag["error"] == "ValueError" and "JSON number" in diag["message"]
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "1.5", "abc"])
+def test_seed_outside_zero_to_two_to_the_64_rejected(fig1_files, tmp_path, capsys, seed):
+    # seed -1 used to draw the stream of 2**64 - 1 (simulate) or of
+    # 2**128 - 1 (the tail queries)
+    gpath, ppath = fig1_files
+    model = ["--graph", str(gpath), "--params", str(ppath)]
+    commands = [
+        ["simulate", *model, "--anchor", "7", "--n", "10", "--out", str(tmp_path / "s")],
+        ["stdf", *model, "--subset", "0,3,4"],
+        ["pareto-cdf", *model, "--subset", "0,3", "--point", "2,3"],
+        ["ec", *model, "--subset", "0,3"],
+    ]
+    for argv in commands:
+        assert run([*argv, f"--seed={seed}"]) == 1
+        diag = json.loads(capsys.readouterr().out.strip())
+        assert diag["error"] == "UsageError" and "--seed" in diag["message"]
+    assert not (tmp_path / "s").exists()
+
+
+def test_largest_seed_accepted(fig1_files, tmp_path, capsys):
+    gpath, ppath = fig1_files
+    assert run(["simulate", "--graph", str(gpath), "--params", str(ppath), "--anchor", "7",
+                "--n", "3", "--seed", str((1 << 64) - 1), "--out", str(tmp_path)]) == 0
+    assert json.loads(capsys.readouterr().out.strip())["seed"] == (1 << 64) - 1
+
+
+@pytest.mark.parametrize("command, option", [("stdf", "weights"), ("pareto-cdf", "point")])
+@pytest.mark.parametrize("values", ["1,2", "1,2,3,4"])
+def test_per_node_option_length_must_match_subset(fig2_files, capsys, command, option, values):
+    gpath, ppath = fig2_files
+    assert run([command, "--graph", str(gpath), "--params", str(ppath),
+                "--subset", "1,2,3", f"--{option}", values]) == 1
+    diag = json.loads(capsys.readouterr().out.strip())
+    assert diag["error"] == "ValueError" and f"--{option} length" in diag["message"]
+
+
+def test_fit_data_columns_must_be_the_graph_nodes(fig2_files, tmp_path, capsys):
+    gpath, _ = fig2_files
+    dpath = tmp_path / "data.csv"
+    ebio.write_samples_csv(dpath, FIG2_NODES[:-1], np.random.default_rng(0).random((30, 5)))
+    assert run(["fit", "--graph", str(gpath), "--data", str(dpath), "--k", "10",
+                "--out", str(tmp_path / "fit")]) == 1
+    diag = json.loads(capsys.readouterr().out.strip())
+    assert diag["error"] == "ValueError" and "data columns" in diag["message"]
+    assert not (tmp_path / "fit").exists()
+
+
+def test_recover_headers_must_be_the_observed_nodes(tmp_path, capsys):
+    gpath, mpath = tmp_path / "fig4.json", tmp_path / "pobs.csv"
+    ebio.dump_graph_json(gpath, FIG4_NODES, FIG4_EDGES)
+    observed = [v for v in FIG4_NODES if v != "3"]
+    ebio.write_matrix_csv(mpath, observed[::-1], np.zeros((6, 6)))
+    assert run(["recover", "--graph", str(gpath), "--latent", "3", "--pathsums", str(mpath),
+                "--out", str(tmp_path / "r")]) == 1
+    diag = json.loads(capsys.readouterr().out.strip())
+    assert diag["error"] == "ValueError" and "observed nodes" in diag["message"]
+    assert not (tmp_path / "r").exists()

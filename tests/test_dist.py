@@ -7,7 +7,6 @@ from scipy.stats import norm
 from extreme_blocks import (
     AllZeroWeightsError,
     MvnResult,
-    MvnSpec,
     NonPositiveCoordinateError,
     SubsetTooSmallError,
     build_block_graph,
@@ -61,11 +60,11 @@ class TestStdf:
         calls, rows = [], []
         real, integrand = dist.mvn_cdf, mvn._integrand
 
-        def record(spec, seed=0):
-            res = real(spec, seed=seed)
+        def record(upper, cov, weights=None, **options):
+            res = real(upper, cov, weights, **options)
             if short and len(calls) < short:
                 res = dataclasses.replace(res, converged=False)
-            calls.append((spec, res))
+            calls.append(((upper, cov, weights), res))
             return res
 
         def counted(L, b, w):
@@ -77,9 +76,9 @@ class TestStdf:
         y = (1.0, 0.9, 0.7, 1.3, 1.1)
         res = stdf_hr_detailed(fig2_psum, dict(zip("12356", y)), rel_tol=1e-4)
         assert len(calls) == 1
-        spec, out = calls[0]
-        assert spec.upper.shape == (5, 4) and spec.cov.shape == (5, 4, 4)
-        assert tuple(spec.weights) == y
+        (upper, cov, weights), out = calls[0]
+        assert upper.shape == (5, 4) and cov.shape == (5, 4, 4)
+        assert tuple(weights) == y
         assert res == out
         assert res.converged is (short is None)
         # the points are every integrand row, summed over the terms' lattices
@@ -87,7 +86,7 @@ class TestStdf:
         value, err = res
         assert (value, err) == (res.value, res.error)
         # the pooled value is the weighted sum of the terms evaluated alone
-        terms = [real(MvnSpec(u, c, rel_tol=1e-6)) for u, c in zip(spec.upper, spec.cov)]
+        terms = [real(u, c, rel_tol=1e-6) for u, c in zip(upper, cov)]
         assert value == pytest.approx(sum(w * t.value for w, t in zip(y, terms)), rel=1e-4)
 
     def test_detailed_three_nodes_spend_no_points(self, fig2_psum, monkeypatch):
@@ -95,12 +94,12 @@ class TestStdf:
         # the error is its bound and no lattice point is drawn
         import extreme_blocks.dist as dist
         import extreme_blocks.mvn as mvn
-        specs = []
+        stacks = []
         real, integrand = dist.mvn_cdf, mvn._integrand
 
-        def record(spec, seed=0):
-            specs.append(spec)
-            return real(spec, seed=seed)
+        def record(upper, cov, weights=None, **options):
+            stacks.append((upper, cov, weights))
+            return real(upper, cov, weights, **options)
 
         def refuse(*args):
             raise AssertionError("no lattice point may be evaluated")
@@ -111,12 +110,23 @@ class TestStdf:
         res = stdf_hr_detailed(fig2_psum, dict(zip("135", y)), rel_tol=1e-9)
         assert res.points == 0 and res.converged
         assert 0 < res.error <= 1e-9 * res.value
-        (spec,) = specs
-        assert spec.upper.shape == (3, 2)
+        ((upper, cov, weights),) = stacks
+        assert upper.shape == (3, 2)
         monkeypatch.setattr(mvn, "_integrand", integrand)
-        ref = mvn._lattice_sum(spec.upper, spec.cov, spec.weights, 1e-7, 0, 10, 256, 1 << 21)
+        ref = mvn._lattice_sum(upper, cov, weights, 1e-7, 0, 10, 256, 1 << 21)
         assert ref.converged
         assert abs(res.value - ref.value) <= ref.error + res.error
+
+    @pytest.mark.parametrize("query", [
+        lambda p, y: stdf_hr(p, y),
+        lambda p, y: hr_cdf(p, y),
+        lambda p, y: pareto_cdf(p, y),
+    ])
+    @pytest.mark.parametrize("values", [[1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]]])
+    def test_misaligned_sequence_rejected(self, edge_setup, query, values):
+        _, _, p = edge_setup
+        with pytest.raises(ValueError, match="do not align"):
+            query(p, values)
 
     def test_all_zero_weights(self, edge_setup):
         _, _, p = edge_setup
@@ -233,16 +243,16 @@ class TestHrCdf:
     @staticmethod
     def shorted_hr_cdf(psum, x, monkeypatch):
         """hr_cdf_detailed at x with its one MVN call reported unconverged;
-        returns (result, the stdf at 1/x, the MVN calls' specs)."""
+        returns (result, the stdf at 1/x, the MVN calls' bounds)."""
         import dataclasses
         import extreme_blocks.dist as dist
         ell = stdf_hr_detailed(psum, {v: 1 / t for v, t in x.items()}, rel_tol=1e-4)
-        specs = []
+        bounds = []
         real = dist.mvn_cdf
 
-        def short(spec, seed=0):
-            specs.append(spec)
-            return dataclasses.replace(real(spec, seed=seed), converged=False)
+        def short(upper, cov, weights=None, **options):
+            bounds.append(upper)
+            return dataclasses.replace(real(upper, cov, weights, **options), converged=False)
 
         monkeypatch.setattr(dist, "mvn_cdf", short)
         res = hr_cdf_detailed(psum, x, rel_tol=1e-4)
@@ -251,20 +261,20 @@ class TestHrCdf:
         assert res.error == pytest.approx(res.value * ell.error, rel=1e-15)
         assert res.error > 0
         assert res.points == ell.points
-        return res, specs
+        return res, bounds
 
     def test_detailed_flags_an_unconverged_term(self, fig2_psum, monkeypatch):
         # five nodes: one MVN call for the stdf's five terms of dimension 4,
         # on the lattice
         x = {"1": 1.0, "2": 1.1, "3": 1.4, "5": 0.8, "6": 0.9}
-        res, specs = self.shorted_hr_cdf(fig2_psum, x, monkeypatch)
-        assert [s.upper.shape for s in specs] == [(5, 4)]
+        res, bounds = self.shorted_hr_cdf(fig2_psum, x, monkeypatch)
+        assert [b.shape for b in bounds] == [(5, 4)]
         assert res.points > 0
 
     def test_detailed_closed_form_flags_an_unconverged_term(self, fig2_psum, monkeypatch):
         # three nodes: bivariate terms in closed form, no lattice point
-        res, specs = self.shorted_hr_cdf(fig2_psum, {"1": 1.0, "3": 1.4, "5": 0.8}, monkeypatch)
-        assert [s.upper.shape for s in specs] == [(3, 2)]
+        res, bounds = self.shorted_hr_cdf(fig2_psum, {"1": 1.0, "3": 1.4, "5": 0.8}, monkeypatch)
+        assert [b.shape for b in bounds] == [(3, 2)]
         assert res.points == 0
 
 

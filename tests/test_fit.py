@@ -14,7 +14,7 @@ from extreme_blocks import (
     NumericalError,
     SampleSet,
     ScaleError,
-    UnderdeterminedError,
+    UnknownNodeError,
     build_block_graph,
     fit_delta,
     fit_delta_from_covariances,
@@ -41,6 +41,25 @@ def noisy_spacings_61(seed: int = 1, k: int = 100):
                      for u, s in zip(rng.choice(g.nodes, 4, replace=False), rng.integers(0, 2**31, 4))])
     pareto = rank_transform(SampleSet(raw + rng.random(raw.shape), g.nodes, "raw"))
     return g, {u: log_spacings(pareto, u, k) for u in g.nodes}
+
+
+class TestSampleSet:
+    @pytest.mark.parametrize("data, nodes, scale, message", [
+        (np.ones((5, 2)), ("a",), "raw", "shape"),
+        (np.ones(5), ("a",), "raw", "shape"),
+        (np.ones((1, 2)), ("a", "b"), "raw", "two observations"),
+        (np.array([[1.0, 2.0], [np.nan, 1.0]]), ("a", "b"), "raw", "non-finite"),
+        (np.array([[1.0, 2.0], [np.inf, 1.0]]), ("a", "b"), "raw", "non-finite"),
+        (np.ones((3, 2)), ("a", "b"), "uniform", "scale tag"),
+        (np.array([[1.0, 2.0], [0.0, 1.0]]), ("a", "b"), "pareto", "strictly positive"),
+    ])
+    def test_bad_table_rejected(self, data, nodes, scale, message):
+        with pytest.raises(ValueError, match=message):
+            SampleSet(data, nodes, scale)
+
+    def test_unknown_column(self):
+        with pytest.raises(UnknownNodeError, match="'c'"):
+            SampleSet(np.ones((3, 2)), ("a", "b")).column("c")
 
 
 class TestRankTransform:
@@ -278,6 +297,17 @@ class TestFitDelta:
             fit_delta(g, spacings)
         assert err.value.exit_code == 3
 
+    @pytest.mark.parametrize("rows", [np.zeros((1, 5)), np.zeros((0, 5)), np.zeros(5)])
+    def test_fewer_than_two_spacing_rows_rejected(self, fig2_graph, rows):
+        spacings = {u: np.zeros((10, 5)) for u in fig2_graph.nodes}
+        spacings["3"] = rows
+        with pytest.raises(ValueError, match="anchor '3'.*two rows"):
+            fit_delta(fig2_graph, spacings)
+
+    def test_no_covariance_rejected(self, fig2_graph):
+        with pytest.raises(ValueError, match="at least one anchor"):
+            fit_delta_from_covariances(fig2_graph, {})
+
     def test_graph_without_edges_fits_to_nothing(self):
         g = build_block_graph(["a"], [])
         res = fit_delta_from_covariances(g, {"a": np.zeros((0, 0))}, {"a": np.zeros(0)})
@@ -311,7 +341,7 @@ class TestFitDelta:
         for u in fig2_graph.nodes:
             lim = gaussian_limit(fig2_family, u)
             covs[u], means[u] = lim.cov, lim.mean
-        res = fit_delta_from_covariances(fig2_graph, covs, means, mean_weight=2.0)
+        res = fit_delta_from_covariances(fig2_graph, covs, means)
         for e, v in FIG2_DELTA.items():
             assert res.delta2_hat[e] == pytest.approx(v, abs=1e-9)
 
@@ -363,61 +393,6 @@ class TestFitDelta:
                     fit_delta_from_covariances(g, covs, means)):
             for e, v in fam.edge_params.items():
                 assert res.delta2_hat[e] == pytest.approx(v, abs=1e-7)
-
-    @pytest.mark.parametrize("weights, name", [
-        ({"anchor_weights": {"1": -1.0, "2": 1.0}}, "anchor '1'"),
-        ({"anchor_weights": {"1": float("nan"), "2": 1.0}}, "anchor '1'"),
-        ({"anchor_weights": {"1": 1.0, "2": float("inf")}}, "anchor '2'"),
-        ({"anchor_weights": {"1": 1.0}}, "anchor '2'"),
-        ({"mean_weight": -1.0}, "mean_weight"),
-        ({"mean_weight": float("nan")}, "mean_weight"),
-        ({"mean_weight": float("inf")}, "mean_weight"),
-        ({"anchor_weights": {"1": 0.0, "2": 1.0}, "mean_weight": 0.0}, None),
-    ])
-    def test_weights_validated(self, fig2_graph, fig2_family, weights, name):
-        limits = {u: gaussian_limit(fig2_family, u) for u in ("1", "2")}
-        covs = {u: lim.cov for u, lim in limits.items()}
-        means = {u: lim.mean for u, lim in limits.items()}
-        if name is None:  # zero weights are allowed
-            res = fit_delta_from_covariances(fig2_graph, covs, means, **weights)
-            for e, v in FIG2_DELTA.items():
-                assert res.delta2_hat[e] == pytest.approx(v, abs=1e-9)
-            return
-        with pytest.raises(ValueError, match=name):
-            fit_delta_from_covariances(fig2_graph, covs, means, **weights)
-
-    def test_zero_weights_name_every_edge_before_the_gram(self, fig2_graph, fig2_family,
-                                                          monkeypatch):
-        # with every node observed, one anchor of positive weight identifies
-        # every edge; with none, no edge is identified, which is known from
-        # the weights before G is assembled
-        import extreme_blocks.fit as fit_mod
-
-        def refuse(*args):
-            raise AssertionError("G assembled for weights that identify nothing")
-
-        monkeypatch.setattr(fit_mod, "_normal_equations", refuse)
-        covs = {u: gaussian_limit(fig2_family, u).cov for u in ("1", "2")}
-        with pytest.raises(UnderdeterminedError, match="every anchor weight is 0") as err:
-            fit_delta_from_covariances(fig2_graph, covs, anchor_weights={"1": 0.0, "2": 0.0})
-        assert err.value.null_edges == fig2_graph.edges_sorted()
-        assert err.value.exit_code == 3
-
-    def test_rank_deficient_fit_stays_small(self):
-        # zero weights on every anchor leave no information, which is
-        # known from the weights alone: neither the tall design nor G is
-        # formed
-        g = build_block_graph(*clique_tree_edges(np.random.default_rng(5), 21))
-        covs = {u: np.eye(20) for u in g.nodes}
-        tracemalloc.start()
-        try:
-            with pytest.raises(UnderdeterminedError):
-                fit_delta_from_covariances(g, covs, anchor_weights={u: 0.0 for u in g.nodes})
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the square U of the 8400-row design alone would take 564 MB
-        assert peak < 64e6
 
     def test_exact_fit_memory_stays_small(self):
         # a stacked design and its thin U would trace about 130 MB here;
@@ -477,23 +452,19 @@ class TestFitDelta:
             noise = rng.normal(0.0, 0.3, (m, m))
             covs[u] = lim.cov + (noise + noise.T) / 2
             means[u] = lim.mean + rng.normal(0.0, 0.3, m)
-        weights = {u: float(w) for u, w in zip(g.nodes, rng.uniform(0.2, 3.0, len(g.nodes)))}
-        mean_weight = float(rng.uniform(0.2, 3.0))
         for given in (None, means):
             rows, target = [], []
             for u in g.nodes:
                 coeffs = sigma_coefficient_matrix(g, u)
-                rows.append(np.sqrt(weights[u]) * coeffs.reshape(m * m, -1))
-                target.append(np.sqrt(weights[u]) * covs[u].reshape(-1))
+                rows.append(coeffs.reshape(m * m, -1))
+                target.append(covs[u].reshape(-1))
                 if given is not None:
-                    lam = np.sqrt(weights[u] * mean_weight)
-                    rows.append(lam * -0.5 * np.diagonal(coeffs).T)
-                    target.append(lam * given[u])
+                    rows.append(-0.5 * np.diagonal(coeffs).T)
+                    target.append(given[u])
             design, target = np.vstack(rows), np.concatenate(target)
             expect = scipy.optimize.nnls(design, target)[0]
             resid = design @ expect - target
-            res = fit_delta_from_covariances(g, covs, given, anchor_weights=weights,
-                                             mean_weight=mean_weight)
+            res = fit_delta_from_covariances(g, covs, given)
             got = res.as_vector(g)
             np.testing.assert_allclose(got, expect, rtol=1e-9, atol=1e-9 * np.abs(expect).max())
             assert res.objective == pytest.approx(resid @ resid, rel=1e-9)

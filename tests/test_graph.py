@@ -92,6 +92,10 @@ class TestBuild:
         with pytest.raises(UnknownNodeError):
             build_block_graph(["a", "b"], [("a", "c")])
 
+    def test_empty_graph_rejected(self):
+        with pytest.raises(UnknownNodeError, match="at least one node"):
+            build_block_graph([], [])
+
     def test_single_node_degenerate(self):
         g = build_block_graph(["solo"], [])
         assert g.nodes == ("solo",)
@@ -158,6 +162,12 @@ class TestShortestPath:
                     per_clique[ci] = per_clique.get(ci, 0) + 1
                 assert all(k == 1 for k in per_clique.values())
 
+
+    def test_clique_of_a_non_edge_raises(self, fig1_graph):
+        # 0 and 3 lie in different cliques; 0 - 0 is no edge either
+        for a, b in (("0", "3"), ("3", "0"), ("0", "0")):
+            with pytest.raises(KeyError):
+                fig1_graph.clique_of_edge(a, b)
 
 class TestSeparatorNode:
     def test_fig1_examples(self, fig1_graph):

@@ -44,6 +44,27 @@ class TestGraphJson:
             ebio.load_graph_json(path)
 
 
+    @pytest.mark.parametrize("entry", ['["a"]', '["a", "b", "c"]', '"ab"', '{"a": "b"}', "3"])
+    def test_edge_entry_not_a_pair_rejected(self, tmp_path, entry):
+        path = tmp_path / "g.json"
+        path.write_text(f'{{"nodes": ["a", "b", "c"], "edges": [{entry}]}}')
+        with pytest.raises(ValueError, match="pairs"):
+            ebio.load_graph_json(path)
+
+
+class TestMaskJson:
+    def test_round_trip(self, tmp_path):
+        path = tmp_path / "mask.json"
+        path.write_text('{"latent": ["3", 4]}')
+        assert ebio.load_mask_json(path) == ["3", "4"]
+
+    @pytest.mark.parametrize("doc", ['["3"]', '{}', '{"latent": "3"}', '{"hidden": ["3"]}'])
+    def test_malformed_rejected(self, tmp_path, doc):
+        path = tmp_path / "mask.json"
+        path.write_text(doc)
+        with pytest.raises(ValueError, match="'latent' list"):
+            ebio.load_mask_json(path)
+
 class TestParamsJson:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "p.json"
@@ -119,6 +140,20 @@ class TestMatrixCsv:
         with pytest.raises(ValueError, match="'c'"):
             ebio.read_matrix_csv(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty matrix file"),
+        ("\n\n", "empty matrix file"),
+        ("a,b\na,0,1\nb,1,0\n", "empty header cell"),
+        ("x,a,b\na,0,1\nb,1,0\n", "empty header cell"),
+        (",a,b\na,0,1\n", "row count"),
+        (",a,b\n", "row count"),
+    ])
+    def test_malformed_rejected(self, tmp_path, text, message):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            ebio.read_matrix_csv(path)
+
     def test_wide_row_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text(",a,b\na,0,1,2\nb,1,0,2\n")
@@ -149,6 +184,13 @@ class TestSamplesCsv:
         path = tmp_path / "s.csv"
         path.write_text("x,y\n")
         with pytest.raises(ValueError):
+            ebio.read_samples_csv(path)
+
+    @pytest.mark.parametrize("text", ["", "\n1,2\n"])
+    def test_no_header_rejected(self, tmp_path, text):
+        path = tmp_path / "s.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="empty samples file"):
             ebio.read_samples_csv(path)
 
     def test_ragged_row_named(self, tmp_path):
@@ -220,6 +262,13 @@ class TestMatrixJson:
         ebio.dump_matrix_json(path, ("a", "b"), np.array([1.5, -2.0]))
         nodes, back = ebio.load_matrix_json(path)
         assert back.shape == (2,)
+
+    @pytest.mark.parametrize("doc", ['[[1.0]]', '{"nodes": ["a"]}', '{"values": [1.0]}', '3'])
+    def test_malformed_rejected(self, tmp_path, doc):
+        path = tmp_path / "m.json"
+        path.write_text(doc)
+        with pytest.raises(ValueError, match="'nodes' and 'values'"):
+            ebio.load_matrix_json(path)
 
     def test_shape_mismatch_rejected(self, tmp_path):
         path = tmp_path / "m.json"

@@ -8,6 +8,7 @@ from extreme_blocks import (
     NotIdentifiableError,
     ObservationMask,
     PathSumMatrix,
+    UnknownNodeError,
     build_block_graph,
     check_identifiable,
     nonidentifiable_witness,
@@ -72,6 +73,15 @@ class TestCheckIdentifiable:
         assert not ok and offending == ("6",)
 
 
+class TestObservationMask:
+    def test_unknown_latent_node_rejected(self, fig4_graph):
+        with pytest.raises(UnknownNodeError, match="'9'"):
+            ObservationMask.from_latent(fig4_graph, ["3", "9"])
+
+    def test_every_node_latent_rejected(self, fig4_graph):
+        with pytest.raises(ValueError, match="at least one node must be observed"):
+            ObservationMask.from_latent(fig4_graph, fig4_graph.nodes)
+
 class TestRecoverPathSums:
     def test_fig4_three_anchor_identity(self, fig4_graph, fig4_family):
         p = path_sum_matrix(fig4_family)
@@ -97,6 +107,36 @@ class TestRecoverPathSums:
         mask = ObservationMask.from_latent(fig4_graph, ["1"])
         with pytest.raises(NotIdentifiableError):
             recover_path_sums(fig4_graph, p.restrict(mask.observed), mask)
+
+    @pytest.mark.parametrize("latent", [["3", "1"], []])
+    def test_observed_nodes_must_match_the_mask(self, fig4_graph, fig4_family, latent):
+        p = path_sum_matrix(fig4_family)
+        mask = ObservationMask.from_latent(fig4_graph, ["3"])
+        other = ObservationMask.from_latent(fig4_graph, latent)
+        with pytest.raises(ValueError, match="observed set"):
+            recover_path_sums(fig4_graph, p.restrict(other.observed), mask)
+
+    def test_nonzero_diagonal_rejected(self, fig4_graph, fig4_family):
+        mask = ObservationMask.from_latent(fig4_graph, ["3"])
+        obs = path_sum_matrix(fig4_family).restrict(mask.observed)
+        bad = obs.values.copy()
+        bad[2, 2] = 1e-3
+        with pytest.raises(InconsistentInputError, match="nonzero diagonal"):
+            recover_path_sums(fig4_graph, PathSumMatrix(obs.nodes, bad), mask)
+
+    def test_anchor_quadruples_that_disagree_rejected(self):
+        # a latent hub h in four cliques: each edge h - a has three anchor
+        # pairs from the other directions, and a shifted p(b, c) moves the
+        # value of the pair (b, c) alone
+        g = build_block_graph(list("abcdh"), [(v, "h") for v in "abcd"])
+        fam = validate_delta(g, {("a", "h"): 0.5, ("b", "h"): 0.7, ("c", "h"): 0.9, ("d", "h"): 1.1})
+        mask = ObservationMask.from_latent(g, ["h"])
+        obs = path_sum_matrix(fam).restrict(mask.observed)
+        bad = obs.values.copy()
+        i, j = obs.index("b"), obs.index("c")
+        bad[i, j] = bad[j, i] = bad[i, j] + 0.05
+        with pytest.raises(InconsistentInputError, match="across anchor quadruples"):
+            recover_path_sums(g, PathSumMatrix(obs.nodes, bad), mask)
 
     def test_corrupted_input_detected(self, fig4_graph, fig4_family):
         p = path_sum_matrix(fig4_family)

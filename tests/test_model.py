@@ -290,6 +290,11 @@ class TestCheckCnd:
         with pytest.raises(NotSymmetricError):
             check_cnd(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 2)])
+    def test_not_square(self, shape):
+        with pytest.raises(NotSymmetricError, match="square"):
+            check_cnd(np.zeros(shape))
+
     @pytest.mark.parametrize("seed", range(4))
     def test_path_sum_matrices_are_cnd(self, seed):
         rng = np.random.default_rng(40 + seed)

@@ -1,4 +1,3 @@
-import dataclasses
 import inspect
 import math
 
@@ -9,7 +8,7 @@ from hypothesis import strategies as st
 
 import extreme_blocks.mvn as mvn
 from extreme_blocks import (
-    DimensionCapError, MvnResult, MvnSpec, NotPDError, mvn_cdf, std_normal_cdf,
+    DimensionCapError, MvnResult, NotPDError, mvn_cdf, std_normal_cdf,
 )
 
 # frozen from a 30-digit erf evaluation
@@ -30,24 +29,24 @@ LATTICE = {name: arg.default for name, arg in inspect.signature(mvn_cdf).paramet
            if name in ("randomizations", "start_points", "max_points")}
 
 
-def lattice(spec, seed=0, randomizations=LATTICE["randomizations"],
+def lattice(upper, cov, weights=None, *, rel_tol=1e-6, seed=0,
+            randomizations=LATTICE["randomizations"],
             start_points=LATTICE["start_points"], max_points=LATTICE["max_points"]):
     """mvn_cdf's randomized lattice path, which d >= 4 takes and d = 2, 3
     take only when the closed forms miss rel_tol, with mvn_cdf's defaults."""
-    upper, cov, weights = mvn._stack(spec)
-    return mvn._lattice_sum(upper, cov, weights, spec.rel_tol, seed,
+    return mvn._lattice_sum(*mvn._stack(upper, cov, weights), rel_tol, seed,
                             randomizations, start_points, max_points)
 
 
-def per_shift_cdf(spec, seed, randomizations=LATTICE["randomizations"],
+def per_shift_cdf(upper, cov, rel_tol, seed, randomizations=LATTICE["randomizations"],
                   start_points=LATTICE["start_points"], max_points=LATTICE["max_points"]):
     """Reference copy of the lattice loop that runs each random shift in its
     own integrand calls of at most 2**14 rows, with the error at the t
     quantile; returns (value, error, points). The n-point lattice is
     {k z / n : k < n}; a doubling to n points adds its odd k."""
     from scipy.special import stdtrit
-    d = len(spec.upper)
-    L, b = mvn._ordered_cholesky(spec.cov, spec.upper)
+    d = len(upper)
+    L, b = mvn._ordered_cholesky(cov, upper)
     z = [int(c) for c in mvn._LATTICE_Z[: d - 1]]
     shifts = np.random.Generator(np.random.Philox(key=seed)).random((randomizations, d - 1))
     sums, n = np.zeros(randomizations), start_points
@@ -62,7 +61,7 @@ def per_shift_cdf(spec, seed, randomizations=LATTICE["randomizations"],
         value = float(means.mean())
         spread = float(means.std(ddof=1)) / math.sqrt(randomizations)
         err = stdtrit(randomizations - 1, 0.99865) * spread
-        if err <= spec.rel_tol * value or n >= max_points:
+        if err <= rel_tol * value or n >= max_points:
             return value, err, n * randomizations
         n *= 2
         new = range(1, n, 2)
@@ -87,7 +86,7 @@ class TestStdNormal:
 
 class TestMvnCdf:
     def test_dim1_delegates_exactly(self):
-        res = mvn_cdf(MvnSpec(np.array([1.3]), np.array([[4.0]])))
+        res = mvn_cdf(np.array([1.3]), np.array([[4.0]]))
         assert res.value == std_normal_cdf(1.3 / 2.0)
         assert res.error == 0.0
         assert res.converged
@@ -95,19 +94,19 @@ class TestMvnCdf:
     def test_diagonal_factorizes(self):
         cov = np.diag([1.0, 4.0, 0.25])
         upper = np.array([0.3, -0.2, 1.1])
-        res = mvn_cdf(MvnSpec(upper, cov))
+        res = mvn_cdf(upper, cov)
         prod = (std_normal_cdf(0.3) * std_normal_cdf(-0.1) * std_normal_cdf(2.2))
         assert abs(res.value - prod) <= 1e-10
 
     def test_dim2_orthant_third(self):
         cov = np.array([[1.0, 0.5], [0.5, 1.0]])
-        res = mvn_cdf(MvnSpec(np.zeros(2), cov, rel_tol=1e-6))
+        res = mvn_cdf(np.zeros(2), cov, rel_tol=1e-6)
         assert abs(res.value - 1.0 / 3.0) <= 1e-6 / 3.0 * 3  # 1e-6 relative
 
     @pytest.mark.parametrize("rho", [-0.9, -0.5, 0.0, 0.5, 0.9])
     def test_dim2_arcsine_family(self, rho):
         cov = np.array([[1.0, rho], [rho, 1.0]])
-        res = mvn_cdf(MvnSpec(np.zeros(2), cov, rel_tol=1e-6))
+        res = mvn_cdf(np.zeros(2), cov, rel_tol=1e-6)
         exact = orthant_exact(rho)
         assert abs(res.value - exact) <= 1e-6 * exact
         assert res.converged
@@ -128,21 +127,21 @@ class TestMvnCdf:
     def test_not_pd_rejected(self):
         cov = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(NotPDError):
-            mvn_cdf(MvnSpec(np.zeros(2), cov))
+            mvn_cdf(np.zeros(2), cov)
 
     def test_asymmetric_rejected(self):
         cov = np.array([[1.0, 0.2], [0.4, 1.0]])
         with pytest.raises(NotPDError):
-            mvn_cdf(MvnSpec(np.zeros(2), cov))
+            mvn_cdf(np.zeros(2), cov)
 
     def test_dimension_cap(self):
         # the covariance is fine; only the lattice rule's dimension is capped
         with pytest.raises(DimensionCapError, match="cap of 25"):
-            mvn_cdf(MvnSpec(np.zeros(26), np.eye(26)))
+            mvn_cdf(np.zeros(26), np.eye(26))
 
     def test_tolerance_flag_when_budget_exhausted(self):
         cov = np.array([[1.0, 0.7], [0.7, 1.0]])
-        res = lattice(MvnSpec(np.array([0.2, -0.1]), cov, rel_tol=1e-14),
+        res = lattice(np.array([0.2, -0.1]), cov, rel_tol=1e-14,
                       start_points=256, max_points=512)
         assert not res.converged
         assert res.error > 0
@@ -162,7 +161,7 @@ class TestMvnCdf:
 
         monkeypatch.setattr(mvn, "_integrand", counted)
         cov = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
-        res = lattice(MvnSpec(np.array([0.4, -0.2, 1.1]), cov, rel_tol=rel_tol),
+        res = lattice(np.array([0.4, -0.2, 1.1]), cov, rel_tol=rel_tol,
                       randomizations=5, start_points=256, max_points=max_points)
         assert res.points > 5 * 256  # the lattice doubled
         assert sum(rows) == res.points
@@ -180,11 +179,11 @@ class TestMvnCdf:
         rng = np.random.default_rng([d, seed])
         a = rng.standard_normal((d, d))
         cov = a @ a.T + d * np.eye(d)
-        spec = MvnSpec(rng.standard_normal(d) + 0.5, cov, rel_tol=rel_tol)
-        value, err, points = per_shift_cdf(spec, seed)
-        res = lattice(spec, seed=seed)
+        upper = rng.standard_normal(d) + 0.5
+        value, err, points = per_shift_cdf(upper, cov, rel_tol, seed)
+        res = lattice(upper, cov, rel_tol=rel_tol, seed=seed)
         if d >= 4:  # mvn_cdf's only path from d = 4 on
-            assert mvn_cdf(spec, seed=seed) == res
+            assert mvn_cdf(upper, cov, rel_tol=rel_tol, seed=seed) == res
         assert res.points == points
         assert res.value == pytest.approx(value, rel=1e-14, abs=0)
         # the error is a spread of per-shift means a few ulps of the value
@@ -196,7 +195,7 @@ class TestMvnCdf:
     def test_bad_rel_tol_rejected(self, d, rel_tol):
         # a tolerance no estimate can meet would spend the whole point budget
         with pytest.raises(ValueError, match="rel_tol"):
-            mvn_cdf(MvnSpec(np.zeros(d), np.eye(d), rel_tol=rel_tol))
+            mvn_cdf(np.zeros(d), np.eye(d), rel_tol=rel_tol)
 
     @pytest.mark.parametrize("lattice, name", [
         ({"start_points": 0}, "start_points"),  # would never grow the lattice
@@ -206,25 +205,43 @@ class TestMvnCdf:
     ])
     def test_bad_lattice_rejected(self, lattice, name):
         with pytest.raises(ValueError, match=name):
-            mvn_cdf(MvnSpec(np.zeros(2), np.eye(2)), **lattice)
+            mvn_cdf(np.zeros(2), np.eye(2), **lattice)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(2)
         a = rng.standard_normal((5, 5))
         cov = a @ a.T + 5 * np.eye(5)
         upper = rng.standard_normal(5)
-        r1 = mvn_cdf(MvnSpec(upper, cov, rel_tol=1e-4), seed=11)
-        r2 = mvn_cdf(MvnSpec(upper, cov, rel_tol=1e-4), seed=11)
+        r1 = mvn_cdf(upper, cov, rel_tol=1e-4, seed=11)
+        r2 = mvn_cdf(upper, cov, rel_tol=1e-4, seed=11)
         assert r1.value == r2.value and r1.error == r2.error
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 64, -(1 << 64), 1.0, "3", None])
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_seed_outside_zero_to_two_to_the_64_rejected(self, d, seed):
+        # a seed is an integer in [0, 2**64); the key of -1 used to be
+        # masked to 2**128 - 1, the stream of another seed
+        with pytest.raises(ValueError, match="seed"):
+            mvn_cdf(np.zeros(d), np.eye(d), seed=seed)
+
+    def test_seed_range_ends_and_numpy_integers_accepted(self):
+        cov = np.array([[2.0, 0.5, 0.1, 0.0], [0.5, 1.0, 0.3, 0.2],
+                        [0.1, 0.3, 1.5, 0.4], [0.0, 0.2, 0.4, 1.0]])
+        upper = np.array([0.3, -0.2, 0.5, 0.1])
+        top = mvn_cdf(upper, cov, rel_tol=1e-3, seed=(1 << 64) - 1)
+        assert top.converged and top != mvn_cdf(upper, cov, rel_tol=1e-3, seed=0)
+        for seed in (np.int64(7), np.uint64(7)):
+            assert mvn_cdf(upper, cov, rel_tol=1e-3, seed=seed) == \
+                mvn_cdf(upper, cov, rel_tol=1e-3, seed=7)
 
     def test_minus_infinity_limit(self):
         cov = np.eye(2)
-        res = mvn_cdf(MvnSpec(np.array([-np.inf, 1.0]), cov))
+        res = mvn_cdf(np.array([-np.inf, 1.0]), cov)
         assert res.value == 0.0
 
     def test_monotone_in_limits(self):
         cov = np.array([[1.0, 0.4], [0.4, 1.0]])
-        vals = [mvn_cdf(MvnSpec(np.array([b, 0.3]), cov, rel_tol=1e-5)).value
+        vals = [mvn_cdf(np.array([b, 0.3]), cov, rel_tol=1e-5).value
                 for b in (-1.0, 0.0, 1.0, 2.0)]
         assert all(x < y for x, y in zip(vals, vals[1:]))
 
@@ -234,7 +251,7 @@ class TestTrivariateOrthant:
     def test_equicorrelated_closed_form(self, rho):
         cov = np.full((3, 3), rho)
         np.fill_diagonal(cov, 1.0)
-        res = mvn_cdf(MvnSpec(np.zeros(3), cov, rel_tol=1e-6))
+        res = mvn_cdf(np.zeros(3), cov, rel_tol=1e-6)
         exact = trivariate_orthant_exact(rho)
         assert res.converged
         assert abs(res.value - exact) <= 1e-6 * exact
@@ -249,7 +266,7 @@ class TestDefaultStartAccuracy:
     def misses(upper, cov, exact, rel_tol, start_points):
         out = 0
         for seed in range(6):
-            res = lattice(MvnSpec(upper, cov, rel_tol=rel_tol), seed=seed,
+            res = lattice(upper, cov, rel_tol=rel_tol, seed=seed,
                           start_points=start_points)
             assert res.converged
             assert abs(res.value - exact) <= 2 * rel_tol * exact
@@ -273,7 +290,7 @@ class TestDefaultStartAccuracy:
 
 
 class TestStackedSpec:
-    """A spec may stack t terms of one dimension with nonnegative weights;
+    """A query may stack t terms of one dimension with nonnegative weights;
     mvn_cdf estimates sum_t w_t P(X_t <= upper_t) on one set of shifts."""
 
     @staticmethod
@@ -285,30 +302,30 @@ class TestStackedSpec:
     @pytest.mark.parametrize("d", [1, 3])
     def test_one_term_stack_is_the_plain_spec(self, d):
         upper, cov = self.random_terms(np.random.default_rng(d), 1, d)
-        plain = mvn_cdf(MvnSpec(upper[0], cov[0], rel_tol=1e-5), seed=3)
+        plain = mvn_cdf(upper[0], cov[0], rel_tol=1e-5, seed=3)
         for weights in (None, [1.0]):
-            stacked = mvn_cdf(MvnSpec(upper, cov, rel_tol=1e-5, weights=weights), seed=3)
+            stacked = mvn_cdf(upper, cov, rel_tol=1e-5, weights=weights, seed=3)
             assert stacked == plain
 
     def test_the_t_quantile_meets_the_tolerance(self):
         # under the former square-root-of-primes rule, three standard errors
         # over 10 shifts stopped this query at a true relative error of 1.51e-5
         cov = np.array([[1.0, 0.9], [0.9, 1.0]])
-        res = lattice(MvnSpec(np.zeros(2), cov, rel_tol=1e-5), seed=4)
+        res = lattice(np.zeros(2), cov, rel_tol=1e-5, seed=4)
         assert res.converged
         assert abs(res.value - orthant_exact(0.9)) <= 1e-5 * orthant_exact(0.9)
 
     def test_weighted_sum_of_closed_forms(self):
         rhos, weights = [-0.5, 0.2, 0.9], np.array([0.3, 1.7, 1.0])
         cov = np.array([[[1.0, r], [r, 1.0]] for r in rhos])
-        res = mvn_cdf(MvnSpec(np.zeros((3, 2)), cov, rel_tol=1e-6, weights=weights), seed=1)
+        res = mvn_cdf(np.zeros((3, 2)), cov, rel_tol=1e-6, weights=weights, seed=1)
         exact = sum(w * orthant_exact(r) for w, r in zip(weights, rhos))
         assert res.converged
         assert abs(res.value - exact) <= 1e-6 * exact
 
     def test_d1_stack_is_exact(self):
         upper, var, weights = np.array([[0.3], [-1.2]]), np.array([[[4.0]], [[0.5]]]), [2.0, 0.5]
-        res = mvn_cdf(MvnSpec(upper, var, weights=weights))
+        res = mvn_cdf(upper, var, weights=weights)
         exact = 2.0 * std_normal_cdf(0.15) + 0.5 * std_normal_cdf(-1.2 / math.sqrt(0.5))
         assert res == MvnResult(exact, 0.0, True, 0)
 
@@ -320,17 +337,17 @@ class TestStackedSpec:
         monkeypatch.setattr(mvn, "_integrand",
                             lambda L, b, w: rows.append(w.shape[1]) or real(L, b, w))
         upper, cov = self.random_terms(np.random.default_rng(5), 3, 4)
-        alone = mvn_cdf(MvnSpec(upper[0], cov[0], rel_tol=1e-4), seed=2)
+        alone = mvn_cdf(upper[0], cov[0], rel_tol=1e-4, seed=2)
         upper[1, 2] = -np.inf
         rows.clear()
-        res = mvn_cdf(MvnSpec(upper, cov, rel_tol=1e-4, weights=[1.0, 1.0, 0.0]), seed=2)
+        res = mvn_cdf(upper, cov, rel_tol=1e-4, weights=[1.0, 1.0, 0.0], seed=2)
         assert res == alone
         assert sum(rows) == res.points > 0
         for d in range(1, 5):
             upper, cov = self.random_terms(np.random.default_rng(d), 2, d)
             upper[0, -1] = -np.inf
             rows.clear()
-            nothing = mvn_cdf(MvnSpec(upper, cov, weights=[1.0, 0.0]))
+            nothing = mvn_cdf(upper, cov, weights=[1.0, 0.0])
             assert nothing == MvnResult(0.0, 0.0, True, 0)
             assert rows == []
 
@@ -339,14 +356,14 @@ class TestStackedSpec:
         # a term that adds nothing is dropped before its variance or
         # Cholesky factor is looked at, in every dimension
         upper, cov = self.random_terms(np.random.default_rng(10 + d), 3, d)
-        alone = mvn_cdf(MvnSpec(upper[0], cov[0], rel_tol=1e-4), seed=1)
+        alone = mvn_cdf(upper[0], cov[0], rel_tol=1e-4, seed=1)
         cov[1] = 0.0
         cov[2] = -np.eye(d)
         upper[2, 0] = -np.inf
-        res = mvn_cdf(MvnSpec(upper, cov, rel_tol=1e-4, weights=[1.0, 0.0, 2.0]), seed=1)
+        res = mvn_cdf(upper, cov, rel_tol=1e-4, weights=[1.0, 0.0, 2.0], seed=1)
         assert res == alone
         with pytest.raises(NotPDError):
-            mvn_cdf(MvnSpec(upper[1:2], cov[1:2], rel_tol=1e-4))
+            mvn_cdf(upper[1:2], cov[1:2], rel_tol=1e-4)
 
     def test_the_noisiest_term_doubles(self, monkeypatch):
         # a term whose integrand is nearly constant keeps its starting
@@ -363,7 +380,7 @@ class TestStackedSpec:
         monkeypatch.setattr(mvn, "_integrand", counted)
         cov = np.array([[[1.0, 0.6, 0.3], [0.6, 1.0, 0.5], [0.3, 0.5, 1.0]]] * 2)
         upper = np.array([[0.1, 0.2, 0.3], [9.0, 8.0, 7.0]])
-        res = lattice(MvnSpec(upper, cov, rel_tol=1e-6), randomizations=5, start_points=256)
+        res = lattice(upper, cov, rel_tol=1e-6, randomizations=5, start_points=256)
         assert res.converged
         assert rows[9.0] == 5 * 256
         assert rows[0.3] > 5 * 256
@@ -371,7 +388,7 @@ class TestStackedSpec:
 
     def test_unconverged_only_when_no_term_can_double(self):
         upper, cov = self.random_terms(np.random.default_rng(6), 3, 3)
-        res = lattice(MvnSpec(upper, cov, rel_tol=1e-14), randomizations=4,
+        res = lattice(upper, cov, rel_tol=1e-14, randomizations=4,
                       start_points=128, max_points=512)
         assert not res.converged
         assert res.points == 3 * 512 * 4
@@ -389,7 +406,7 @@ class TestStackedSpec:
     ])
     def test_bad_stack_rejected(self, upper, cov, weights):
         with pytest.raises(ValueError):
-            mvn_cdf(MvnSpec(upper, cov, weights=weights))
+            mvn_cdf(upper, cov, weights=weights)
 
     @pytest.mark.parametrize("d", [1, 3])
     @pytest.mark.parametrize("where", ["upper", "cov-nan", "cov-inf"])
@@ -406,7 +423,7 @@ class TestStackedSpec:
         else:
             cov[0, 0] = math.nan if where == "cov-nan" else math.inf
         with pytest.raises(ValueError, match="upper" if where == "upper" else "covariance"):
-            mvn_cdf(MvnSpec(upper, cov))
+            mvn_cdf(upper, cov)
 
     @pytest.mark.parametrize("bad", [
         [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]],  # not positive definite
@@ -415,7 +432,7 @@ class TestStackedSpec:
     def test_bad_covariance_in_any_term_rejected(self, bad):
         cov = np.stack([np.eye(3), np.array(bad), np.eye(3)])
         with pytest.raises(NotPDError):
-            mvn_cdf(MvnSpec(np.zeros((3, 3)), cov))
+            mvn_cdf(np.zeros((3, 3)), cov)
 
 
 def bvn_by_quad(h, k, r):
@@ -460,7 +477,7 @@ class TestClosedForms:
         from scipy.stats import multivariate_normal
         sd = np.sqrt(scale)
         cov = np.array([[scale[0], r * sd[0] * sd[1]], [r * sd[0] * sd[1], scale[1]]])
-        res = mvn_cdf(MvnSpec(np.array([h, k]) * sd, cov, rel_tol=1e-6), max_points=1 << 10)
+        res = mvn_cdf(np.array([h, k]) * sd, cov, rel_tol=1e-6, max_points=1 << 10)
         if min(h, k) >= -2.0 and r >= -0.5:
             assert res.points == 0
         if res.points == 0:
@@ -513,27 +530,38 @@ class TestClosedForms:
         cov = np.array([[[1.0, -0.3], [-0.3, 1.0]]] * 2)
         upper = np.array([[0.4, -0.3], [-5.0, -5.0]])
         exact = np.array([bvn_by_quad(*u, -0.3)[0] for u in upper])
-        ordinary = mvn_cdf(MvnSpec(upper[0], cov[0], rel_tol=1e-4))
-        far = mvn_cdf(MvnSpec(upper[1], cov[1], rel_tol=1e-4))
+        ordinary = mvn_cdf(upper[0], cov[0], rel_tol=1e-4)
+        far = mvn_cdf(upper[1], cov[1], rel_tol=1e-4)
         assert ordinary.points == 0 and far.points > 0
         weights = np.array([1e-20, 1.0])
-        res = mvn_cdf(MvnSpec(upper, cov, rel_tol=1e-4, weights=weights), seed=3)
+        res = mvn_cdf(upper, cov, rel_tol=1e-4, weights=weights, seed=3)
         assert res.converged and res.points > 0
         assert abs(res.value - weights @ exact) <= 1e-4 * (weights @ exact)
         # weighted the other way, the ordinary term carries the stack
-        res = mvn_cdf(MvnSpec(upper, cov, rel_tol=1e-4, weights=weights[::-1]), seed=3)
+        res = mvn_cdf(upper, cov, rel_tol=1e-4, weights=weights[::-1], seed=3)
         assert res.points == 0
         assert abs(res.value - weights[::-1] @ exact) <= res.error + 1e-15
 
+    def test_unconverged_far_tail_stops_at_the_default_budget(self):
+        # Phi_2(-7, -7.5; 0.3) = 1.28e-20: the closed form's bound misses
+        # 1e-6 relative and falls back to the lattice, which cannot meet it
+        # either. The budget is 2**20 points per shift, so the one term
+        # stops after 20 * 2**20 rows (2**21 per shift spent twice that).
+        cov = np.array([[1.0, 0.3], [0.3, 1.0]])
+        res = mvn_cdf(np.array([-7.0, -7.5]), cov, rel_tol=1e-6)
+        assert not res.converged
+        assert res.points == LATTICE["randomizations"] * 2**20 == 20 * 2**20
+        assert res.value == pytest.approx(bvn_by_quad(-7.0, -7.5, 0.3)[0], rel=1e-5)
+
     def test_far_tail_query_falls_back_and_meets_its_tolerance(self):
         cov = np.array([[1.0, -0.3], [-0.3, 1.0]])
-        res = mvn_cdf(MvnSpec(np.array([-5.0, -5.5]), cov, rel_tol=1e-4), seed=1)
+        res = mvn_cdf(np.array([-5.0, -5.5]), cov, rel_tol=1e-4, seed=1)
         exact = bvn_by_quad(-5.0, -5.5, -0.3)[0]
         assert res.points > 0 and res.converged
         assert abs(res.value - exact) <= 1e-4 * exact
 
 
-def stack_by_quad(spec):
+def stack_by_quad(upper, cov, weights):
     """sum_t w_t Phi_4(upper_t; cov_t) of a stack of dimension 4 as one
     adaptive quadrature line; returns (value, error).
 
@@ -545,15 +573,15 @@ def stack_by_quad(spec):
     """
     from scipy.integrate import quad
     cut = 9.0
-    sd = np.sqrt(np.diagonal(spec.cov, axis1=1, axis2=2))
-    h = spec.upper / sd
-    corr = spec.cov / (sd[:, :, None] * sd[:, None, :])
+    sd = np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
+    h = upper / sd
+    corr = cov / (sd[:, :, None] * sd[:, None, :])
     r0 = corr[:, 0, 1:]
     s = np.sqrt((1.0 - r0) * (1.0 + r0))
     cond = (corr[:, 1:, 1:] - r0[:, :, None] * r0[:, None, :]) / (s[:, :, None] * s[:, None, :])
     cond[:, range(3), range(3)] = 1.0
     top = np.clip(h[:, 0], -cut, cut)
-    scale = spec.weights * (top + cut) / math.sqrt(2 * math.pi)
+    scale = weights * (top + cut) / math.sqrt(2 * math.pi)
     bound = [0.0]
 
     def line(u):
@@ -564,7 +592,7 @@ def stack_by_quad(spec):
         return float(wphi @ value)
 
     val, err, *_ = quad(line, 0.0, 1.0, epsabs=1e-300, epsrel=1e-10, limit=400, full_output=1)
-    return val, err + bound[0] + 2.0 * spec.weights.sum() * std_normal_cdf(-cut)
+    return val, err + bound[0] + 2.0 * weights.sum() * std_normal_cdf(-cut)
 
 
 class TestEmbeddedLattice:
@@ -603,14 +631,14 @@ class TestEmbeddedLattice:
         monkeypatch.setattr(mvn, "_lattice_numerators", refuse)
         monkeypatch.setattr(mvn, "_integrand", refuse)
         with pytest.raises(ValueError, match=option):
-            mvn_cdf(MvnSpec(np.zeros(4), np.eye(4)), **{option: (1 << 31) + 1})
+            mvn_cdf(np.zeros(4), np.eye(4), **{option: (1 << 31) + 1})
 
     @pytest.mark.parametrize("rel_tol", [1e-4, 1e-5])
     def test_error_covers_stdf_stacks(self, rel_tol, stdf_references):
         over = missed = runs = 0
-        for spec, ref in stdf_references:
+        for stack, ref in stdf_references:
             for seed in range(4):
-                res = mvn_cdf(dataclasses.replace(spec, rel_tol=rel_tol), seed=seed)
+                res = mvn_cdf(*stack, rel_tol=rel_tol, seed=seed)
                 assert res.converged and res.points > 0
                 runs += 1
                 over += abs(res.value - ref) > res.error
@@ -628,10 +656,10 @@ def stdf_references():
     import extreme_blocks.dist as dist
     from extreme_blocks import build_block_graph, path_sum_matrix, stdf_hr_detailed
     from gen import clique_tree_edges, random_delta
-    specs = []
+    stacks = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dist, "mvn_cdf", lambda spec, seed: specs.append(spec)
-                   or MvnResult(0.0, 0.0, True, 0))
+        mp.setattr(dist, "mvn_cdf", lambda upper, cov, weights, **options:
+                   stacks.append((upper, cov, weights)) or MvnResult(0.0, 0.0, True, 0))
         for i in range(100):
             rng = np.random.default_rng([41, i])
             g = build_block_graph(*clique_tree_edges(rng, 12))
@@ -639,9 +667,9 @@ def stdf_references():
             nodes = rng.choice(g.nodes, 5, replace=False)
             stdf_hr_detailed(p, dict(zip(nodes, rng.uniform(0.2, 2.0, 5))))
     out = []
-    for spec in specs:
-        assert spec.upper.shape == (5, 4)
-        value, error = stack_by_quad(spec)
+    for stack in stacks:
+        assert stack[0].shape == (5, 4)
+        value, error = stack_by_quad(*stack)
         assert error <= 1e-8 * value
-        out.append((spec, value))
+        out.append((stack, value))
     return out

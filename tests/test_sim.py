@@ -165,6 +165,29 @@ class TestLimitField:
         b = sample_limit_field(fig2_family, "1", 100, 2).matrix
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed", [-1, 1 << 64, 2.0, "1", None])
+    def test_seed_outside_zero_to_two_to_the_64_rejected(self, fig2_family, seed):
+        # seed -1 used to give the stream of 2**64 - 1, bit for bit
+        draws = [lambda: sample_limit_field(fig2_family, "1", 5, seed),
+                 lambda: sample_limit_field(fig2_family, "1", 5, seed, threads=2),
+                 lambda: sample_increments(fig2_family, "1", seed),
+                 lambda: sample_pareto_conditioned(fig2_family, "1", 5, seed),
+                 lambda: mc_stdf(fig2_family, "1", np.ones(6), 5, seed)]
+        for draw in draws:
+            with pytest.raises(ValueError, match="seed"):
+                draw()
+
+    def test_seed_range_ends_accepted(self, fig2_family):
+        top = sample_limit_field(fig2_family, "1", 5, (1 << 64) - 1).matrix
+        assert not np.array_equal(top, sample_limit_field(fig2_family, "1", 5, 0).matrix)
+        assert np.array_equal(sample_limit_field(fig2_family, "1", 5, np.uint64(9)).matrix,
+                              sample_limit_field(fig2_family, "1", 5, 9).matrix)
+
+    def test_no_draws_rejected(self, fig2_family):
+        for n in (0, -3):
+            with pytest.raises(ValueError, match="at least one draw"):
+                sample_limit_field(fig2_family, "1", n, 1)
+
     @pytest.mark.parametrize("draw", [
         lambda fam: sample_limit_field(fam, "3", 5, 1),
         lambda fam: sample_limit_field(fam, "3", 5, 1, threads=2),
@@ -282,6 +305,11 @@ class TestMcStdf:
     @pytest.mark.parametrize("x", [{"1": 1.0, "2": math.nan}, [1.0, math.inf, 0, 0, 0, 0]])
     def test_non_finite_weights_rejected(self, fig2_family, x):
         with pytest.raises(ValueError, match="finite"):
+            mc_stdf(fig2_family, "1", x, 10, 1)
+
+    @pytest.mark.parametrize("x", [np.ones(5), np.ones(7), np.ones((2, 6))])
+    def test_weight_vector_of_the_wrong_length_rejected(self, fig2_family, x):
+        with pytest.raises(ValueError, match="node count"):
             mc_stdf(fig2_family, "1", x, 10, 1)
 
     def test_log_field_moments_are_gaussian(self, fig2_family):

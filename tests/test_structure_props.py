@@ -132,19 +132,17 @@ def test_covariance_coefficients_and_precision(case, data):
 @PROPS
 @given(any_graph(), st.data(), st.booleans())
 def test_gram_is_positive_definite_for_any_weighted_anchor(case, data, with_means):
-    # any anchor of positive weight fixes P (p_ui = Sigma_u,ii / 4) and P
-    # fixes every edge, so the fit needs no rank test. G does not depend
-    # on the moments' values, only on the weights; every single anchor is
-    # tried, since a larger set only adds positive semidefinite terms
-    g, _, seed = case
-    rng = np.random.default_rng(seed)
+    # any anchor fixes P (p_ui = Sigma_u,ii / 4) and P fixes every edge, so
+    # the fit needs no rank test. G does not depend on the moments' values,
+    # only on the anchors and on whether means are given; every single
+    # anchor is tried, since a larger set only adds positive semidefinite
+    # terms
+    g, _, _ = case
     drawn = data.draw(st.lists(st.sampled_from(g.nodes), min_size=1, unique=True))
     m = len(g.nodes) - 1
-    mean_weight = float(rng.uniform(0.2, 3.0)) if with_means else 0.0
     for anchors in [drawn] + [[u] for u in g.nodes]:
         moments = {u: (np.zeros((m, m)), np.zeros(m) if with_means else None) for u in anchors}
-        weights = {u: float(w) for u, w in zip(anchors, 10.0 ** rng.uniform(-3, 3, len(anchors)))}
-        gram, _ = _normal_equations(g, moments, weights, mean_weight)
+        gram, _ = _normal_equations(g, moments)
         np.linalg.cholesky(gram)
 
 
@@ -159,27 +157,23 @@ def test_gram_fit_matches_nnls_on_the_stacked_design(case, data, with_means):
     fam = random_delta(g, rng)
     anchors = data.draw(st.lists(st.sampled_from(g.nodes), min_size=1, unique=True))
     m = len(g.nodes) - 1
-    covs, means, weights = {}, {}, {}
+    covs, means = {}, {}
     for u in anchors:
         lim = gaussian_limit(fam, u)
         covs[u] = lim.cov + rng.normal(0.0, 0.3, (m, m))
         means[u] = lim.mean + rng.normal(0.0, 0.3, m)
-        weights[u] = float(rng.uniform(0.2, 3.0))
-    mean_weight = float(rng.uniform(0.2, 3.0))
     rows, target = [], []
     for u in anchors:
         coeffs = sigma_coefficient_matrix(g, u)
-        rows.append(np.sqrt(weights[u]) * coeffs.reshape(m * m, -1))
-        target.append(np.sqrt(weights[u]) * covs[u].reshape(-1))
+        rows.append(coeffs.reshape(m * m, -1))
+        target.append(covs[u].reshape(-1))
         if with_means:
-            lam = np.sqrt(weights[u] * mean_weight)
-            rows.append(lam * -0.5 * np.diagonal(coeffs).T)
-            target.append(lam * means[u])
+            rows.append(-0.5 * np.diagonal(coeffs).T)
+            target.append(means[u])
     design, target = np.vstack(rows), np.concatenate(target)
     expect = scipy.optimize.nnls(design, target)[0]
     resid = design @ expect - target
-    res = fit_delta_from_covariances(g, covs, means if with_means else None,
-                                     anchor_weights=weights, mean_weight=mean_weight)
+    res = fit_delta_from_covariances(g, covs, means if with_means else None)
     np.testing.assert_allclose(res.as_vector(g), expect, rtol=1e-9,
                                atol=1e-9 * np.abs(expect).max())
     assert res.objective == pytest.approx(resid @ resid, rel=1e-9, abs=1e-20)
