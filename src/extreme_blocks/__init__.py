@@ -17,7 +17,6 @@ from .errors import (
     InconsistentInputError,
     KOutOfRangeError,
     MissingEdgeParamError,
-    NodeNotInCliqueError,
     NonPositiveCoordinateError,
     NonPositiveParamError,
     NotBlockGraphError,
@@ -39,7 +38,6 @@ from .model import (
     GraphCheckReport,
     PathSumMatrix,
     check_cnd,
-    clique_limit_params,
     extremal_graph_check,
     gaussian_limit,
     path_sum_matrix,
@@ -61,7 +59,6 @@ from .dist import (
 from .sim import (
     FieldSample,
     IncrementDraw,
-    mc_stdf,
     sample_increments,
     sample_limit_field,
     sample_pareto_conditioned,
@@ -70,7 +67,6 @@ from .fit import FitResult, SampleSet, fit_delta, fit_delta_from_covariances, lo
 from .latent import (
     ObservationMask,
     check_identifiable,
-    nonidentifiable_witness,
     recover_edge_params,
     recover_path_sums,
 )

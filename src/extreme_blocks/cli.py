@@ -32,19 +32,19 @@ from .sim import sample_limit_field, sample_pareto_conditioned
 
 USAGE_EXIT = 1
 
+# nodes x draws at and above which simulate draws the cliques on every CPU.
+# Fastest of 3 on 2 vCPUs, one BLAS thread, gen.py clique trees: two
+# threads took 0.61-0.75 of one thread's time at n=301 with 10^5 draws and
+# 0.86-0.97 at n=10001 with 3000, but 1.03-1.17 at n=10001 with 2000-2500
+# (2e7-2.5e7 values) and 1.19-1.36 at n=301 with 200-1000.
+PARALLEL_VALUES = 30_000_000
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         print(json.dumps({"error": "UsageError", "message": message}))
         raise SystemExit(USAGE_EXIT)
-
-
-def _threads(raw: str) -> int:
-    value = int(raw)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {raw!r}")
-    return value
 
 
 def _seed(raw: str) -> int:
@@ -73,11 +73,7 @@ def _add_common(p: argparse.ArgumentParser, *names):
     if "n" in names:
         p.add_argument("--n", type=int, required=True, help="number of draws")
     if "seed" in names:
-        p.add_argument("--seed", type=_seed, default=0,
-                       help="random seed (mandatory for stochastic commands)")
-    if "threads" in names:
-        p.add_argument("--threads", type=_threads, default=os.environ.get("EXTREME_BLOCKS_THREADS", "1"),
-                       help="worker threads, at most the CPU count (default: EXTREME_BLOCKS_THREADS or 1)")
+        p.add_argument("--seed", type=_seed, default=0, help="random seed (default: 0)")
     if "tol" in names:
         p.add_argument("--tol", type=_tolerance, default=None, help="tolerance override")
     if "out" in names:
@@ -175,10 +171,12 @@ def cmd_simulate(args) -> int:
     u = args.anchor
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    # the draws do not depend on the thread count, only the time does
+    threads = (os.cpu_count() or 1) if len(g.nodes) * args.n >= PARALLEL_VALUES else 1
     if args.law == "pareto":
-        matrix = sample_pareto_conditioned(fam, u, args.n, args.seed, threads=args.threads)
+        matrix = sample_pareto_conditioned(fam, u, args.n, args.seed, threads=threads)
     else:
-        matrix = sample_limit_field(fam, u, args.n, args.seed, threads=args.threads).matrix
+        matrix = sample_limit_field(fam, u, args.n, args.seed, threads=threads).matrix
     stem = f"samples_{args.law}_u{u}_n{args.n}_seed{args.seed}"
     if args.format == "binary":
         path = out / f"{stem}.bin"
@@ -323,7 +321,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_params)
 
     p = sub.add_parser("simulate", help="sample the limiting field or conditioned Pareto vectors")
-    _add_common(p, "graph", "params", "anchor", "n", "threads", "out", "format")
+    _add_common(p, "graph", "params", "anchor", "n", "out", "format")
     p.add_argument("--seed", type=_seed, required=True, help="random seed")
     p.add_argument("--law", choices=("field", "pareto"), default="field")
     p.set_defaults(func=cmd_simulate)

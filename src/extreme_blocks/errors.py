@@ -70,10 +70,6 @@ class SubsetTooSmallError(ExtremeBlocksError):
     pass
 
 
-class NodeNotInCliqueError(ExtremeBlocksError):
-    pass
-
-
 class ConstantColumnError(ExtremeBlocksError):
     pass
 

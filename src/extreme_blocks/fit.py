@@ -196,7 +196,8 @@ def fit_delta(g: BlockGraph, spacings: Mapping[str, np.ndarray]) -> FitResult:
         mat = np.asarray(mat, dtype=float)
         if mat.ndim != 2 or mat.shape[0] < 2:
             raise ValueError(f"anchor {u!r}: spacings need at least two rows")
-        covs[u] = np.cov(mat, rowvar=False, ddof=1)
+        m = mat.shape[1]  # np.cov gives a single column's variance as a scalar
+        covs[u] = np.cov(mat, rowvar=False, ddof=1).reshape(m, m)
         rows[u] = {"rows": mat.shape[0]}
     res = fit_delta_from_covariances(g, covs)
     return FitResult(res.delta2_hat, res.objective, rows)

@@ -16,7 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import InconsistentInputError, NotIdentifiableError, UnknownNodeError
-from .graph import BlockGraph, canonical_edge
+from .graph import BlockGraph
 from .model import DeltaFamily, PathSumMatrix, path_sum_matrix, validate_delta
 
 
@@ -142,29 +142,4 @@ def recover_edge_params(p: PathSumMatrix, g: BlockGraph) -> DeltaFamily:
     """Edge parameters read off a full path-sum matrix: single-edge paths
     mean delta_e^2 = p_ab. Validates the resulting family."""
     params = {e: p.entry(*e) for e in g.edges_sorted()}
-    return validate_delta(g, params)
-
-
-def nonidentifiable_witness(d: DeltaFamily, v: str, eta: float) -> DeltaFamily:
-    """A distinct parameter family indistinguishable from d when v is latent.
-
-    Requires clique degree 1 or 2 at v. With one clique, all edge
-    parameters at v shift by +eta (no observed path uses them); with two
-    cliques, the parameters shift by -eta in one clique and +eta in the
-    other, which cancels along every path through v. The shifted family is
-    validated before returning, so a too-large eta raises NotCNDError.
-    """
-    g = d.graph
-    cliques = g.cliques_at(v)
-    if len(cliques) == 1:
-        signs = (+1.0,)
-    elif len(cliques) == 2:
-        signs = (-1.0, +1.0)
-    else:
-        raise ValueError(f"witness construction needs clique degree 1 or 2 at {v!r}")
-    params = dict(d.edge_params)
-    for ci, sign in zip(cliques, signs):
-        for w in sorted(g.cliques[ci] - {v}):
-            e = canonical_edge(v, w)
-            params[e] = params[e] + sign * eta
     return validate_delta(g, params)

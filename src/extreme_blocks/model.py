@@ -33,7 +33,6 @@ import numpy as np
 
 from .errors import (
     MissingEdgeParamError,
-    NodeNotInCliqueError,
     NonPositiveParamError,
     NotCNDError,
     NotSymmetricError,
@@ -209,16 +208,6 @@ def _increment_law(d: DeltaFamily, ci: int, s: int) -> tuple[np.ndarray, np.ndar
     (a dense index) to its other members, in sorted member order."""
     row, psi = _anchor(d.blocks[ci], d.graph._members[ci].index(s))
     return -2.0 * row, psi
-
-
-def clique_limit_params(d: DeltaFamily, C: Iterable[str], s: str) -> tuple[np.ndarray, np.ndarray]:
-    """Clique-limit law parameters anchored at s in C: mean vector
-    -2*(delta_sv^2) and increment covariance Psi over C minus s, both in
-    sorted member order."""
-    ci = d.graph.clique_index(C)
-    if s not in d.graph.cliques[ci]:
-        raise NodeNotInCliqueError(f"node {s!r} not in clique {tuple(sorted(d.graph.cliques[ci]))}")
-    return _increment_law(d, ci, d.graph.index(s))
 
 
 def precision_matrix(d: DeltaFamily, u: str) -> np.ndarray:

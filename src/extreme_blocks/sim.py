@@ -19,8 +19,6 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping, Sequence
-
 import numpy as np
 
 from .errors import SingularBlockError, UnknownNodeError
@@ -33,7 +31,6 @@ __all__ = [
     "sample_increments",
     "sample_limit_field",
     "sample_pareto_conditioned",
-    "mc_stdf",
 ]
 
 _PARETO_STREAM_TAG = 1 << 62
@@ -150,25 +147,3 @@ def sample_pareto_conditioned(d: DeltaFamily, u: str, n: int, rng_seed: int,
     rng = _philox_stream(rng_seed, _PARETO_STREAM_TAG)
     radial = 1.0 / (1.0 - rng.random(n))
     return radial[:, None] * field.matrix
-
-
-def mc_stdf(d: DeltaFamily, u: str,
-            x: Mapping[str, float] | Sequence[float],
-            n: int, rng_seed: int) -> tuple[float, float]:
-    """Monte-Carlo stdf estimate E[max_v x_v A_uv] with its standard error."""
-    g = d.graph
-    if isinstance(x, Mapping):
-        vec = np.zeros(len(g.nodes))
-        for v, w in x.items():
-            vec[g.index(v)] = float(w)
-    else:
-        vec = np.asarray(x, dtype=float)
-        if vec.shape != (len(g.nodes),):
-            raise ValueError("weight vector does not match the node count")
-    if np.any(vec < 0) or np.any(~np.isfinite(vec)):
-        raise ValueError("weights must be finite and nonnegative")
-    field = sample_limit_field(d, u, n, rng_seed)
-    maxima = (field.matrix * vec[None, :]).max(axis=1)
-    est = float(maxima.mean())
-    se = float(maxima.std(ddof=1) / np.sqrt(n)) if n > 1 else float("inf")
-    return est, se

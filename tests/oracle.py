@@ -1,15 +1,25 @@
-"""Brute-force references that share no code with the library.
+"""Brute-force references for the tests.
 
-Paths are found by a breadth-first search over explicit node lists, and
-the covariance coefficients are read off the resulting path incidence.
-The MVN lattice's generating vector is re-derived by its search. The
-clique precisions are summed over all nodes, so Theta_u is a plain gather.
+Most share no code with the library. Paths are found by a breadth-first
+search over explicit node lists, and the covariance coefficients are read
+off the resulting path incidence. The MVN lattice's generating vector is
+re-derived by its search. The clique precisions are summed over all
+nodes, so Theta_u is a plain gather. A clique's increment law is written
+entry by entry from the edge parameters.
+
+Two build on the library. `mc_stdf` averages over draws of the library's
+sampler, so it cross-checks the sampler against the MVN path of the stdf
+rather than replacing either. `nonidentifiable_witness` returns a family
+that the library validates.
 """
 
 import math
 from collections import deque
 
 import numpy as np
+
+from extreme_blocks import sample_limit_field, validate_delta
+from extreme_blocks.graph import canonical_edge
 
 
 def explicit_paths(cliques, source):
@@ -110,3 +120,49 @@ def embedded_cbc(dims):
         z.append(int(cand[np.argmin(score)]))
         prod = prod * factor(np.array(z[-1]), j)
     return tuple(z)
+
+
+def clique_limit_params(fam, clique, s):
+    """Law of clique C's log-increments from member s to its other members
+    v, in sorted order: mean -2 delta_sv^2 and covariance
+    2 (delta_sv^2 + delta_sw^2 - delta_vw^2), with delta_vv^2 = 0."""
+    rest = sorted(set(clique) - {s})
+
+    def d2(a, b):
+        return 0.0 if a == b else fam.delta2(a, b)
+
+    mean = np.array([-2.0 * d2(s, v) for v in rest])
+    psi = np.array([[2.0 * (d2(s, v) + d2(s, w) - d2(v, w)) for w in rest] for v in rest])
+    return mean, psi
+
+
+def mc_stdf(fam, u, x, n, seed):
+    """Monte-Carlo stdf E[max_v x_v A_uv] over n draws of the limit field
+    anchored at u, with its standard error. x holds a weight per node in
+    sorted order, or maps nodes to weights (others weigh 0)."""
+    nodes = fam.graph.nodes
+    if isinstance(x, dict):
+        x = [x.get(v, 0.0) for v in nodes]
+    maxima = (sample_limit_field(fam, u, n, seed).matrix * np.asarray(x, dtype=float)).max(axis=1)
+    return float(maxima.mean()), float(maxima.std(ddof=1) / math.sqrt(n))
+
+
+def nonidentifiable_witness(fam, v, eta):
+    """A distinct family with the same path sums between the nodes other
+    than v, which lies in one or two cliques.
+
+    With one clique, every edge parameter at v shifts by +eta: no path
+    between other nodes uses them. With two, they shift by -eta in one
+    clique and +eta in the other, which cancels along every path through
+    v. The shifted family is validated, so a too-large eta raises
+    NotCNDError; ValueError at three or more cliques.
+    """
+    g = fam.graph
+    cliques = g.cliques_at(v)
+    if len(cliques) > 2:
+        raise ValueError(f"witness construction needs clique degree 1 or 2 at {v!r}")
+    params = dict(fam.edge_params)
+    for ci, sign in zip(cliques, (1.0,) if len(cliques) == 1 else (-1.0, 1.0)):
+        for w in sorted(g.cliques[ci] - {v}):
+            params[canonical_edge(v, w)] += sign * eta
+    return validate_delta(g, params)

@@ -25,6 +25,7 @@ from conftest import (
     FIG4_NODES,
 )
 from gen import random_block_graph, random_delta
+from oracle import mc_stdf, nonidentifiable_witness
 
 _results = []
 
@@ -135,7 +136,7 @@ def test_criterion_06_stdf_consistency():
     agree = True
     for j in range(10):
         w = rng.uniform(0.2, 2.0, size=6)
-        est, se = eb.mc_stdf(fam, "4", w, 200000, 777000 + j)
+        est, se = mc_stdf(fam, "4", w, 200000, 777000 + j)
         exact, qerr = eb.stdf_hr_detailed(p, w, rel_tol=2e-4, seed=1)
         agree = agree and abs(est - exact) <= 3 * se + qerr
         agree = agree and (w.max() <= exact <= w.sum())
@@ -179,7 +180,7 @@ def test_criterion_08_identifiability_round_trip():
                                    for e in fam.edge_params))
     identifiable, offending = eb.check_identifiable(g, mask1)
     fam = random_delta(g, rng, lo=0.4, hi=2.0)
-    witness = eb.nonidentifiable_witness(fam, "1", 0.25)
+    witness = nonidentifiable_witness(fam, "1", 0.25)
     pu_a = eb.path_sum_matrix(fam).restrict(mask1.observed).values
     pu_b = eb.path_sum_matrix(witness).restrict(mask1.observed).values
     differs = any(abs(witness.edge_params[e] - fam.edge_params[e]) > 1e-3

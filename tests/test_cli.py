@@ -7,7 +7,16 @@ import numpy as np
 import pytest
 
 from extreme_blocks import io as ebio
-from extreme_blocks import build_block_graph, std_normal_cdf
+from extreme_blocks import (
+    SampleSet,
+    build_block_graph,
+    fit_delta,
+    log_spacings,
+    rank_transform,
+    sample_pareto_conditioned,
+    std_normal_cdf,
+    validate_delta,
+)
 from extreme_blocks.cli import run
 from conftest import FIG1_DELTA, FIG1_EDGES, FIG1_NODES, FIG2_DELTA, FIG2_EDGES, FIG2_NODES, FIG4_EDGES, FIG4_NODES
 
@@ -136,6 +145,30 @@ class TestSimulate:
                         "--out", str(out)]) == 0
         name = "samples_field_u7_n1000_seed42.csv"
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    @pytest.mark.parametrize("law", ["field", "pareto"])
+    def test_thread_crossover_does_not_change_output(self, fig1_files, tmp_path, capsys,
+                                                     monkeypatch, law):
+        # a crossover of 0 puts 8 nodes x 100 draws on both CPUs, one of 801 on one thread
+        import extreme_blocks.cli as cli
+        threads = []
+        for name in ("sample_limit_field", "sample_pareto_conditioned"):
+            def recorded(*args, real=getattr(cli, name), **kwargs):
+                threads.append(kwargs["threads"])
+                return real(*args, **kwargs)
+            monkeypatch.setattr(cli, name, recorded)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        gpath, ppath = fig1_files
+        written = []
+        for crossover in (0, 8 * 100 + 1):
+            monkeypatch.setattr(cli, "PARALLEL_VALUES", crossover)
+            out = tmp_path / str(crossover)
+            assert run(["simulate", "--graph", str(gpath), "--params", str(ppath),
+                        "--anchor", "7", "--n", "100", "--seed", "42", "--law", law,
+                        "--out", str(out)]) == 0
+            written.append((out / f"samples_{law}_u7_n100_seed42.csv").read_bytes())
+        assert threads == [2, 1]
+        assert written[0] == written[1]
 
     def test_seed_required(self, fig1_files, tmp_path):
         gpath, ppath = fig1_files
@@ -304,6 +337,21 @@ class TestFitCommand:
         for k in (5, 10):
             assert json.loads((out / f"delta2_k{k}.json").read_text()) == {"edges": []}
         assert [r["objective"] for r in json.loads((out / "fit.json").read_text())["results"]] == [0.0, 0.0]
+
+    def test_two_node_graph_fits_its_edge(self, tmp_path, capsys):
+        # one spacing column per anchor: its covariance is a 1 x 1 matrix
+        g = build_block_graph(["a", "b"], [("a", "b")])
+        fam = validate_delta(g, {("a", "b"): 0.7})
+        raw = np.vstack([sample_pareto_conditioned(fam, u, 2000, j) for j, u in enumerate(g.nodes)])
+        gpath, dpath, out = tmp_path / "ab.json", tmp_path / "data.csv", tmp_path / "fit"
+        ebio.dump_graph_json(gpath, ["a", "b"], [("a", "b")])
+        ebio.write_samples_csv(dpath, g.nodes, raw)
+        assert run(["fit", "--graph", str(gpath), "--data", str(dpath),
+                    "--k", "200", "--out", str(out)]) == 0
+        pareto = rank_transform(SampleSet(ebio.read_samples_csv(dpath)[1], g.nodes, "raw"))
+        expect = fit_delta(g, {u: log_spacings(pareto, u, 200) for u in g.nodes})
+        got = ebio.load_params_json(out / "delta2_k200.json")
+        assert got == expect.delta2_hat and 0 < got[("a", "b")] < np.inf
 
     @pytest.mark.parametrize("ks", [",", "", "10,10", "10,20,10"])
     def test_empty_or_repeated_k_usage_exit(self, fig2_files, tmp_path, capsys, ks):
@@ -500,35 +548,6 @@ def test_tol_must_be_finite_and_positive(fig2_files, tmp_path, capsys, tol):
         diag = json.loads(capsys.readouterr().out.strip())
         assert diag["error"] == "UsageError" and "--tol" in diag["message"]
     assert not (tmp_path / "p").exists()
-
-
-def test_threads_default_from_environment(monkeypatch, fig1_files, tmp_path):
-    from extreme_blocks.cli import build_parser
-    monkeypatch.setenv("EXTREME_BLOCKS_THREADS", "3")
-    gpath, ppath = fig1_files
-    args = build_parser().parse_args(
-        ["simulate", "--graph", str(gpath), "--params", str(ppath),
-         "--anchor", "7", "--n", "10", "--seed", "1", "--out", str(tmp_path)])
-    assert args.threads == 3
-
-
-@pytest.mark.parametrize("flag, env", [("-3", None), ("0", None), ("1.5", None), ("abc", None),
-                                       (None, "abc"), (None, "-3"), (None, "0")])
-def test_threads_below_one_or_not_integer_rejected(monkeypatch, fig1_files, tmp_path, capsys,
-                                                   flag, env):
-    if env is None:
-        monkeypatch.delenv("EXTREME_BLOCKS_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("EXTREME_BLOCKS_THREADS", env)
-    gpath, ppath = fig1_files
-    argv = ["simulate", "--graph", str(gpath), "--params", str(ppath), "--anchor", "7",
-            "--n", "10", "--seed", "1", "--out", str(tmp_path / "s")]
-    if flag is not None:
-        argv.append(f"--threads={flag}")
-    assert run(argv) == 1
-    diag = json.loads(capsys.readouterr().out.strip())
-    assert diag["error"] == "UsageError" and "--threads" in diag["message"]
-    assert not (tmp_path / "s").exists()
 
 
 def test_params_builds_clique_precisions_once(monkeypatch, fig2_files, tmp_path, capsys):

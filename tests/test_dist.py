@@ -14,7 +14,6 @@ from extreme_blocks import (
     extremal_coefficient_detailed,
     hr_cdf,
     hr_cdf_detailed,
-    mc_stdf,
     nu_hr,
     pareto_cdf,
     pareto_cdf_detailed,
@@ -25,6 +24,7 @@ from extreme_blocks import (
     validate_delta,
 )
 from gen import clique_tree_edges, random_block_graph, random_delta
+from oracle import mc_stdf
 
 
 @pytest.fixture(scope="module")

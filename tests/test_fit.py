@@ -24,6 +24,7 @@ from extreme_blocks import (
     path_sum_matrix,
     rank_transform,
     sample_pareto_conditioned,
+    validate_delta,
 )
 from conftest import FIG2_DELTA
 from gen import clique_tree_edges, random_block_graph, random_delta
@@ -540,3 +541,16 @@ class TestFitDelta:
         assert res.diagnostics["1"]["rows"] == 20000
         for e, v in FIG2_DELTA.items():
             assert res.delta2_hat[e] == pytest.approx(v, rel=0.15)
+
+    def test_single_edge_spacings_pipeline(self):
+        # one spacing column per anchor: its covariance is a 1 x 1 matrix
+        g = build_block_graph(["a", "b"], [("a", "b")])
+        fam = validate_delta(g, {("a", "b"): 0.7})
+        spacings = {}
+        for j, u in enumerate(g.nodes):
+            y = sample_pareto_conditioned(fam, u, 2000, 10 + j)
+            iu = g.nodes.index(u)
+            spacings[u] = np.log(y[:, [1 - iu]]) - np.log(y[:, [iu]])
+        res = fit_delta(g, spacings)
+        assert res.diagnostics == {"a": {"rows": 2000}, "b": {"rows": 2000}}
+        assert res.delta2_hat[("a", "b")] == pytest.approx(0.7, rel=0.15)

@@ -11,7 +11,6 @@ from extreme_blocks import (
     UnknownNodeError,
     build_block_graph,
     check_identifiable,
-    nonidentifiable_witness,
     path_sum_matrix,
     recover_edge_params,
     recover_path_sums,
@@ -19,6 +18,7 @@ from extreme_blocks import (
 )
 from conftest import FIG4_EDGES, FIG4_NODES
 from gen import random_block_graph, random_delta
+from oracle import nonidentifiable_witness
 
 
 @pytest.fixture()

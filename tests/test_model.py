@@ -10,7 +10,6 @@ from extreme_blocks import (
     PathSumMatrix,
     build_block_graph,
     check_cnd,
-    clique_limit_params,
     extremal_graph_check,
     gaussian_limit,
     path_sum_matrix,
@@ -21,7 +20,7 @@ from extreme_blocks import (
 from extreme_blocks.model import _anchor, _increment_law
 from conftest import FIG2_DELTA
 from gen import clique_tree_edges, random_block_graph, random_delta, random_tree
-from oracle import clique_precisions, sigma_coefficient_matrix
+from oracle import clique_limit_params, clique_precisions, sigma_coefficient_matrix
 
 
 def triangle(d12, d13, d23):
@@ -443,15 +442,26 @@ class TestExtremalGraphCheck:
 
 
 class TestCliqueLimitParams:
+    """The increment law that sampling and Theta_u read, against the
+    oracle's entry-by-entry formula."""
+
+    @staticmethod
+    def law(fam, clique, s):
+        g = fam.graph
+        mean, psi = _increment_law(fam, g.clique_index(clique), g.index(s))
+        for got, want in zip((mean, psi), clique_limit_params(fam, clique, s)):
+            assert np.array_equal(got, want)
+        return mean, psi
+
     def test_two_clique(self):
         g = build_block_graph("ab", [("a", "b")])
         fam = validate_delta(g, {("a", "b"): 0.8})
-        mean, psi = clique_limit_params(fam, {"a", "b"}, "a")
+        mean, psi = self.law(fam, {"a", "b"}, "a")
         assert np.allclose(mean, [-1.6])
         assert np.allclose(psi, [[3.2]])
 
     def test_psi_diagonal(self, fig2_family):
-        mean, psi = clique_limit_params(fig2_family, {"2", "3", "4"}, "2")
+        mean, psi = self.law(fig2_family, {"2", "3", "4"}, "2")
         d = FIG2_DELTA
         assert np.allclose(np.diag(psi), [4 * d[("2", "3")], 4 * d[("2", "4")]])
         assert np.allclose(mean, [-2 * d[("2", "3")], -2 * d[("2", "4")]])
@@ -459,14 +469,9 @@ class TestCliqueLimitParams:
     def test_unit_three_clique(self):
         g = build_block_graph("123", [("1", "2"), ("1", "3"), ("2", "3")])
         fam = validate_delta(g, {("1", "2"): 1.0, ("1", "3"): 1.0, ("2", "3"): 1.0})
-        mean, psi = clique_limit_params(fam, {"1", "2", "3"}, "1")
+        mean, psi = self.law(fam, {"1", "2", "3"}, "1")
         assert np.allclose(mean, [-2.0, -2.0])
         assert np.allclose(psi, [[4.0, 2.0], [2.0, 4.0]])
-
-    def test_node_not_in_clique(self, fig2_family):
-        from extreme_blocks import NodeNotInCliqueError
-        with pytest.raises(NodeNotInCliqueError):
-            clique_limit_params(fig2_family, {"2", "3", "4"}, "5")
 
 
 class TestLinearity:
