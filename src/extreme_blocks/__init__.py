@@ -28,7 +28,6 @@ from .errors import (
     ScaleError,
     SingularBlockError,
     SubsetTooSmallError,
-    UnknownCliqueError,
     UnknownNodeError,
 )
 from .graph import BlockGraph, build_block_graph, canonical_edge
@@ -56,13 +55,7 @@ from .dist import (
     stdf_hr,
     stdf_hr_detailed,
 )
-from .sim import (
-    FieldSample,
-    IncrementDraw,
-    sample_increments,
-    sample_limit_field,
-    sample_pareto_conditioned,
-)
+from .sim import FieldSample, sample_limit_field, sample_pareto_conditioned
 from .fit import FitResult, SampleSet, fit_delta, fit_delta_from_covariances, log_spacings, nnls_active_set, rank_transform
 from .latent import (
     ObservationMask,

@@ -34,10 +34,6 @@ class UnknownNodeError(ExtremeBlocksError):
     pass
 
 
-class UnknownCliqueError(ExtremeBlocksError):
-    pass
-
-
 class MissingEdgeParamError(ExtremeBlocksError):
     """Edge parameters do not cover exactly the edge set."""
 

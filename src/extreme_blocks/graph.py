@@ -16,19 +16,16 @@ root-side separator, parents before children; in linear time and memory
 that gives each node's parent, parent clique and depth, and the root
 walk: every clique with its separator and its other members (its
 targets). Other modules read the tree through the parent pointers and
-through that walk, re-anchored at any node.
+through that walk, re-anchored at any node; a clique's separator toward
+a node is its step's separator in that node's walk. The public queries
+are paths between nodes and the cliques at a node or an edge.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .errors import (
-    DisconnectedGraphError,
-    NotBlockGraphError,
-    UnknownCliqueError,
-    UnknownNodeError,
-)
+from .errors import DisconnectedGraphError, NotBlockGraphError, UnknownNodeError
 
 Edge = tuple[str, str]
 
@@ -260,21 +257,10 @@ class BlockGraph:
         """Node sequence of the unique shortest path, endpoints included."""
         return tuple(self.nodes[i] for i in self._path(self.index(u), self.index(v)))
 
-    def hop_distance(self, u: str, v: str) -> int:
-        return len(self._path(self.index(u), self.index(v))) - 1
-
     def parent_toward(self, u: str, v: str) -> str:
         """The node just before v on the shortest path from u; u if v == u."""
         path = self._path(self.index(u), self.index(v))
         return self.nodes[path[-2] if len(path) > 1 else path[0]]
-
-    def clique_index(self, C: Iterable[str]) -> int:
-        key = frozenset(str(v) for v in C)
-        member = next(iter(key), None)  # C is among the cliques at any of its members
-        for ci in self._cliques_at[self._index[member]] if member in self._index else ():
-            if self.cliques[ci] == key:
-                return ci
-        raise UnknownCliqueError(f"{tuple(sorted(key))} is not a maximal clique")
 
     def clique_of_edge(self, a: str, b: str) -> int:
         """The clique holding edge (a, b); KeyError if it is not an edge."""
@@ -283,15 +269,6 @@ class BlockGraph:
         ia, ib = self._index[a], self._index[b]
         # an edge joins a parent and its child, or two targets of one clique
         return self._up_clique[ib] if self._up[ib] == ia else self._up_clique[ia]
-
-    def separator_node(self, u: str, C: Iterable[str]) -> str:
-        """u itself if u is in C, else the single node of C through which
-        every path from u into C passes: the first member of C on the path
-        from u to any member. An unknown u is reported before an unknown C."""
-        iu = self.index(u)
-        ci = self.clique_index(C)
-        path = self._path(iu, self._members[ci][0])
-        return self.nodes[next(x for x in path if self.nodes[x] in self.cliques[ci])]
 
     def cliques_at(self, v: str) -> tuple[int, ...]:
         """Indices of the maximal cliques containing v."""

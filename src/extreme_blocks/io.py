@@ -34,6 +34,9 @@ def load_graph_json(path: str | Path) -> tuple[list[str], list[tuple[str, str]]]
     if not isinstance(doc, dict) or not all(isinstance(doc.get(k), list) for k in ("nodes", "edges")):
         raise ValueError("graph file must be an object with 'nodes' and 'edges' lists")
     nodes = [str(v) for v in doc["nodes"]]
+    for v in nodes:  # the CSV formats and comma-list options could not carry it
+        if not v or any(c in v for c in ",\n\r"):
+            raise ValueError(f"node identifier {v!r} is empty or holds a comma or line break")
     if len(set(nodes)) != len(nodes):
         raise ValueError("duplicate node identifiers")
     seen: set[Edge] = set()
@@ -193,9 +196,10 @@ def read_matrix_binary(path: str | Path) -> np.ndarray:
     raw = Path(path).read_bytes()
     if raw[: len(BINARY_MAGIC)] != BINARY_MAGIC:
         raise ValueError("bad magic; not a binary matrix file")
-    off = len(BINARY_MAGIC)
-    rows, cols = struct.unpack_from("<QQ", raw, off)
-    off += 16
+    off = len(BINARY_MAGIC) + 16
+    if len(raw) < off:
+        raise ValueError(f"binary matrix file is shorter than its {off}-byte header")
+    rows, cols = struct.unpack_from("<QQ", raw, len(BINARY_MAGIC))
     expect = rows * cols * 8
     payload = raw[off:]
     if len(payload) != expect:

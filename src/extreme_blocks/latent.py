@@ -70,7 +70,8 @@ def recover_path_sums(g: BlockGraph, p_obs: PathSumMatrix, mask: ObservationMask
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"tol must be finite and non-negative, got {tol}")
     if tuple(p_obs.nodes) != mask.observed:
-        raise ValueError("path-sum matrix nodes must match the observed set")
+        raise ValueError("path-sum matrix must list the observed nodes in sorted order: "
+                         "the observed set of the mask")
     vals = p_obs.values
     if not np.isfinite(vals).all():
         raise ValueError("observed path sums must be finite")

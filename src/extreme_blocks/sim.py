@@ -1,8 +1,10 @@
 """Seeded Monte-Carlo simulation of the limiting multiplicative field.
 
-Increments are drawn clique by clique: within a clique the log-increments
-are jointly normal with the clique-limit parameters anchored at its
-separator toward the chosen node, and distinct cliques are independent.
+Two samplers are public: the field A_u and the conditioned Pareto vector
+built on it. The edge increments are drawn inside the field sampler,
+clique by clique: within a clique the log-increments are jointly normal
+with the clique-limit parameters anchored at its separator toward the
+chosen node, and distinct cliques are independent.
 
 Each logical stream is a Philox counter-based generator keyed by the pair
 (seed, tag): the user seed, an integer in [0, 2**64), occupies the high 64
@@ -26,9 +28,7 @@ from .model import DeltaFamily, _increment_law
 from .mvn import _check_seed
 
 __all__ = [
-    "IncrementDraw",
     "FieldSample",
-    "sample_increments",
     "sample_limit_field",
     "sample_pareto_conditioned",
 ]
@@ -38,20 +38,6 @@ _PARETO_STREAM_TAG = 1 << 62
 
 def _philox_stream(seed: int, tag: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(int(seed) << 64) | tag))
-
-
-@dataclass(frozen=True)
-class IncrementDraw:
-    """One joint draw of the edge increments pointing away from the anchor.
-
-    `values` maps directed edges (s, v) to Z_e; `groups` lists those edges
-    clique by clique. Every node other than the anchor appears exactly once
-    as an edge endpoint.
-    """
-
-    anchor: str
-    values: dict[tuple[str, str], float]
-    groups: tuple[tuple[tuple[str, str], ...], ...]
 
 
 @dataclass(frozen=True)
@@ -69,20 +55,24 @@ class FieldSample:
             raise UnknownNodeError(f"unknown node {v!r}") from None
 
 
-def _ln_increments(d: DeltaFamily, u: str, n: int, seed: int, threads: int = 1):
-    """(walk, lnz): the block-cut tree's walk of (clique, separator,
-    targets) away from u, and the (|V|, n) log-increments by node. Row t
-    holds the n draws of ln Z for the edge into t from its clique's
-    separator; row u is zero.
+def sample_limit_field(d: DeltaFamily, u: str, n: int, rng_seed: int,
+                       threads: int = 1) -> FieldSample:
+    """n independent draws of A_u, where A_uv multiplies the increments
+    along the unique shortest path from u to v and A_uu = 1.
 
-    A clique's targets draw from its increment law at its separator, by
-    dense index. A seed that is not an integer in [0, 2**64) raises
-    ValueError.
+    The block-cut tree's walk away from u gives each clique with its
+    separator s and targets t. The targets draw their log-increments ln Z_t,
+    for the edges from s, from the clique's increment law at s by dense
+    index; then the log-field accumulates clique by clique along the walk,
+    ln A_ut = ln A_us + ln Z_t. A seed that is not an integer in
+    [0, 2**64) raises ValueError.
     """
-    seed = _check_seed(seed)
+    if n < 1:
+        raise ValueError("need at least one draw")
+    seed = _check_seed(rng_seed)
     g = d.graph
     walk = g._walk(g.index(u))
-    out = np.zeros((len(g.nodes), n))
+    ln_a = np.zeros((len(g.nodes), n))  # row u stays zero
 
     def fill(step):
         ci, s, targets = step
@@ -95,7 +85,7 @@ def _ln_increments(d: DeltaFamily, u: str, n: int, seed: int, threads: int = 1):
                 "is not factorizable") from exc
         rng = _philox_stream(seed, ci)
         z = rng.standard_normal((n, len(targets)))
-        out[targets] = (mean[None, :] + z @ chol.T).T
+        ln_a[targets] = (mean[None, :] + z @ chol.T).T
 
     if threads > 1:
         # more workers than CPUs gain nothing; draws do not depend on the count
@@ -104,36 +94,6 @@ def _ln_increments(d: DeltaFamily, u: str, n: int, seed: int, threads: int = 1):
     else:
         for step in walk:
             fill(step)
-    return walk, out
-
-
-def sample_increments(d: DeltaFamily, u: str, rng_seed: int) -> IncrementDraw:
-    """Draw the increment vector Z once: jointly normal on the log scale
-    within each clique, independent across cliques, then exponentiated."""
-    g = d.graph
-    walk, lnz = _ln_increments(d, u, 1, rng_seed)
-    values: dict[tuple[str, str], float] = {}
-    groups = []
-    for _, s, targets in sorted(walk):  # groups in clique order
-        edges = {(g.nodes[s], g.nodes[t]): float(np.exp(lnz[t, 0])) for t in targets}
-        values.update(edges)
-        groups.append(tuple(edges))
-    return IncrementDraw(u, values, tuple(groups))
-
-
-def sample_limit_field(d: DeltaFamily, u: str, n: int, rng_seed: int,
-                       threads: int = 1) -> FieldSample:
-    """n independent draws of A_u, where A_uv multiplies the increments
-    along the unique shortest path from u to v and A_uu = 1.
-
-    The log-increments accumulate clique by clique away from u: a
-    clique's targets t add their own increment to their separator's
-    field, ln A_ut = ln A_us + ln Z_t.
-    """
-    if n < 1:
-        raise ValueError("need at least one draw")
-    g = d.graph
-    walk, ln_a = _ln_increments(d, u, n, rng_seed, threads)
     for _, s, targets in walk:
         ln_a[targets] += ln_a[s]
     return FieldSample(u, g.nodes, np.ascontiguousarray(np.exp(ln_a).T))

@@ -11,6 +11,11 @@ Two build on the library. `mc_stdf` averages over draws of the library's
 sampler, so it cross-checks the sampler against the MVN path of the stdf
 rather than replacing either. `nonidentifiable_witness` returns a family
 that the library validates.
+
+`philox_increments` and `philox_field` replay the library's random
+streams, keyed by its clique indices, but take each clique's separator
+and law from the explicit paths and `clique_limit_params`, and multiply
+the increments along the explicit paths instead of summing logs.
 """
 
 import math
@@ -134,6 +139,36 @@ def clique_limit_params(fam, clique, s):
     mean = np.array([-2.0 * d2(s, v) for v in rest])
     psi = np.array([[2.0 * (d2(s, v) + d2(s, w) - d2(v, w)) for w in rest] for v in rest])
     return mean, psi
+
+
+def philox_increments(fam, u, n, seed):
+    """n draws of every edge increment Z_(s, v) away from u, keyed (s, v).
+
+    Clique C, at index ci of the library's sorted clique list, hangs from
+    its member s nearest u. Its log-increments to the other members in
+    sorted order are mean + chol(psi) z, with (mean, psi) from
+    `clique_limit_params` and z the first n x |C - 1| standard normals of
+    the Philox stream keyed seed << 64 | ci.
+    """
+    paths = explicit_paths(fam.graph.cliques, u)
+    z = {}
+    for ci, clique in enumerate(fam.graph.cliques):
+        s = min(clique, key=lambda v: len(paths[v]))
+        mean, psi = clique_limit_params(fam, clique, s)
+        rng = np.random.Generator(np.random.Philox(key=(int(seed) << 64) | ci))
+        draws = np.exp(mean + rng.standard_normal((n, len(mean))) @ np.linalg.cholesky(psi).T)
+        for k, v in enumerate(sorted(set(clique) - {s})):
+            z[s, v] = draws[:, k]
+    return z
+
+
+def philox_field(fam, cliques, u, n, seed):
+    """n draws of A_uv for every node v, keyed v: the product of the
+    `philox_increments` along the explicit path from u to v over the
+    clique list."""
+    z = philox_increments(fam, u, n, seed)
+    return {v: np.prod([np.ones(n), *(z[e] for e in zip(path, path[1:]))], axis=0)
+            for v, path in explicit_paths(cliques, u).items()}
 
 
 def mc_stdf(fam, u, x, n, seed):

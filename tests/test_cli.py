@@ -635,6 +635,18 @@ def test_fit_data_columns_must_be_the_graph_nodes(fig2_files, tmp_path, capsys):
     assert not (tmp_path / "fit").exists()
 
 
+def test_node_id_with_a_comma_exit_one(tmp_path, capsys):
+    # P.csv would split "a,b" into two header cells and --subset could not name it
+    gpath, ppath = tmp_path / "g.json", tmp_path / "p.json"
+    ebio.dump_graph_json(gpath, ["a,b", "c"], [("a,b", "c")])
+    ebio.dump_params_json(ppath, {("a,b", "c"): 0.5})
+    assert run(["params", "--graph", str(gpath), "--params", str(ppath), "--anchor", "c",
+                "--out", str(tmp_path / "out")]) == 1
+    diag = json.loads(capsys.readouterr().out.strip())
+    assert diag["error"] == "ValueError" and "'a,b'" in diag["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_recover_headers_must_be_the_observed_nodes(tmp_path, capsys):
     gpath, mpath = tmp_path / "fig4.json", tmp_path / "pobs.csv"
     ebio.dump_graph_json(gpath, FIG4_NODES, FIG4_EDGES)

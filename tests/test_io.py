@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -43,6 +44,14 @@ class TestGraphJson:
         with pytest.raises(ValueError, match="'nodes' and 'edges' lists"):
             ebio.load_graph_json(path)
 
+
+    @pytest.mark.parametrize("node", ["", "a,b", "a\nb", "a\rb", ","])
+    def test_node_id_the_csv_formats_cannot_carry_rejected(self, tmp_path, node):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"nodes": ["c", node], "edges": [["c", node]]}))
+        with pytest.raises(ValueError) as err:
+            ebio.load_graph_json(path)
+        assert repr(node) in str(err.value)
 
     @pytest.mark.parametrize("entry", ['["a"]', '["a", "b", "c"]', '"ab"', '{"a": "b"}', "3"])
     def test_edge_entry_not_a_pair_rejected(self, tmp_path, entry):
@@ -237,6 +246,13 @@ class TestBinaryMatrix:
         path = tmp_path / "m.bin"
         path.write_bytes(b"NOPE!" + b"\x00" * 32)
         with pytest.raises(ValueError):
+            ebio.read_matrix_binary(path)
+
+    @pytest.mark.parametrize("raw", [b"EBLK1", b"EBLK1\x01\x00", b"EBLK1" + b"\x00" * 15])
+    def test_file_shorter_than_header(self, tmp_path, raw):
+        path = tmp_path / "m.bin"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match="21-byte header"):
             ebio.read_matrix_binary(path)
 
     def test_truncated_payload(self, tmp_path):

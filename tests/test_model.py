@@ -448,7 +448,7 @@ class TestCliqueLimitParams:
     @staticmethod
     def law(fam, clique, s):
         g = fam.graph
-        mean, psi = _increment_law(fam, g.clique_index(clique), g.index(s))
+        mean, psi = _increment_law(fam, g.cliques.index(frozenset(clique)), g.index(s))
         for got, want in zip((mean, psi), clique_limit_params(fam, clique, s)):
             assert np.array_equal(got, want)
         return mean, psi

@@ -11,7 +11,6 @@ from extreme_blocks import (
     build_block_graph,
     gaussian_limit,
     path_sum_matrix,
-    sample_increments,
     sample_limit_field,
     sample_pareto_conditioned,
     std_normal_cdf,
@@ -19,7 +18,7 @@ from extreme_blocks import (
     validate_delta,
 )
 from extreme_blocks.model import _increment_law
-from oracle import clique_limit_params, mc_stdf
+from oracle import clique_limit_params, mc_stdf, philox_increments
 
 
 @pytest.fixture(scope="module")
@@ -35,13 +34,17 @@ def star_family():
 
 class TestIncrements:
     def test_structure(self, star_family):
+        # anchored at s every other node is one increment from s, drawn
+        # from its clique's own stream
         g, fam = star_family
-        draw = sample_increments(fam, "s", 1)
-        assert draw.anchor == "s"
-        covered = sorted(v for _, v in draw.values)
-        assert covered == ["i", "j", "t"]
-        assert all(z > 0 for z in draw.values.values())
-        assert len(draw.groups) == len(g.cliques)
+        fs = sample_limit_field(fam, "s", 4, 1)
+        z = philox_increments(fam, "s", 4, 1)
+        assert fs.anchor == "s" and fs.nodes == g.nodes
+        assert sorted(v for _, v in z) == ["i", "j", "t"]
+        assert np.all(fs.column("s") == 1.0)
+        for (s, v), zv in z.items():
+            assert s == "s" and np.all(fs.column(v) > 0)
+            np.testing.assert_allclose(fs.column(v), zv, rtol=1e-12, atol=0)
 
     def test_unit_mean_and_log_mean(self, star_family):
         # anchored at s the field equals the increments themselves
@@ -77,7 +80,7 @@ class TestIncrements:
     def test_matches_clique_limit_params(self, star_family):
         # the law the sampler draws the clique from, against the oracle formula
         g, fam = star_family
-        mean, psi = _increment_law(fam, g.clique_index({"i", "j", "s"}), g.index("s"))
+        mean, psi = _increment_law(fam, g.cliques.index(frozenset("ijs")), g.index("s"))
         assert np.allclose(mean, [-1.0, -0.8])
         assert np.allclose(psi, [[2.0, 0.6], [0.6, 1.6]])
         for got, want in zip((mean, psi), clique_limit_params(fam, {"i", "j", "s"}, "s")):
@@ -95,9 +98,8 @@ class TestLimitField:
             fs.column("x")
 
     def test_fig1_path_factorization(self, fig1_family):
-        draw = sample_increments(fig1_family, "7", 321)
+        z = {e: zs[0] for e, zs in philox_increments(fig1_family, "7", 1, 321).items()}
         fs = sample_limit_field(fig1_family, "7", 1, 321)
-        z = draw.values
         a_70 = fs.column("0")[0]
         expect = z[("7", "6")] * z[("6", "2")] * z[("2", "0")]
         assert a_70 == pytest.approx(expect, rel=1e-12)
@@ -173,7 +175,6 @@ class TestLimitField:
         # seed -1 used to give the stream of 2**64 - 1, bit for bit
         draws = [lambda: sample_limit_field(fig2_family, "1", 5, seed),
                  lambda: sample_limit_field(fig2_family, "1", 5, seed, threads=2),
-                 lambda: sample_increments(fig2_family, "1", seed),
                  lambda: sample_pareto_conditioned(fig2_family, "1", 5, seed)]
         for draw in draws:
             with pytest.raises(ValueError, match="seed"):
@@ -193,8 +194,7 @@ class TestLimitField:
     @pytest.mark.parametrize("draw", [
         lambda fam: sample_limit_field(fam, "3", 5, 1),
         lambda fam: sample_limit_field(fam, "3", 5, 1, threads=2),
-        lambda fam: sample_increments(fam, "3", 1),
-    ], ids=["field", "field-threads", "increments"])
+    ], ids=["field", "field-threads"])
     def test_one_anchored_walk_per_draw(self, fig1_family, monkeypatch, draw):
         calls = []
         real = BlockGraph._walk
@@ -230,13 +230,13 @@ class TestPinnedOutputs:
             ("6", "4"): 0.7736189183316944, ("6", "5"): 0.284539894964543,
             ("6", "7"): 0.06970567168032067,
         }
-        draw = sample_increments(fig1_family, "6", 7)
-        assert list(draw.values) == list(expect)
-        assert draw.groups == (
-            (("2", "0"), ("2", "1")), (("2", "3"),),
-            (("6", "2"), ("6", "4"), ("6", "5")), (("6", "7"),))
-        np.testing.assert_allclose(list(draw.values.values()), list(expect.values()),
-                                   rtol=1e-12, atol=0)
+        # anchored at 6 the field multiplies these along the paths from 6
+        fs = sample_limit_field(fig1_family, "6", 1, 7)
+        paths = {"0": "620", "1": "621", "2": "62", "3": "623", "4": "64", "5": "65", "7": "67"}
+        for v, path in paths.items():
+            want = math.prod(expect[e] for e in zip(path, path[1:]))
+            np.testing.assert_allclose(fs.column(v), [want], rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(fs.column("6"), [1.0])
 
     def test_pareto(self, fig1_family):
         expect = [

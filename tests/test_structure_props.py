@@ -21,12 +21,11 @@ from extreme_blocks import (
     path_sum_matrix,
     precision_matrix,
     recover_path_sums,
-    sample_increments,
     sample_limit_field,
 )
 from extreme_blocks.fit import _normal_equations
 from gen import random_delta
-from oracle import explicit_paths, sigma_coefficient_matrix
+from oracle import explicit_paths, philox_field, sigma_coefficient_matrix
 
 PROPS = settings(max_examples=40, deadline=None,
                  suppress_health_check=[HealthCheck.too_slow])
@@ -67,12 +66,10 @@ def test_path_queries_match_explicit_paths(case):
             path = paths[v]
             assert g.path_nodes(u, v) == path
             assert g.shortest_path(u, v) == tuple(zip(path, path[1:]))
-            assert g.hop_distance(u, v) == len(path) - 1
             assert g.parent_toward(u, v) == (path[-2] if len(path) > 1 else u)
-        for clique in g.cliques:
-            # the member of the clique nearest to u
-            expect = min(clique, key=lambda c: len(paths[c]))
-            assert g.separator_node(u, clique) == expect
+        for ci, s, _ in g._walk(g.index(u)):
+            # a clique's separator in u's walk is its member nearest to u
+            assert g.nodes[s] == min(g.cliques[ci], key=lambda c: len(paths[c]))
     for a, b in g.edges:
         # the entry of the clique list that holds both ends
         expect = next(set(c) for c in cliques if a in c and b in c)
@@ -185,11 +182,9 @@ def test_field_multiplies_increments_along_paths(case, data):
     g, cliques, seed = case
     fam = random_delta(g, np.random.default_rng(seed))
     u = data.draw(st.sampled_from(g.nodes))
-    z = sample_increments(fam, u, seed).values
-    field = sample_limit_field(fam, u, 1, seed)
-    for v, path in explicit_paths(cliques, u).items():
-        expect = float(np.prod([z[e] for e in zip(path, path[1:])]))
-        assert field.column(v)[0] == pytest.approx(expect, rel=1e-12)
+    field = sample_limit_field(fam, u, 3, seed)
+    for v, expect in philox_field(fam, cliques, u, 3, seed).items():
+        np.testing.assert_allclose(field.column(v), expect, rtol=1e-12, atol=0)
 
 
 @PROPS
