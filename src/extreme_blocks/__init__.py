@@ -23,7 +23,6 @@ from .errors import (
     NotCNDError,
     NotIdentifiableError,
     NotPDError,
-    NotSymmetricError,
     NumericalError,
     ScaleError,
     SingularBlockError,
@@ -36,7 +35,6 @@ from .model import (
     GaussianLimit,
     GraphCheckReport,
     PathSumMatrix,
-    check_cnd,
     extremal_graph_check,
     gaussian_limit,
     path_sum_matrix,
@@ -47,12 +45,10 @@ from .mvn import MvnResult, mvn_cdf, std_normal_cdf
 from .dist import (
     extremal_coefficient,
     extremal_coefficient_detailed,
-    hr_cdf,
     hr_cdf_detailed,
     nu_hr,
     pareto_cdf,
     pareto_cdf_detailed,
-    stdf_hr,
     stdf_hr_detailed,
 )
 from .sim import FieldSample, sample_limit_field, sample_pareto_conditioned

@@ -4,6 +4,10 @@ Subcommands: validate, params, simulate, stdf, pareto-cdf, ec, fit,
 recover, check-identifiable. Exit codes: 0 success, 1 usage or parse
 problem, 2 validation failure, 3 numerical failure. Errors are reported
 as machine-readable JSON on stdout.
+
+Comma lists (--subset, --latent, --weights, --point, --k) read "" as the
+empty list and reject an empty entry or a repeated node or k. --latent
+names a mask JSON file exactly when its value ends in ".json".
 """
 
 from __future__ import annotations
@@ -87,7 +91,7 @@ def _add_common(p: argparse.ArgumentParser, *names):
         p.add_argument("--subset", required=True, help="comma-separated node ids")
     if "latent" in names:
         p.add_argument("--latent", required=True,
-                       help="comma-separated latent node ids or a mask JSON file")
+                       help="comma-separated latent node ids, or a mask JSON file ending in .json")
 
 
 def _load_graph(args):
@@ -99,10 +103,27 @@ def _load_model(args):
     return g, validate_delta(g, ebio.load_params_json(args.params))
 
 
-def _latent_list(raw: str) -> list[str]:
-    if raw.endswith(".json") or Path(raw).exists():
-        return ebio.load_mask_json(raw)
-    return [v for v in raw.split(",") if v]
+def _comma_list(raw: str, option: str, parse=str) -> list:
+    """Parsed entries of a comma list; "" is the empty list."""
+    entries = raw.split(",") if raw else []
+    if "" in entries:
+        raise ValueError(f"--{option} has an empty entry: {raw!r}")
+    return [parse(x) for x in entries]
+
+
+def _node_list(g, raw: str, option: str) -> list[str]:
+    """Distinct nodes of g from a comma list, in the order given."""
+    nodes = _comma_list(raw, option)
+    for i, v in enumerate(nodes):
+        g.index(v)
+        if v in nodes[:i]:
+            raise ValueError(f"--{option} repeats node {v!r}")
+    return nodes
+
+
+def _latent_list(g, raw: str) -> list[str]:
+    """A mask file exactly when the value ends in .json, else a node list."""
+    return ebio.load_mask_json(raw) if raw.endswith(".json") else _node_list(g, raw, "latent")
 
 
 def _emit(record: dict):
@@ -198,19 +219,14 @@ def cmd_simulate(args) -> int:
 def _tail_query(args, evaluate, **lists) -> int:
     """Evaluate one tail query on P over --subset and emit its record.
 
-    lists holds the command's per-node option, if it takes one, by name;
-    None reads as all ones. evaluate gets the subset, or the mapping of
-    the subset to that option's values.
+    lists holds the command's per-node option, if any, by name, None for
+    all ones; evaluate gets the subset, or its mapping to those values.
     """
     g, fam = _load_model(args)
-    subset = [v for v in args.subset.split(",") if v]
-    for i, v in enumerate(subset):
-        g.index(v)
-        if v in subset[:i]:
-            raise ValueError(f"--subset repeats node {v!r}")
+    subset = _node_list(g, args.subset, "subset")
     query, at = {"subset": subset}, subset
     for name, raw in lists.items():
-        values = [1.0] * len(subset) if raw is None else [float(x) for x in raw.split(",")]
+        values = [1.0] * len(subset) if raw is None else _comma_list(raw, name, float)
         if len(values) != len(subset):
             raise ValueError(f"--{name} length must match --subset")
         query[name], at = values, dict(zip(subset, values))
@@ -221,7 +237,7 @@ def _tail_query(args, evaluate, **lists) -> int:
 
 
 def cmd_stdf(args) -> int:
-    return _tail_query(args, stdf_hr_detailed, weights=args.weights or None)
+    return _tail_query(args, stdf_hr_detailed, weights=args.weights)
 
 
 def cmd_pareto_cdf(args) -> int:
@@ -233,7 +249,7 @@ def cmd_ec(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    ks = [int(x) for x in str(args.k).split(",") if x]
+    ks = _comma_list(args.k, "k", int)
     if not ks:
         raise ValueError("--k lists no tail size")
     if len(set(ks)) < len(ks):
@@ -273,8 +289,7 @@ def cmd_fit(args) -> int:
 
 def cmd_recover(args) -> int:
     g = _load_graph(args)
-    latent = _latent_list(args.latent)
-    mask = ObservationMask.from_latent(g, latent)
+    mask = ObservationMask.from_latent(g, _latent_list(g, args.latent))
     ok, offending = check_identifiable(g, mask)
     if not ok:
         raise NotIdentifiableError(offending)
@@ -297,7 +312,7 @@ def cmd_recover(args) -> int:
 
 def cmd_check_identifiable(args) -> int:
     g = _load_graph(args)
-    mask = ObservationMask.from_latent(g, _latent_list(args.latent))
+    mask = ObservationMask.from_latent(g, _latent_list(g, args.latent))
     ok, offending = check_identifiable(g, mask)
     _emit({"identifiable": ok, "offending": list(offending)})
     return 0 if ok else 2
@@ -367,12 +382,9 @@ def run(argv=None) -> int:
         return args.func(args)
     except ExtremeBlocksError as exc:
         diag = {"error": type(exc).__name__, "message": str(exc)}
-        if hasattr(exc, "block"):
-            diag["block"] = list(exc.block)
-        if hasattr(exc, "clique"):
-            diag["clique"] = list(exc.clique)
-        if hasattr(exc, "offending"):
-            diag["offending"] = list(exc.offending)
+        for key in ("block", "clique", "offending"):
+            if hasattr(exc, key):
+                diag[key] = list(getattr(exc, key))
         print(json.dumps(diag))
         return exc.exit_code
     except (OSError, ValueError) as exc:  # unreadable or malformed inputs

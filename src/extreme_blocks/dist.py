@@ -26,9 +26,7 @@ from .model import GaussianLimit, PathSumMatrix, _anchor
 from .mvn import MvnResult, mvn_cdf
 
 __all__ = [
-    "stdf_hr",
     "stdf_hr_detailed",
-    "hr_cdf",
     "hr_cdf_detailed",
     "pareto_cdf",
     "pareto_cdf_detailed",
@@ -52,7 +50,9 @@ def _as_values(p: PathSumMatrix,
 
 def stdf_hr_detailed(p: PathSumMatrix, weights: Mapping[str, float] | Sequence[float],
                      *, rel_tol: float = 1e-6, seed: int = 0) -> MvnResult:
-    """stdf value with its quadrature error, points and converged flag.
+    """Stable tail dependence function with its quadrature error, points
+    and converged flag: sum_s y_s * Phi_{m-1}(2 p_vs + ln(y_s / y_v),
+    v != s; Psi_s) over the support of y, so max(y) <= value <= sum(y).
 
     The m anchored MVN terms are one weighted stack, evaluated by one
     :func:`mvn_cdf` call on a shared lattice, so the error is that of the
@@ -77,35 +77,20 @@ def stdf_hr_detailed(p: PathSumMatrix, weights: Mapping[str, float] | Sequence[f
     return mvn_cdf(upper, cov, ys, rel_tol=rel_tol, seed=seed)
 
 
-def stdf_hr(p: PathSumMatrix, weights: Mapping[str, float] | Sequence[float],
-            *, rel_tol: float = 1e-6, seed: int = 0) -> float:
-    """Stable tail dependence function of the max-stable limit.
-
-    Evaluates sum_s y_s * Phi_{m-1}(2 p_vs + ln(y_s / y_v), v != s; Psi_s)
-    over the support of the weight vector. Satisfies
-    max(y) <= value <= sum(y).
-    """
-    return stdf_hr_detailed(p, weights, rel_tol=rel_tol, seed=seed).value
-
-
 def hr_cdf_detailed(p: PathSumMatrix,
                     x: Mapping[str, float] | Sequence[float],
                     *, rel_tol: float = 1e-6, seed: int = 0) -> MvnResult:
-    """Max-stable CDF value exp(-l) with the first-order error exp(-l) e_l
-    of its stdf term, and that term's points and converged flag."""
+    """Max-stable CDF H(x) = exp(-l(1/x)) at a strictly positive point,
+    with the first-order error exp(-l) e_l of its stdf term, and that
+    term's points and converged flag; exactly 1 where every x is +inf."""
     sub, point = _as_values(p, x)
     if np.any(point <= 0):
         raise NonPositiveCoordinateError("max-stable CDF needs strictly positive coordinates")
+    if point.size and np.all(point == np.inf):
+        return MvnResult(1.0, 0.0, True, 0)
     ell = stdf_hr_detailed(sub, 1.0 / point, rel_tol=rel_tol, seed=seed)
     h = math.exp(-ell.value)
     return MvnResult(h, h * ell.error, ell.converged, ell.points)
-
-
-def hr_cdf(p: PathSumMatrix,
-           x: Mapping[str, float] | Sequence[float],
-           *, rel_tol: float = 1e-6, seed: int = 0) -> float:
-    """Max-stable CDF H(x) = exp(-l(1/x)) at a strictly positive point."""
-    return hr_cdf_detailed(p, x, rel_tol=rel_tol, seed=seed).value
 
 
 def pareto_cdf_detailed(p: PathSumMatrix,
@@ -115,10 +100,13 @@ def pareto_cdf_detailed(p: PathSumMatrix,
     (e_floor + e_z + |v| e_one) / l(1) for the unclamped ratio v, where each
     e is a stdf's pooled error; points are summed over the stdfs evaluated
     and converged holds only when every stdf converged. When every z >= 1
-    the floor term is l(1) itself and is evaluated once."""
+    the floor term is l(1) itself and is evaluated once. Where every z is
+    +inf, l(1/z) = l(0) = 0 and the CDF is exactly 1."""
     sub, zz = _as_values(p, z)
     if np.any(zz <= 0):
         raise NonPositiveCoordinateError("Pareto CDF needs strictly positive coordinates")
+    if zz.size and np.all(zz == np.inf):
+        return MvnResult(1.0, 0.0, True, 0)
     ys = [1.0 / zz, np.ones_like(zz)]
     if np.any(zz < 1.0):  # otherwise 1/min(z, 1) is exactly the ones of l(1)
         ys.insert(0, 1.0 / np.minimum(zz, 1.0))
@@ -150,8 +138,7 @@ def extremal_coefficient_detailed(p: PathSumMatrix, A: Iterable[str],
     subset = sorted(set(A))
     if len(subset) < 2:
         raise SubsetTooSmallError("extremal coefficient needs at least two nodes")
-    sub = p.restrict(subset)
-    return stdf_hr_detailed(sub, np.ones(len(subset)), rel_tol=rel_tol, seed=seed)
+    return stdf_hr_detailed(p.restrict(subset), np.ones(len(subset)), rel_tol=rel_tol, seed=seed)
 
 
 def extremal_coefficient(p: PathSumMatrix, A: Iterable[str],

@@ -1,10 +1,12 @@
 """Exception hierarchy shared by all modules.
 
-Two broad families matter for the CLI exit-code contract: validation
-failures (bad graphs, parameters, masks, domains) and numerical failures
-(singular blocks, non-positive-definite covariances, MVN terms past the
-dimension cap, an unconverged NNLS, inconsistent reconstructions).
-Usage problems (bad flags, unparseable files) never reach this module.
+Two families make the CLI exit-code contract. Validation failures (bad
+graphs, parameters, masks, domains) subclass ExtremeBlocksError directly
+and exit with code 2. Numerical failures (singular blocks,
+non-positive-definite covariances, MVN terms past the dimension cap, an
+unconverged NNLS, inconsistent reconstructions) subclass NumericalError
+and exit with code 3. Usage problems (bad flags, unparseable files)
+never reach this module.
 """
 
 
@@ -14,15 +16,11 @@ class ExtremeBlocksError(Exception):
     exit_code = 2
 
 
-class GraphValidationError(ExtremeBlocksError):
-    """Base for structural graph problems."""
-
-
-class DisconnectedGraphError(GraphValidationError):
+class DisconnectedGraphError(ExtremeBlocksError):
     pass
 
 
-class NotBlockGraphError(GraphValidationError):
+class NotBlockGraphError(ExtremeBlocksError):
     """Some block (maximal biconnected component) is not complete."""
 
     def __init__(self, block, message=None):
@@ -48,10 +46,6 @@ class NotCNDError(ExtremeBlocksError):
     def __init__(self, clique):
         self.clique = tuple(sorted(clique))
         super().__init__(f"clique {self.clique} parameter matrix is not conditionally negative definite")
-
-
-class NotSymmetricError(ExtremeBlocksError):
-    pass
 
 
 class AllZeroWeightsError(ExtremeBlocksError):

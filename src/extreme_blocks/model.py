@@ -13,7 +13,7 @@ the graph.
 One map, `_anchor`, turns a conditionally negative definite matrix M and
 a node s into the covariance 2*(m_si + m_sj - m_ij): on Delta_C it gives
 a clique's increment law (validation, sampling, Theta_u), on P it gives
-Sigma_u, on a restricted P each stdf term, and on any M the CND test.
+Sigma_u, and on a restricted P each stdf term.
 One fill along the block-cut tree's walk of (clique, separator,
 targets) sums the clique matrices Delta_C along shortest paths into P.
 Sigma_u's coefficients in delta^2 come from where paths enter cliques:
@@ -27,6 +27,7 @@ check measures Theta_u Sigma_u - I at one anchor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -35,7 +36,6 @@ from .errors import (
     MissingEdgeParamError,
     NonPositiveParamError,
     NotCNDError,
-    NotSymmetricError,
     SingularBlockError,
     UnknownNodeError,
 )
@@ -44,13 +44,6 @@ from .graph import BlockGraph, Edge, canonical_edge
 # relative eigenvalue threshold for positive-definiteness tests; scale-free
 # so heterogeneous delta^2 magnitudes are treated alike
 PD_REL_TOL = 1e-10
-
-
-def _is_pd(m: np.ndarray) -> bool:
-    if m.size == 0:
-        return True
-    w = np.linalg.eigvalsh((m + m.T) / 2.0)
-    return w[0] > 0 and w[0] > PD_REL_TOL * w[-1]
 
 
 class DeltaFamily:
@@ -67,11 +60,9 @@ class DeltaFamily:
         self.blocks: list[np.ndarray] = []
         for members in graph._members:
             names = [graph.nodes[v] for v in members]
-            k = len(names)
-            m = np.zeros((k, k))
-            for i in range(k):
-                for j in range(i + 1, k):
-                    m[i, j] = m[j, i] = self.delta2(names[i], names[j])
+            m = np.zeros((len(names),) * 2)
+            for i, j in combinations(range(len(names)), 2):
+                m[i, j] = m[j, i] = self.delta2(names[i], names[j])
             m.flags.writeable = False
             self.blocks.append(m)
 
@@ -95,8 +86,7 @@ def validate_delta(g: BlockGraph, edge_params: Mapping) -> DeltaFamily:
     clique.
     """
     params: dict[Edge, float] = {}
-    for key, val in edge_params.items():
-        a, b = key
+    for (a, b), val in edge_params.items():
         e = canonical_edge(str(a), str(b))
         if e not in g.edges:
             raise MissingEdgeParamError(f"parameter given for non-edge {e}")
@@ -112,7 +102,8 @@ def validate_delta(g: BlockGraph, edge_params: Mapping) -> DeltaFamily:
 
     fam = DeltaFamily(g, params)
     for ci, m in enumerate(fam.blocks):
-        if not _is_pd(_anchor(m, 0)[1]):
+        w = np.linalg.eigvalsh(_anchor(m, 0)[1])  # ascending
+        if not w[0] > max(0.0, PD_REL_TOL * w[-1]):
             raise NotCNDError(g.cliques[ci])
     return fam
 
@@ -241,26 +232,6 @@ def precision_matrix(d: DeltaFamily, u: str) -> np.ndarray:
             theta[rows, at[s]] = theta[at[s], rows] = -col
             theta[at[s], at[s]] += corner
     return theta
-
-
-def check_cnd(m: np.ndarray | PathSumMatrix) -> bool:
-    """True iff a'Ma < 0 for every nonzero a with sum(a) = 0.
-
-    Tested by anchoring M at its last index d: the anchored matrix less
-    2*m_dd is -2 B'MB for the basis B of columns e_k - e_d of the zero-sum
-    subspace, and its positive definiteness decides.
-    """
-    if isinstance(m, PathSumMatrix):
-        m = m.values
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NotSymmetricError("expected a square matrix")
-    if not np.allclose(m, m.T, rtol=0, atol=1e-12 * max(1.0, float(np.abs(m).max()))):
-        raise NotSymmetricError("matrix is not symmetric")
-    d = m.shape[0] - 1
-    if d < 1:
-        return True
-    return _is_pd(_anchor(m, d)[1] - 2.0 * m[d, d])
 
 
 # entries held at once by a row-block pass over an n x n matrix

@@ -90,6 +90,16 @@ def clique_precisions(fam):
     return theta
 
 
+def check_cnd(m):
+    """True when a'Ma < 0 for every nonzero a with sum(a) = 0, read off
+    the eigenvalues of Q'MQ for an orthonormal basis Q of the zero-sum
+    subspace: the largest must lie below 1e-10 times the most negative."""
+    d = len(m)
+    q = np.linalg.qr(np.eye(d)[:, :-1] - np.eye(d)[:, -1:])[0]
+    w = np.linalg.eigvalsh(q.T @ m @ q)
+    return bool(w[-1] < 1e-10 * w[0])
+
+
 def embedded_cbc(dims):
     """Generating vector of an embedded rank-1 lattice in base 2, found
     component by component (Cools, Kuo & Nuyens 2006).

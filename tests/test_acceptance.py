@@ -25,7 +25,7 @@ from conftest import (
     FIG4_NODES,
 )
 from gen import random_block_graph, random_delta
-from oracle import mc_stdf, nonidentifiable_witness
+from oracle import check_cnd, mc_stdf, nonidentifiable_witness
 
 _results = []
 
@@ -101,7 +101,7 @@ def test_criterion_03_extremal_zero_pattern(random_instances):
 
 def test_criterion_04_path_sums_cnd(random_instances):
     t0 = time.perf_counter()
-    ok = all(eb.check_cnd(eb.path_sum_matrix(fam)) for _, fam in random_instances)
+    ok = all(check_cnd(eb.path_sum_matrix(fam).values) for _, fam in random_instances)
     elapsed = time.perf_counter() - t0
     report(4, "path-sum-matrix-cnd", ok and elapsed < 1.0, elapsed, "<1s")
 
@@ -141,7 +141,7 @@ def test_criterion_06_stdf_consistency():
         agree = agree and abs(est - exact) <= 3 * se + qerr
         agree = agree and (w.max() <= exact <= w.sum())
         for t in (0.1, 2.0, 10.0):
-            scaled = eb.stdf_hr(p, t * w, rel_tol=2e-4, seed=1)
+            scaled = eb.stdf_hr_detailed(p, t * w, rel_tol=2e-4, seed=1).value
             agree = agree and abs(scaled - t * exact) <= 1e-8 * t * exact
     elapsed = time.perf_counter() - t0
     report(6, "stdf-mc-vs-closed-form", agree and elapsed < 60.0, elapsed, "<60s")
@@ -153,7 +153,7 @@ def test_criterion_07_bivariate_closed_form():
     families = [eb.validate_delta(g, {("a", "b"): d2}) for d2 in grid]
     psums = [eb.path_sum_matrix(f) for f in families]
     t0 = time.perf_counter()
-    vals = [eb.stdf_hr(p, [1.0, 1.0]) for p in psums]
+    vals = [eb.stdf_hr_detailed(p, [1.0, 1.0]).value for p in psums]
     elapsed = time.perf_counter() - t0
     exact_ok = all(abs(v - 2 * eb.std_normal_cdf(math.sqrt(d2))) <= 1e-10
                    for v, d2 in zip(vals, grid))

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -353,7 +355,7 @@ class TestFitCommand:
         got = ebio.load_params_json(out / "delta2_k200.json")
         assert got == expect.delta2_hat and 0 < got[("a", "b")] < np.inf
 
-    @pytest.mark.parametrize("ks", [",", "", "10,10", "10,20,10"])
+    @pytest.mark.parametrize("ks", [",", "", "10,10", "10,20,10", "10,", "10,,20"])
     def test_empty_or_repeated_k_usage_exit(self, fig2_files, tmp_path, capsys, ks):
         # an empty sweep would write an empty ksweep.csv, and a repeated k
         # would fit twice into one delta2_k<k>.json
@@ -416,6 +418,77 @@ class TestRecoverCommands:
                     "--latent", str(mask)]) == 0
 
 
+class TestCommaLists:
+    """Every comma list reads "" as the empty list and rejects an empty
+    entry; --latent reads a mask file exactly when it ends in .json."""
+
+    @pytest.fixture()
+    def fig4_graph(self, tmp_path):
+        gpath = tmp_path / "fig4.json"
+        ebio.dump_graph_json(gpath, FIG4_NODES, FIG4_EDGES)
+        return str(gpath)
+
+    def test_empty_latent_list(self, fig4_graph, capsys):
+        assert run(["check-identifiable", "--graph", fig4_graph, "--latent", ""]) == 0
+        assert json.loads(capsys.readouterr().out.strip()) == {"identifiable": True, "offending": []}
+
+    def test_directory_is_a_node_id(self, fig4_graph, capsys):
+        assert run(["check-identifiable", "--graph", fig4_graph, "--latent", "."]) == 2
+        diag = json.loads(capsys.readouterr().out.strip())
+        assert diag["error"] == "UnknownNodeError" and "'.'" in diag["message"]
+
+    def test_repeated_latent_node_rejected(self, fig4_graph, tmp_path, capsys):
+        for argv in (["check-identifiable"],
+                     ["recover", "--pathsums", str(tmp_path / "m.csv"), "--out", str(tmp_path / "r")]):
+            assert run([*argv, "--graph", fig4_graph, "--latent", "3,3"]) == 1
+            diag = json.loads(capsys.readouterr().out.strip())
+            assert diag == {"error": "ValueError", "message": "--latent repeats node '3'"}
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("command, option, extra", [
+        ("ec", "subset", ["--subset", "1,,2"]),
+        ("ec", "subset", ["--subset", ",1,2"]),
+        ("stdf", "subset", ["--subset", "1,2,"]),
+        ("stdf", "weights", ["--subset", "1,2", "--weights", "1,"]),
+        ("pareto-cdf", "point", ["--subset", "1,2", "--point", "2,,3"]),
+        ("check-identifiable", "latent", ["--latent", "3,"]),
+        ("recover", "latent", ["--latent", "3,", "--pathsums", "m.csv", "--out", "r"]),
+    ])
+    def test_empty_entry_rejected(self, fig2_files, capsys, command, option, extra):
+        gpath, ppath = fig2_files
+        model = ["--params", str(ppath)] if command in ("ec", "stdf", "pareto-cdf") else []
+        assert run([command, "--graph", str(gpath), *model, *extra]) == 1
+        diag = json.loads(capsys.readouterr().out.strip())
+        assert diag["error"] == "ValueError"
+        assert diag["message"].startswith(f"--{option} has an empty entry")
+
+    def test_weights_left_out_or_empty(self, fig2_files, capsys):
+        gpath, ppath = fig2_files
+        model = ["stdf", "--graph", str(gpath), "--params", str(ppath), "--subset", "1,2"]
+        assert run(model) == 0
+        rec = json.loads(capsys.readouterr().out.strip())
+        assert rec["query"] == {"subset": ["1", "2"], "weights": [1.0, 1.0]}
+        assert rec["value"] == pytest.approx(
+            2 * std_normal_cdf(math.sqrt(FIG2_DELTA[("1", "2")])), abs=1e-10)
+        assert run([*model, "--weights", ""]) == 1
+        diag = json.loads(capsys.readouterr().out.strip())
+        assert diag == {"error": "ValueError", "message": "--weights length must match --subset"}
+
+    def test_pareto_cdf_at_infinity(self, fig2_files, capsys):
+        gpath, ppath = fig2_files
+        assert run(["pareto-cdf", "--graph", str(gpath), "--params", str(ppath),
+                    "--subset", "1,2", "--point", "inf,inf"]) == 0
+        rec = json.loads(capsys.readouterr().out.strip())
+        assert (rec["value"], rec["error_estimate"], rec["converged"]) == (1.0, 0.0, True)
+
+
+def test_disconnected_graph_exit_two(tmp_path, capsys):
+    gpath = tmp_path / "two.json"
+    ebio.dump_graph_json(gpath, ["a", "b"], [])
+    assert run(["validate", "--graph", str(gpath)]) == 2
+    assert json.loads(capsys.readouterr().out.strip())["error"] == "DisconnectedGraphError"
+
+
 def test_console_entry_point(fig1_files):
     gpath, ppath = fig1_files
     proc = subprocess.run(
@@ -424,6 +497,30 @@ def test_console_entry_point(fig1_files):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "cliques (4):" in proc.stdout
+
+
+def test_readme_example_session(tmp_path):
+    # the README's example block, run by bash -e with an extreme-blocks
+    # shim on PATH that runs this interpreter on this checkout's package
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    block = readme.split("Example session:\n\n```sh\n", 1)[1].split("\n```", 1)[0]
+    script = tmp_path / "example.sh"
+    script.write_text(block + "\n")
+    shim = tmp_path / "bin" / "extreme-blocks"
+    shim.parent.mkdir()
+    shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m extreme_blocks.cli "$@"\n')
+    shim.chmod(0o755)
+    env = {**os.environ,
+           "PATH": os.pathsep.join([str(shim.parent), os.environ.get("PATH", "")]),
+           "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(["bash", "-e", str(script)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert (tmp_path / "out" / "P.csv").exists()
+    assert (tmp_path / "out" / "samples_pareto_u1_n100000_seed42.csv").exists()
+    ec = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert ec["query"] == {"subset": ["1", "5", "6"]} and ec["converged"] is True
 
 
 def test_params_json_round_trips_through_parser(fig2_files, tmp_path):

@@ -12,14 +12,12 @@ from extreme_blocks import (
     build_block_graph,
     extremal_coefficient,
     extremal_coefficient_detailed,
-    hr_cdf,
     hr_cdf_detailed,
     nu_hr,
     pareto_cdf,
     pareto_cdf_detailed,
     path_sum_matrix,
     std_normal_cdf,
-    stdf_hr,
     stdf_hr_detailed,
     validate_delta,
 )
@@ -42,11 +40,10 @@ def fig2_psum(fig2_family):
 class TestStdf:
     def test_bivariate_closed_form(self, edge_setup):
         _, _, p = edge_setup
-        got = stdf_hr(p, [1.0, 1.0])
+        got = stdf_hr_detailed(p, [1.0, 1.0]).value
         assert abs(got - 2 * std_normal_cdf(1.0)) <= 1e-12
 
     def test_unit_weight_vector(self, fig2_psum):
-        assert stdf_hr(fig2_psum, {"3": 1.0}) == 1.0
         assert stdf_hr_detailed(fig2_psum, {"3": 1.0}) == MvnResult(1.0, 0.0, True, 0)
 
     @pytest.mark.parametrize("short", [None, 1])
@@ -118,8 +115,8 @@ class TestStdf:
         assert abs(res.value - ref.value) <= ref.error + res.error
 
     @pytest.mark.parametrize("query", [
-        lambda p, y: stdf_hr(p, y),
-        lambda p, y: hr_cdf(p, y),
+        lambda p, y: stdf_hr_detailed(p, y),
+        lambda p, y: hr_cdf_detailed(p, y),
         lambda p, y: pareto_cdf(p, y),
     ])
     @pytest.mark.parametrize("values", [[1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]]])
@@ -131,29 +128,28 @@ class TestStdf:
     def test_all_zero_weights(self, edge_setup):
         _, _, p = edge_setup
         with pytest.raises(AllZeroWeightsError):
-            stdf_hr(p, [0.0, 0.0])
+            stdf_hr_detailed(p, [0.0, 0.0])
 
     @pytest.mark.parametrize("bad", [float("nan"), -0.5, float("inf")])
     def test_weights_must_be_finite_and_nonnegative(self, edge_setup, bad):
         _, _, p = edge_setup
-        for run in (stdf_hr, stdf_hr_detailed):
-            for weights in ([1.0, bad], {"a": bad, "b": 1.0}):
-                with pytest.raises(ValueError, match="finite and nonnegative"):
-                    run(p, weights)
+        for weights in ([1.0, bad], {"a": bad, "b": 1.0}):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                stdf_hr_detailed(p, weights)
 
     def test_zero_weights_restrict(self, fig2_psum):
         # zeros drop coordinates; equals evaluating the restricted matrix
-        full = stdf_hr(fig2_psum, [1.0, 0.0, 0.7, 0.0, 1.3, 0.0])
+        full = stdf_hr_detailed(fig2_psum, [1.0, 0.0, 0.7, 0.0, 1.3, 0.0]).value
         sub = fig2_psum.restrict(["1", "3", "5"])
-        restricted = stdf_hr(sub, {"1": 1.0, "3": 0.7, "5": 1.3})
+        restricted = stdf_hr_detailed(sub, {"1": 1.0, "3": 0.7, "5": 1.3}).value
         assert abs(full - restricted) <= 1e-12
 
     @pytest.mark.parametrize("t", [0.1, 2.0, 10.0])
     def test_homogeneity(self, fig2_psum, t):
         rng = np.random.default_rng(1)
         y = rng.uniform(0.2, 2.0, 6)
-        a = stdf_hr(fig2_psum, t * y, rel_tol=1e-4)
-        b = t * stdf_hr(fig2_psum, y, rel_tol=1e-4)
+        a = stdf_hr_detailed(fig2_psum, t * y, rel_tol=1e-4).value
+        b = t * stdf_hr_detailed(fig2_psum, y, rel_tol=1e-4).value
         assert abs(a - b) <= 1e-8 * abs(b)
 
     def test_bounds_random(self, fig2_psum):
@@ -162,14 +158,14 @@ class TestStdf:
             y = rng.uniform(0.0, 3.0, 6)
             if not np.any(y > 0):
                 continue
-            val = stdf_hr(fig2_psum, y, rel_tol=1e-4)
+            val = stdf_hr_detailed(fig2_psum, y, rel_tol=1e-4).value
             slack = 1e-4 * y.sum()
             assert y.max() - slack <= val <= y.sum() + slack
         # exact-tolerance bounds on small subsets (univariate normal terms)
         sub = fig2_psum.restrict(["1", "4"])
         for _ in range(10):
             y = rng.uniform(0.05, 3.0, 2)
-            val = stdf_hr(sub, y)
+            val = stdf_hr_detailed(sub, y).value
             assert y.max() - 1e-9 <= val <= y.sum() + 1e-9
 
     def test_relabeling_invariance(self, fig2_graph, fig2_family):
@@ -188,45 +184,52 @@ class TestStdf:
             subset = list(rng.choice(list(fig2_graph.nodes), size=3, replace=False))
             w = {v: float(rng.uniform(0.2, 2.0)) for v in subset}
             w2 = {mapping[v]: x for v, x in w.items()}
-            assert abs(stdf_hr(p1, w) - stdf_hr(p2, w2)) <= 1e-10
+            assert abs(stdf_hr_detailed(p1, w).value - stdf_hr_detailed(p2, w2).value) <= 1e-10
 
     def test_marginal_consistency(self, fig2_psum):
         subset = ["2", "4", "5"]
         weights = {"2": 0.9, "4": 1.4, "5": 0.5}
         sub = fig2_psum.restrict(subset)
         full_w = {v: weights.get(v, 0.0) for v in fig2_psum.nodes}
-        full = stdf_hr(fig2_psum, full_w, rel_tol=1e-5)
-        restr = stdf_hr(sub, weights, rel_tol=1e-5)
+        full = stdf_hr_detailed(fig2_psum, full_w, rel_tol=1e-5).value
+        restr = stdf_hr_detailed(sub, weights, rel_tol=1e-5).value
         assert abs(full - restr) <= 1e-12
 
 
 class TestHrCdf:
     def test_large_point_tends_to_one(self, edge_setup):
         _, _, p = edge_setup
-        assert hr_cdf(p, [1e9, 1e9]) == pytest.approx(1.0, abs=1e-8)
+        assert hr_cdf_detailed(p, [1e9, 1e9]).value == pytest.approx(1.0, abs=1e-8)
 
     def test_single_node_unit_frechet(self, fig2_psum):
         sub = fig2_psum.restrict(["4"])
         for x in (0.5, 1.0, 3.0):
-            assert hr_cdf(sub, [x]) == pytest.approx(math.exp(-1.0 / x), abs=1e-15)
+            assert hr_cdf_detailed(sub, [x]).value == pytest.approx(math.exp(-1.0 / x), abs=1e-15)
 
     def test_bivariate_value(self, edge_setup):
         _, _, p = edge_setup
         expect = math.exp(-2 * std_normal_cdf(1.0))
-        assert hr_cdf(p, [1.0, 1.0]) == pytest.approx(expect, abs=1e-12)
+        assert hr_cdf_detailed(p, [1.0, 1.0]).value == pytest.approx(expect, abs=1e-12)
 
     def test_nonpositive_rejected(self, edge_setup):
         _, _, p = edge_setup
         with pytest.raises(NonPositiveCoordinateError):
-            hr_cdf(p, [1.0, 0.0])
+            hr_cdf_detailed(p, [1.0, 0.0])
+
+    def test_infinite_point_is_one(self, fig2_psum):
+        # l(0) = 0, so H is exactly 1 with no stdf to evaluate; an infinite
+        # coordinate beside finite ones is a zero stdf weight
+        inf = float("inf")
+        for x in ([inf] * 6, {"2": inf, "5": inf}):
+            assert hr_cdf_detailed(fig2_psum, x) == MvnResult(1.0, 0.0, True, 0)
+        assert hr_cdf_detailed(fig2_psum, {"2": inf, "5": 2.0}) == MvnResult(math.exp(-0.5), 0.0, True, 0)
 
     def test_nan_rejected(self, edge_setup):
         # a NaN coordinate is a NaN stdf weight 1/x
         _, _, p = edge_setup
-        for run in (hr_cdf, hr_cdf_detailed):
-            for x in ([1.0, float("nan")], {"a": float("nan"), "b": 1.0}):
-                with pytest.raises(ValueError, match="finite and nonnegative"):
-                    run(p, x)
+        for x in ([1.0, float("nan")], {"a": float("nan"), "b": 1.0}):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                hr_cdf_detailed(p, x)
 
     def test_detailed_two_node_closed_form(self, edge_setup):
         # l(y) = y1 Phi(a + ln(y1/y2)/2a) + y2 Phi(a + ln(y2/y1)/2a), a = sqrt(p12) = 1
@@ -236,7 +239,6 @@ class TestHrCdf:
                + y2 * std_normal_cdf(1 + math.log(y2 / y1) / 2))
         res = hr_cdf_detailed(p, [1.5, 0.8])
         assert res.value == pytest.approx(math.exp(-ell), abs=1e-12)
-        assert hr_cdf(p, [1.5, 0.8]) == res.value
         # both terms are univariate, hence exact
         assert (res.error, res.converged, res.points) == (0.0, True, 0)
 
@@ -301,6 +303,16 @@ class TestParetoCdf:
         _, _, p = edge_setup
         with pytest.raises(NonPositiveCoordinateError):
             pareto_cdf(p, [-1.0, 2.0])
+
+    def test_infinite_point_is_one(self, edge_setup):
+        # [l(1) - l(0)] / l(1) = 1 with no stdf to evaluate; with one finite
+        # coordinate z_b the value is 1 - l(0, 1/z_b) / l(1, 1)
+        _, _, p = edge_setup
+        inf = float("inf")
+        for z in ([inf, inf], {"a": inf, "b": inf}):
+            assert pareto_cdf_detailed(p, z) == MvnResult(1.0, 0.0, True, 0)
+        expect = 1.0 - 0.5 / (2 * std_normal_cdf(1.0))
+        assert pareto_cdf_detailed(p, [inf, 2.0]).value == pytest.approx(expect, abs=1e-12)
 
     def test_nan_rejected(self, edge_setup):
         _, _, p = edge_setup
@@ -505,7 +517,7 @@ class TestMaxStableAttraction:
         m = self._max_stable_sample(fam, "a", n, 200, 314)
         for z in ([0.8, 1.2], [1.0, 1.0], [2.0, 1.5]):
             emp = np.mean(np.all(m <= np.array(z), axis=1))
-            exact = hr_cdf(p, z)
+            exact = hr_cdf_detailed(p, z).value
             se = math.sqrt(exact * (1 - exact) / n)
             assert abs(emp - exact) <= 4 * se
         for x in (1.0, 2.0):
@@ -523,6 +535,6 @@ class TestMaxStableAttraction:
         m = self._max_stable_sample(fam, "2", n, 200, 217)
         for z in ([1.0, 1.0, 1.0], [0.9, 1.4, 1.1]):
             emp = np.mean(np.all(m <= np.array(z), axis=1))
-            exact = hr_cdf(p, z)
+            exact = hr_cdf_detailed(p, z).value
             se = math.sqrt(exact * (1 - exact) / n)
             assert abs(emp - exact) <= 4 * se

@@ -4,6 +4,7 @@ package or from BlockGraph shows up as an edit to these lists."""
 import inspect
 
 import extreme_blocks as eb
+from extreme_blocks import errors
 
 EXPORTS = [
     "AllZeroWeightsError", "BlockGraph", "ConstantColumnError", "DeltaFamily",
@@ -11,15 +12,15 @@ EXPORTS = [
     "FitResult", "GaussianLimit", "GraphCheckReport", "InconsistentInputError",
     "KOutOfRangeError", "MissingEdgeParamError", "MvnResult", "NonPositiveCoordinateError",
     "NonPositiveParamError", "NotBlockGraphError", "NotCNDError", "NotIdentifiableError",
-    "NotPDError", "NotSymmetricError", "NumericalError", "ObservationMask", "PathSumMatrix",
-    "SampleSet", "ScaleError", "SingularBlockError", "SubsetTooSmallError", "UnknownNodeError",
-    "build_block_graph", "canonical_edge", "check_cnd", "check_identifiable",
-    "extremal_coefficient", "extremal_coefficient_detailed", "extremal_graph_check",
-    "fit_delta", "fit_delta_from_covariances", "gaussian_limit", "hr_cdf", "hr_cdf_detailed",
-    "log_spacings", "mvn_cdf", "nnls_active_set", "nu_hr", "pareto_cdf", "pareto_cdf_detailed",
+    "NotPDError", "NumericalError", "ObservationMask", "PathSumMatrix", "SampleSet",
+    "ScaleError", "SingularBlockError", "SubsetTooSmallError", "UnknownNodeError",
+    "build_block_graph", "canonical_edge", "check_identifiable", "extremal_coefficient",
+    "extremal_coefficient_detailed", "extremal_graph_check", "fit_delta",
+    "fit_delta_from_covariances", "gaussian_limit", "hr_cdf_detailed", "log_spacings",
+    "mvn_cdf", "nnls_active_set", "nu_hr", "pareto_cdf", "pareto_cdf_detailed",
     "path_sum_matrix", "precision_matrix", "rank_transform", "recover_edge_params",
     "recover_path_sums", "sample_limit_field", "sample_pareto_conditioned", "std_normal_cdf",
-    "stdf_hr", "stdf_hr_detailed", "validate_delta",
+    "stdf_hr_detailed", "validate_delta",
 ]
 
 BLOCK_GRAPH_METHODS = [
@@ -33,5 +34,7 @@ def test_public_surface():
     exported = sorted(name for name, value in vars(eb).items()
                       if not name.startswith("_") and not inspect.ismodule(value))
     assert exported == EXPORTS
+    # every error class the package defines is exported
+    assert {name for name, value in vars(errors).items() if isinstance(value, type)} <= set(EXPORTS)
     methods = sorted(name for name in vars(eb.BlockGraph) if not name.startswith("_"))
     assert methods == BLOCK_GRAPH_METHODS
