@@ -4,11 +4,19 @@ Numeric CSV output uses 17 significant digits, which round-trips 64-bit
 floats exactly; re-reading and re-emitting a file is byte-identical.
 Format violations raise ValueError (the CLI maps those to the usage exit
 code); semantic validation happens in the domain modules.
+
+The CSV writers format matrices in blocks of at most 4096 values with a
+numpy kernel whose bytes are those of "%.17g" (fmt17 is its reference).
+Zeros and every value with 1e-4 <= |x| < 1e16, which "%.17g" writes in
+fixed notation, take array arithmetic: the exact product of |x| and a
+power of ten from Dekker's two-product (1971) gives the 17 digits,
+rounded half to even, as an exact decimal conversion (Steele & White
+1990; Gay 1990) would. Every other value (tiny, huge, subnormal, inf,
+nan) goes through Python's "%", once per block.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import struct
 from pathlib import Path
@@ -100,19 +108,178 @@ def load_mask_json(path: str | Path) -> list[str]:
 
 # -- matrices as CSV with identifier headers --------------------------------
 
-def _write_rows(path: str | Path, header: str, prefixes: Iterable[str], matrix: np.ndarray):
-    """Write the header line, then each matrix row after its prefix, one
-    row at a time: neither the lines nor the matrix as lists are held.
-    "%.17g" formats a float exactly as fmt17 does."""
-    template = "%s" + ",".join(["%.17g"] * matrix.shape[1]) + "\n"
+BLOCK = 1 << 12  # values formatted per numpy pass of the CSV kernel
+FRAME = 28  # bytes a value is laid out in before the frames are compacted
+LEAD = 7  # '0' bytes ahead of the 17 digits in a frame: "0.000" and a sign fit
+TEN16, TEN17 = np.int64(10**16), np.int64(10**17)
+COMMA, NEWLINE, POINT, MINUS = (np.uint8(ord(c)) for c in ",\n.-")
+
+
+def _kernel_tables() -> tuple[np.ndarray, ...]:
+    """Tables of the CSV kernel, built per file written (about 0.1 ms):
+    10^k for k <= 22, every one an exact double, and its two halves from
+    Veltkamp's split; the ASCII of each 4-digit group as one uint32 and its
+    count of trailing zeros (4 for 0000); and the byte mask of each frame
+    prefix, row j holding 0xFF in its first j bytes."""
+    pow10 = np.array([float(10**k) for k in range(23)])
+    cut = pow10 * np.float64(2**27 + 1)
+    hi = cut - (cut - pow10)
+    digit = np.arange(10, dtype=np.uint8) + np.uint8(ord("0"))
+    columns = [np.repeat(digit, 1000), np.tile(np.repeat(digit, 100), 10),
+               np.tile(np.repeat(digit, 10), 100), np.tile(digit, 1000)]
+    run = columns[3] == digit[0]
+    zeros = run.astype(np.int64)
+    for column in columns[2::-1]:
+        run &= column == digit[0]
+        zeros += run
+    groups = np.stack(columns, axis=1).view(np.uint32).ravel()
+    prefix = np.tril(np.full((FRAME + 1, FRAME), 0xFF, dtype=np.uint8), -1)
+    return pow10, hi, pow10 - hi, groups, zeros, prefix
+
+
+def _decimal17(t: np.ndarray, tables) -> tuple[np.ndarray, np.ndarray]:
+    """Exponent E and 17 significant digits D = round-half-even(t * 10^(16-E))
+    of each t > 0 with 1e-4 <= t < 1e16, as int64: E starts from log10 and
+    moves until 10^16 <= D < 10^17. Dekker's two-product splits t * 10^k
+    exactly into the double p and its error r; where D lies in that range,
+    p >= 2^53 is an even integer, so D = p + rint(r). Below 2^53 the sum is
+    inexact but stays below 10^16, as the true D does."""
+    pow10, hi, lo = tables[:3]
+    cut = t * np.float64(2**27 + 1)
+    t_hi = cut - (cut - t)
+    t_lo = t - t_hi
+    e = np.floor(np.log10(t)).astype(np.int64)
+    while True:
+        k = np.int64(16) - e
+        p = t * pow10[k]
+        r = ((t_hi * hi[k] - p) + t_hi * lo[k] + t_lo * hi[k]) + t_lo * lo[k]
+        d = p.astype(np.int64) + np.rint(r).astype(np.int64)
+        low, high = d < TEN16, d >= TEN17
+        if not (low.any() or high.any()):
+            return e, d
+        e += high.astype(np.int64) - low.astype(np.int64)
+
+
+def _digit_frames(d: np.ndarray, tables) -> tuple[np.ndarray, np.ndarray]:
+    """Each D < 10^17 as a FRAME-byte row of LEAD '0's and its 17 digits,
+    and its count of significant digits: 17 less its trailing zeros, at
+    least 1."""
+    groups, zeros = tables[3:5]
+    ten4, ten8 = np.int64(10**4), np.int64(10**8)
+    top = d // ten8  # floor division and a product: np.divmod is slower
+    bottom = d - top * ten8
+    g01 = top // ten4
+    g2 = top - g01 * ten4
+    g0 = g01 // ten4
+    g1 = g01 - g0 * ten4
+    g3 = bottom // ten4
+    g4 = bottom - g3 * ten4
+    words = np.zeros((d.size, FRAME // 4), dtype=np.uint32)
+    words[:, 0] = groups[0]  # "0000", then "000" and the first digit: LEAD '0's
+    for j, g in enumerate((g0, g1, g2, g3, g4), start=1):
+        words[:, j] = groups.take(g)
+    tail, run = zeros.take(g4), g4 == np.int64(0)
+    for g in (g3, g2, g1):
+        tail += zeros.take(g) * run
+        run &= g == np.int64(0)
+    return words.view(np.uint8), np.int64(17) - tail
+
+
+def _percent_g(values: np.ndarray) -> np.ndarray:
+    """"%.17g" of each value, by Python's "%" in one call, as rows of 24
+    bytes padded with spaces: no such text is longer."""
+    text = ("%-24.17g" * values.size) % tuple(values.tolist())
+    return np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(values.size, 24)
+
+
+def _format_block(x: np.ndarray, seps: np.ndarray, tables) -> tuple[str, np.ndarray]:
+    """Format each value of x as "%.17g" followed by its separator byte;
+    return the text and the offset in it where each value's text ends.
+
+    Zeros and every value with 1e-4 <= |x| < 1e16, which "%.17g" writes in
+    fixed notation, are formatted by array arithmetic: the digits of D from
+    _decimal17 in a frame, the point inserted after digit E, the sign put
+    ahead, the trailing zeros of the fraction dropped. Every other value
+    (tiny, huge, subnormal, inf, nan) goes through Python's "%" in one call."""
+    prefix = tables[5]
+    a = np.abs(x)
+    fixed = (a >= np.float64(1e-4)) & (a < np.float64(1e16))
+    slow = np.flatnonzero(~fixed & (a != np.float64(0.0)))
+    e, d = _decimal17(np.where(fixed, a, np.float64(1.0)), tables)
+    del a
+    e *= fixed  # zeros and fallback values: D = 0, laid out as "0"
+    d *= fixed
+    frame, digits = _digit_frames(d, tables)
+    del d
+    out = np.empty_like(frame)  # the frame one byte to the right
+    out.ravel()[1:] = frame.ravel()[:-1]
+    out[:, 0] = 0
+    point = np.int64(LEAD + 1) + e
+    mask = np.take(prefix, point, axis=0)
+    np.bitwise_xor(frame, out, out=frame)
+    np.bitwise_and(frame, mask, out=frame)
+    np.bitwise_xor(out, frame, out=out)  # the frame before the point, shifted after it
+    del frame
+    rows = np.arange(x.size, dtype=np.int64) * np.int64(FRAME)
+    flat = out.ravel()
+    flat[rows + point] = POINT
+    first = np.int64(LEAD) + np.minimum(e, np.int64(0))
+    neg = np.signbit(x)
+    flat[(rows + first - np.int64(1))[neg]] = MINUS
+    start = first - neg.astype(np.int64)
+    end = np.int64(LEAD + 1) + np.where(digits > e + np.int64(1), digits, e)
+    if slow.size:
+        chars = _percent_g(x[slow])
+        out[slow, :24] = chars
+        start[slow] = 0
+        end[slow] = np.count_nonzero(chars != np.uint8(ord(" ")), axis=1)
+    flat[rows + end] = seps
+    del rows, point, first, neg, e, digits
+    np.take(prefix, end + np.int64(1), axis=0, out=mask)
+    out &= mask
+    np.take(prefix, start, axis=0, out=mask)
+    out &= np.invert(mask, out=mask)
+    del mask
+    text = str(flat[flat != 0].data, "ascii")
+    return text, np.cumsum(end - start + np.int64(1))
+
+
+def _write_rows(path: str | Path, header: str, matrix: np.ndarray, labels: Sequence[str] | None = None):
+    """Write the header line, then each matrix row, after its label if
+    labels are given, in blocks of at most BLOCK values: neither the lines
+    nor the matrix as lists are held. Values read as fmt17 writes them."""
+    rows, cols = matrix.shape
+    step = max(1, BLOCK // cols)
+    tables = _kernel_tables()
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for prefix, row in zip(prefixes, matrix):
-            fh.write(template % (prefix, *row.tolist()))
+        for r in range(0, rows, step):
+            for c in range(0, cols, BLOCK):
+                block = matrix[r:r + step, c:c + BLOCK]
+                seps = np.full(block.shape, COMMA)
+                if c + block.shape[1] == cols:
+                    seps[:, -1] = NEWLINE
+                text, ends = _format_block(block.ravel(), seps.ravel(), tables)
+                if labels is None or c:
+                    fh.write(text)
+                    continue
+                cuts = [0, *ends[block.shape[1] - 1::block.shape[1]].tolist()]
+                fh.write("".join(f"{labels[r + i]}," + text[cuts[i]:cuts[i + 1]]
+                                 for i in range(block.shape[0])))
+
+
+def _check_shape(nodes: Sequence[str], values: np.ndarray, shape: tuple[int, int]):
+    """Refuse what the readers would refuse to read back."""
+    if not len(nodes):
+        raise ValueError("a CSV matrix needs at least one node")
+    if values.shape != shape:
+        raise ValueError(f"values of shape {values.shape} do not fit {len(nodes)} nodes: expected {shape}")
 
 
 def write_matrix_csv(path: str | Path, nodes: Sequence[str], values: np.ndarray):
-    _write_rows(path, "," + ",".join(nodes), [f"{v}," for v in nodes], np.asarray(values, dtype=float))
+    values = np.asarray(values, dtype=float)
+    _check_shape(nodes, values, (len(nodes), len(nodes)))
+    _write_rows(path, "," + ",".join(nodes), values, nodes)
 
 
 def read_matrix_csv(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
@@ -159,7 +326,8 @@ def load_matrix_json(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
 
 def write_samples_csv(path: str | Path, nodes: Sequence[str], matrix: np.ndarray):
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    _write_rows(path, ",".join(nodes), itertools.repeat(""), matrix)
+    _check_shape(nodes, matrix, (len(matrix), len(nodes)))
+    _write_rows(path, ",".join(nodes), matrix)
 
 
 def read_samples_csv(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:

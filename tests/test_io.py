@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -211,7 +212,7 @@ class TestSamplesCsv:
 
 @pytest.mark.parametrize("write", [ebio.write_matrix_csv, ebio.write_samples_csv])
 def test_csv_rows_streamed(tmp_path, write):
-    n = 400
+    n = 1001
     values = np.random.default_rng(3).standard_normal((n, n))
     nodes = [f"v{i}" for i in range(n)]
     tracemalloc.start()
@@ -220,9 +221,106 @@ def test_csv_rows_streamed(tmp_path, write):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the matrix as nested lists takes about 5 MB, its formatted lines more
+    # the matrix as nested lists takes about 32 MB, its formatted lines
+    # more; the writers hold one block of 4096 values at a time
     assert peak < 1e6
     assert len((tmp_path / "m.csv").read_text().splitlines()) == n + 1
+
+
+def test_csv_writers_reject_a_shape_their_readers_refuse(tmp_path):
+    path = tmp_path / "m.csv"
+    for values in (np.ones((3, 3)), np.ones((2, 3)), np.ones(2)):
+        with pytest.raises(ValueError, match="do not fit 2 nodes"):
+            ebio.write_matrix_csv(path, ("a", "b"), values)
+    for values in (np.ones((4, 3)), np.ones(3)):
+        with pytest.raises(ValueError, match="do not fit 2 nodes"):
+            ebio.write_samples_csv(path, ("a", "b"), values)
+    with pytest.raises(ValueError, match="at least one node"):
+        ebio.write_matrix_csv(path, (), np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="at least one node"):
+        ebio.write_samples_csv(path, (), np.zeros((3, 0)))
+    assert not path.exists()
+    ebio.write_samples_csv(path, ("a", "b"), np.array([1.0, 2.0]))  # one row
+    assert path.read_text() == "a,b\n1,2\n"
+
+
+class TestCsvKernel:
+    """The array formatter of the CSV writers against fmt17, value by value."""
+
+    @staticmethod
+    def check(tmp_path, values, cols=64):
+        values = np.asarray(values, dtype=float).ravel()
+        values = np.concatenate([values, np.zeros(-values.size % cols)]).reshape(-1, cols)
+        path = tmp_path / "s.csv"
+        ebio.write_samples_csv(path, [f"v{j}" for j in range(cols)], values)
+        lines = path.read_text().split("\n")
+        assert len(lines) == len(values) + 2 and lines[-1] == ""
+        for row, line in zip(values, lines[1:]):
+            for x, cell in zip(row, line.split(",")):
+                assert cell == ebio.fmt17(x), (x.hex(), cell)
+
+    def test_random_bit_patterns(self, tmp_path):
+        x = np.random.default_rng(20).integers(0, 2**64, 20000, dtype=np.uint64).view(np.float64)
+        a = np.abs(x)
+        assert np.isnan(x).any() and (a >= 1e16).any() and ((a > 0) & (a < 2.2250738585072014e-308)).any()
+        self.check(tmp_path, x)
+
+    def test_dyadic_values_with_exact_ties(self, tmp_path):
+        # m 2^-j: x * 10^(16-E) is often a tie at the 18th digit, which
+        # "%.17g" rounds to even
+        rng = np.random.default_rng(21)
+        x = np.ldexp(rng.integers(1, 2**53, 20000).astype(float), -rng.integers(0, 64, 20000))
+        ties = 0
+        for v in x[(x >= 1e-4) & (x < 1e16)]:
+            e = int(f"{v:.16e}".split("e")[1])
+            ties += (Fraction(v) * Fraction(10) ** (16 - e)).denominator == 2
+        assert ties > 100
+        self.check(tmp_path, np.concatenate([x, -x]))
+        path = tmp_path / "t.csv"
+        ebio.write_samples_csv(path, ("a", "b"), np.array([[1234567890123456.25, -1234567890123456.75]]))
+        assert path.read_text().splitlines()[1] == "1234567890123456.2,-1234567890123456.8"
+
+    def test_near_powers_of_ten(self, tmp_path):
+        # every double within 2000 ulps of 1e-4 ... 1e16; below a power of
+        # ten log10 rounds up to it for some, the exponent must then move
+        powers = np.array([float(f"1e{k}") for k in range(-4, 17)])
+        x = (powers.view(np.int64)[:, None] + np.arange(-2000, 2001)).view(np.float64).ravel()
+        true_e = np.array([int(f"{v:.16e}".split("e")[1]) for v in x])
+        assert (np.floor(np.log10(x)) > true_e).sum() > 100
+        self.check(tmp_path, np.concatenate([x, -x]), cols=1000)
+
+    def test_window_edges_and_signed_zeros(self, tmp_path):
+        edges = [1e-4, np.nextafter(1e-4, 0), np.nextafter(1e-4, 1), 1e16, np.nextafter(1e16, 0),
+                 5e-324, 2.2250738585072014e-308, np.finfo(float).max, np.inf, np.nan, 0.0]
+        x = np.array(edges + [-v for v in edges])
+        self.check(tmp_path, x, cols=len(x))
+        path = tmp_path / "z.csv"
+        ebio.write_matrix_csv(path, ("a", "b"), np.array([[0.0, -0.0], [-0.0, 0.0]]))
+        assert path.read_text() == ",a,b\na,0,-0\nb,-0,0\n"
+
+    @pytest.mark.parametrize("block", [3, 7, 16])
+    def test_rows_split_across_blocks(self, tmp_path, monkeypatch, block):
+        # rows longer than a block, and blocks of several rows, keep their labels
+        monkeypatch.setattr(ebio, "BLOCK", block)
+        values = np.random.default_rng(22).standard_normal((10, 10)) * 10.0 ** np.arange(-6, 4)
+        nodes = [f"n{i}" for i in range(10)]
+        path = tmp_path / "m.csv"
+        ebio.write_matrix_csv(path, nodes, values)
+        expect = ["," + ",".join(nodes)]
+        expect += [v + "," + ",".join(ebio.fmt17(x) for x in row) for v, row in zip(nodes, values)]
+        assert path.read_text() == "\n".join(expect) + "\n"
+        self.check(tmp_path, values, cols=10)
+
+    def test_only_values_outside_the_window_take_the_fallback(self, tmp_path, monkeypatch):
+        # zeros, which fill a precision matrix, are formatted by the arrays
+        seen = []
+        percent_g = ebio._percent_g
+        monkeypatch.setattr(ebio, "_percent_g", lambda v: seen.append(v.copy()) or percent_g(v))
+        values = np.zeros((100, 100))
+        values[::7, ::3] = np.random.default_rng(23).standard_normal(values[::7, ::3].shape)
+        values[5, :4] = [-0.0, 1e-5, 1e20, np.nan]
+        self.check(tmp_path, values, cols=100)
+        assert len(seen) == 1 and seen[0][:2].tolist() == [1e-5, 1e20] and np.isnan(seen[0][2:]).all()
 
 
 class TestBinaryMatrix:

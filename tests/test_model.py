@@ -294,16 +294,25 @@ class TestCheckCnd:
         assert check_cnd(path_sum_matrix(fam).values)
 
     def test_definition_by_direct_sampling(self):
-        rng = np.random.default_rng(11)
-        g = random_block_graph(rng)
-        fam = random_delta(g, rng)
-        m = path_sum_matrix(fam).values
-        for _ in range(200):
-            a = rng.standard_normal(m.shape[0])
-            a -= a.mean()
-            if np.abs(a).max() < 1e-12:
-                continue
-            assert a @ m @ a < 0
+        # a'Pa < 0 for zero-sum a, drawn dense and on 3-4 nodes. On a small
+        # or path-like graph the elementwise square of P is CND up to
+        # rounding, so several larger graphs are drawn; on each of these,
+        # some of the 400 vectors give a'(P*P)a >= 0.
+        for seed in range(12, 16):
+            rng = np.random.default_rng(seed)
+            g = random_block_graph(rng, max_nodes=40)
+            fam = random_delta(g, rng)
+            m = path_sum_matrix(fam).values
+            d = m.shape[0]
+            for k in range(400):
+                support = rng.choice(d, size=d if k < 200 else min(d, int(rng.integers(3, 5))),
+                                     replace=False)
+                a = np.zeros(d)
+                a[support] = rng.standard_normal(support.size)
+                a[support] -= a[support].mean()
+                if np.abs(a).max() < 1e-12:
+                    continue
+                assert a @ m @ a < 0, (seed, k)
 
 
 class TestExtremalGraphCheck:
