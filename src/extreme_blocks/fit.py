@@ -61,8 +61,12 @@ class SampleSet:
 
 
 def _average_ranks(col: np.ndarray) -> np.ndarray:
-    """Ranks 1..n of the entries of col; tied entries share the mean rank of their run."""
-    order = np.argsort(col, kind="stable")
+    """Ranks 1..n of the entries of col; tied entries share the mean rank of their run.
+
+    Every entry of a run gets the same rank, so the order the sort leaves
+    inside a run does not matter, and numpy's default sort serves.
+    """
+    order = np.argsort(col)
     ordered = col[order]
     start = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
     end = np.r_[start[1:], len(col)]
@@ -109,9 +113,11 @@ def log_spacings(s: SampleSet, u: str, k: int) -> np.ndarray:
     above = np.flatnonzero(anchor > kth)
     top = np.sort(np.r_[above, np.flatnonzero(anchor == kth)[:k - len(above)]])
     top = top[np.argsort(-anchor[top], kind="stable")]
-    cols = [j for j, v in enumerate(s.nodes) if v != u]
-    logs = np.log(s.data[np.ix_(top, cols)])
-    return logs - np.log(anchor[top])[:, None]
+    # one gather of the k rows and one log, the anchor's column among them;
+    # the result is C-ordered, as the covariance's bits depend on the layout
+    logs = np.log(s.data[top])
+    iu = s.nodes.index(u)
+    return np.delete(logs, iu, axis=1) - logs[:, iu, None]
 
 
 @dataclass(frozen=True)
@@ -196,8 +202,11 @@ def fit_delta(g: BlockGraph, spacings: Mapping[str, np.ndarray]) -> FitResult:
         mat = np.asarray(mat, dtype=float)
         if mat.ndim != 2 or mat.shape[0] < 2:
             raise ValueError(f"anchor {u!r}: spacings need at least two rows")
-        m = mat.shape[1]  # np.cov gives a single column's variance as a scalar
-        covs[u] = np.cov(mat, rowvar=False, ddof=1).reshape(m, m)
+        # np.cov's arithmetic without its two copies of the table; one
+        # centred copy is alive at a time
+        xc = mat - mat.mean(axis=0)
+        covs[u] = xc.T @ xc * (1.0 / (mat.shape[0] - 1))
+        del xc
         rows[u] = {"rows": mat.shape[0]}
     res = fit_delta_from_covariances(g, covs)
     return FitResult(res.delta2_hat, res.objective, rows)
@@ -240,13 +249,17 @@ def _normal_equations(g: BlockGraph, moments: Mapping[str, tuple]) -> tuple[np.n
     lines = np.zeros((n, n))   # column u: 4 Sigma_hat_u 1 - 2 mu_hat_u
     for u, (cov_hat, mean_hat) in moments.items():
         iu = g.index(u)
-        rest = np.r_[:iu, iu + 1:n]
         w[iu] = 1.0
-        spread[np.ix_(rest, rest)] += cov_hat
+        # the blocks of spread around row and column iu, and of cov_hat
+        halves = ((slice(iu), slice(iu)), (slice(iu + 1, n), slice(iu, None)))
+        for rs, rc in halves:
+            for cs, cc in halves:
+                spread[rs, cs] += cov_hat[rc, cc]
         line = 2.0 * (cov_hat.sum(axis=0) + cov_hat.sum(axis=1))
         if mean_hat is not None:
             line -= 2.0 * mean_hat
-        lines[rest, iu] = line
+        for rs, rc in halves:
+            lines[rs, iu] = line[rc]
     count = classes.T @ classes
     wcount = classes.T @ (w[:, None] * classes)
     size, wsize = np.diagonal(count), np.diagonal(wcount)
@@ -254,14 +267,21 @@ def _normal_equations(g: BlockGraph, moments: Mapping[str, tuple]) -> tuple[np.n
     rows, inner = classes.T @ lines @ classes, classes.T @ spread @ classes
     target = rows[a, b] + rows[b, a] - 2.0 * (inner[a, b] + inner[b, a])
 
+    # block (x, y) of count and of wcount at the class pairs, x, y in (a, b),
+    # by 3 gathers each: both are symmetric
+    def blocks(mat):
+        ab = mat[np.ix_(a, b)]
+        return (mat[np.ix_(a, a)], ab), (ab.T, mat[np.ix_(b, b)])
+
+    kc, kw = blocks(count), blocks(wcount)
+    sizes, wsizes = (size[a], size[b]), (wsize[a], wsize[b])
     gram = np.zeros((len(a), len(a)))
-    for p, q in ((a, b), (b, a)):
-        for r, s in ((a, b), (b, a)):
-            gram += ((2 * n + mean_weight) * count[np.ix_(q, s)] + 2.0 * np.outer(size[q], size[s])) \
-                * wcount[np.ix_(p, r)]
-            gram -= 2.0 * (wsize[p, None] * count[np.ix_(q, r)] * size[s]
-                           + size[q, None] * count[np.ix_(p, s)] * wsize[r])
-            gram += w.sum() * count[np.ix_(p, r)] * count[np.ix_(q, s)]
+    for p, q in ((0, 1), (1, 0)):
+        for r, s in ((0, 1), (1, 0)):
+            gram += ((2 * n + mean_weight) * kc[q][s] + 2.0 * np.outer(sizes[q], sizes[s])) * kw[p][r]
+            gram -= 2.0 * (wsizes[p][:, None] * kc[q][r] * sizes[s]
+                           + sizes[q][:, None] * kc[p][s] * wsizes[r])
+            gram += w.sum() * kc[p][r] * kc[q][s]
     return 4.0 * gram, target
 
 

@@ -327,6 +327,8 @@ def load_matrix_json(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
 def write_samples_csv(path: str | Path, nodes: Sequence[str], matrix: np.ndarray):
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     _check_shape(nodes, matrix, (len(matrix), len(nodes)))
+    if not len(matrix):
+        raise ValueError("a samples CSV needs at least one row")
     _write_rows(path, ",".join(nodes), matrix)
 
 

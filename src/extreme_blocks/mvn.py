@@ -32,6 +32,10 @@ queries fall within it (t_19(0.99865) = 3.45). While the error exceeds
 rel_tol times the value, the lattice of the term with the largest
 w_t sd_r(mean_{t,r}) doubles, so a stack spends its points on the terms
 that carry its variance.
+
+Only the kernels that evaluate normal CDFs and quantiles import
+scipy.special, on first use, so loading the package (and every CLI
+command that computes no normal CDF) does not pay for scipy.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri, owens_t, stdtrit
 
 from .errors import DimensionCapError, NotPDError
 
@@ -65,9 +68,10 @@ _ULP = float(np.finfo(float).eps)
 # Past this bound the normal tail underflows, so it stands in for +inf.
 _BIG = 40.0
 # The trivariate line is cut at +-_LINE, which drops at most
-# Phi(-_LINE) = 9.5e-18.
+# _CUT = Phi(-_LINE), scipy's ndtr(-8.5) written out so that importing the
+# module loads no scipy (math.erfc is about 1e-14 off it, relative).
 _LINE = 8.5
-_CUT = float(ndtr(-_LINE))
+_CUT = 9.47953482220325e-18
 _GL_SPLIT = 20
 
 
@@ -120,6 +124,8 @@ def _ordered_cholesky(cov: np.ndarray, upper: np.ndarray):
     with the smallest conditional upper-tail mass comes first, which
     concentrates variance in the leading integration dimensions.
     """
+    from scipy.special import ndtr
+
     d = cov.shape[0]
     c = cov.astype(float).copy()
     b = upper.astype(float).copy()
@@ -162,6 +168,8 @@ def _integrand(L: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
     w has shape (d-1, npoints), one contiguous row per cube coordinate;
     returns per-point products of conditional probabilities.
     """
+    from scipy.special import ndtr, ndtri
+
     d = L.shape[0]
     npts = w.shape[1]
     e = np.full(npts, ndtr(b[0] / L[0, 0]))
@@ -254,6 +262,8 @@ def _bvn(h: np.ndarray, k: np.ndarray, r: np.ndarray):
     [-38, 38], |a| in [1e-6, 1e6], scipy's owens_t erred by at most 2.3,
     10, 49 and 865 ulps of T(h, inf) for |h| below 1, 4, 8 and 40.
     """
+    from scipy.special import ndtr, owens_t
+
     # a subnormal bound is 0 to double precision, and divides badly
     h, k = (np.where(np.abs(b) < _TINY, 0.0, np.minimum(b, _BIG)) for b in (h, k))
     s = np.sqrt((1.0 - r) * (1.0 + r))
@@ -347,6 +357,8 @@ def _lattice_sum(upper: np.ndarray, cov: np.ndarray, weights: np.ndarray,
     doubles, evaluating only its odd k, until the t-quantile error meets
     rel_tol or every term has reached max_points (``converged=False``);
     ``points`` counts every integrand row."""
+    from scipy.special import stdtrit
+
     d = upper.shape[1]
     factors = [_ordered_cholesky(c, b) for c, b in zip(cov, upper)]
     z = _LATTICE_Z[: d - 1]

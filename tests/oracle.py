@@ -16,6 +16,11 @@ that the library validates.
 streams, keyed by its clique indices, but take each clique's separator
 and law from the explicit paths and `clique_limit_params`, and multiply
 the increments along the explicit paths instead of summing logs.
+
+The `*_by_copies` functions are the fit's data path written the slow,
+plain way: a stable sort per column, an `np.ix_` gather and a second log
+per anchor, `np.cov`, and 16 orientation gathers for the Gram matrix.
+The library must match them bit for bit.
 """
 
 import math
@@ -25,6 +30,7 @@ import numpy as np
 
 from extreme_blocks import sample_limit_field, validate_delta
 from extreme_blocks.graph import canonical_edge
+from extreme_blocks.model import _entry_classes
 
 
 def explicit_paths(cliques, source):
@@ -211,3 +217,74 @@ def nonidentifiable_witness(fam, v, eta):
         for w in sorted(g.cliques[ci] - {v}):
             params[canonical_edge(v, w)] += sign * eta
     return validate_delta(g, params)
+
+
+def ranks_by_copies(data):
+    """(n+1)/(n+1-r) per column, r the average rank, from a stable sort."""
+    n = data.shape[0]
+    out = np.empty_like(data)
+    for j in range(data.shape[1]):
+        col = data[:, j]
+        order = np.argsort(col, kind="stable")
+        ordered = col[order]
+        start = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+        end = np.r_[start[1:], len(col)]
+        ranks = np.empty(len(col))
+        ranks[order] = np.repeat(0.5 * (start + end + 1), end - start)
+        out[:, j] = (n + 1.0) / (n + 1.0 - ranks)
+    return out
+
+
+def spacings_by_copies(data, nodes, u, k):
+    """log_spacings of a pareto-scale table: the k largest anchor rows,
+    ties by row index, gathered with np.ix_ and logged apart from the anchor."""
+    n = data.shape[0]
+    anchor = data[:, nodes.index(u)]
+    kth = np.partition(anchor, n - k)[n - k]
+    above = np.flatnonzero(anchor > kth)
+    top = np.sort(np.r_[above, np.flatnonzero(anchor == kth)[:k - len(above)]])
+    top = top[np.argsort(-anchor[top], kind="stable")]
+    cols = [j for j, v in enumerate(nodes) if v != u]
+    logs = np.log(data[np.ix_(top, cols)])
+    return logs - np.log(anchor[top])[:, None]
+
+
+def cov_by_copies(mat):
+    """The (m, m) sample covariance of the rows of mat by np.cov."""
+    m = mat.shape[1]
+    return np.cov(mat, rowvar=False, ddof=1).reshape(m, m)
+
+
+def normal_equations_by_copies(g, moments):
+    """G and h of the fit from {u: (cov_hat, mean_hat or None)}, each
+    anchor added by an np.ix_ gather, G by 16 orientation gathers."""
+    n = len(g.nodes)
+    classes, ends = _entry_classes(g)
+    mean_weight = 0.0 if any(mean_hat is None for _, mean_hat in moments.values()) else 1.0
+    w = np.zeros(n)
+    spread = np.zeros((n, n))
+    lines = np.zeros((n, n))
+    for u, (cov_hat, mean_hat) in moments.items():
+        iu = g.index(u)
+        rest = np.r_[:iu, iu + 1:n]
+        w[iu] = 1.0
+        spread[np.ix_(rest, rest)] += cov_hat
+        line = 2.0 * (cov_hat.sum(axis=0) + cov_hat.sum(axis=1))
+        if mean_hat is not None:
+            line -= 2.0 * mean_hat
+        lines[rest, iu] = line
+    count = classes.T @ classes
+    wcount = classes.T @ (w[:, None] * classes)
+    size, wsize = np.diagonal(count), np.diagonal(wcount)
+    a, b = ends.T
+    rows, inner = classes.T @ lines @ classes, classes.T @ spread @ classes
+    target = rows[a, b] + rows[b, a] - 2.0 * (inner[a, b] + inner[b, a])
+    gram = np.zeros((len(a), len(a)))
+    for p, q in ((a, b), (b, a)):
+        for r, s in ((a, b), (b, a)):
+            gram += ((2 * n + mean_weight) * count[np.ix_(q, s)] + 2.0 * np.outer(size[q], size[s])) \
+                * wcount[np.ix_(p, r)]
+            gram -= 2.0 * (wsize[p, None] * count[np.ix_(q, r)] * size[s]
+                           + size[q, None] * count[np.ix_(p, s)] * wsize[r])
+            gram += w.sum() * count[np.ix_(p, r)] * count[np.ix_(q, s)]
+    return 4.0 * gram, target

@@ -499,6 +499,40 @@ def test_console_entry_point(fig1_files):
     assert "cliques (4):" in proc.stdout
 
 
+def test_only_normal_cdf_commands_load_scipy_special(fig2_files, tmp_path):
+    # six commands run in one fresh interpreter without loading
+    # scipy.special; stdf on three nodes, whose terms are bivariate normal
+    # CDFs, loads it
+    from extreme_blocks import path_sum_matrix
+    gpath, ppath = fig2_files
+    g = build_block_graph(FIG2_NODES, FIG2_EDGES)
+    dpath, mpath = tmp_path / "data.csv", tmp_path / "pobs.csv"
+    ebio.write_samples_csv(dpath, g.nodes, np.random.default_rng(0).random((60, len(g.nodes))))
+    ebio.write_matrix_csv(mpath, g.nodes, path_sum_matrix(validate_delta(g, FIG2_DELTA)).values)
+    model = ["--graph", str(gpath), "--params", str(ppath)]
+    commands = [
+        ["validate", *model],
+        ["params", *model, "--anchor", "1", "--out", str(tmp_path / "params")],
+        ["simulate", *model, "--anchor", "1", "--n", "20", "--seed", "1", "--out", str(tmp_path / "sim")],
+        ["fit", "--graph", str(gpath), "--data", str(dpath), "--k", "20", "--out", str(tmp_path / "fit")],
+        ["recover", "--graph", str(gpath), "--latent", "", "--pathsums", str(mpath),
+         "--out", str(tmp_path / "rec")],
+        ["check-identifiable", "--graph", str(gpath), "--latent", ""],
+    ]
+    script = (
+        "import json, sys\n"
+        "from extreme_blocks.cli import run\n"
+        f"codes = [run(argv) for argv in {commands!r}]\n"
+        "before = 'scipy.special' in sys.modules\n"
+        f"codes.append(run({['stdf', *model, '--subset', '1,3,5']!r}))\n"
+        "print(json.dumps([codes, before, 'scipy.special' in sys.modules]))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    codes, before, after = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert codes == [0] * 7
+    assert not before and after
+
+
 def test_readme_example_session(tmp_path):
     # the README's example block, run by bash -e with an extreme-blocks
     # shim on PATH that runs this interpreter on this checkout's package

@@ -26,9 +26,16 @@ from extreme_blocks import (
     sample_pareto_conditioned,
     validate_delta,
 )
+from extreme_blocks.fit import _normal_equations
 from conftest import FIG2_DELTA
 from gen import clique_tree_edges, random_block_graph, random_delta
-from oracle import sigma_coefficient_matrix
+from oracle import (
+    cov_by_copies,
+    normal_equations_by_copies,
+    ranks_by_copies,
+    sigma_coefficient_matrix,
+    spacings_by_copies,
+)
 
 
 def noisy_spacings_61(seed: int = 1, k: int = 100):
@@ -99,6 +106,38 @@ class TestRankTransform:
         for j in range(data.shape[1]):
             r = scipy.stats.rankdata(data[:, j], method="average")
             assert np.array_equal(out[:, j], 301.0 / (301.0 - r))
+
+    def test_ties_in_long_columns_match_scipy_average_ranks(self):
+        # 6,000 rows, where numpy's default sort runs its vectorized kernel
+        # and leaves the order inside a run of ties arbitrary
+        rng = np.random.default_rng(17)
+        n = 6000
+        signed_zeros = rng.standard_normal(n)
+        zero = rng.random(n) < 0.6
+        signed_zeros[zero] = np.where(rng.random(zero.sum()) < 0.5, 0.0, -0.0)
+        data = np.column_stack([
+            rng.integers(0, 5, n),                                  # small integers
+            np.repeat(rng.standard_normal(12), n // 12)[rng.permutation(n)],  # runs of 500
+            np.sort(rng.integers(0, 40, n))[::-1],                  # sorted runs
+            signed_zeros,                                           # 0.0 and -0.0 tie
+            rng.standard_normal(n),
+        ]).astype(float)
+        assert np.signbit(data[zero, 3]).any() and not np.signbit(data[zero, 3]).all()
+        out = rank_transform(SampleSet(data, ("a", "b", "c", "d", "e"))).data
+        for j in range(data.shape[1]):
+            r = scipy.stats.rankdata(data[:, j], method="average")
+            assert np.array_equal(out[:, j], (n + 1) / (n + 1 - r))
+        assert np.array_equal(out, ranks_by_copies(data))
+
+    def test_first_constant_column_named_in_long_table(self):
+        rng = np.random.default_rng(18)
+        data = np.column_stack([rng.standard_normal(6000), np.full(6000, 2.0),
+                                rng.standard_normal(6000), np.full(6000, -0.0)])
+        data[::2, 3] = 0.0  # 0.0 and -0.0 are one value
+        with pytest.raises(ConstantColumnError, match="'b'"):
+            rank_transform(SampleSet(data, ("a", "b", "c", "d")))
+        with pytest.raises(ConstantColumnError, match="'d'"):
+            rank_transform(SampleSet(data[:, [0, 2, 3]], ("a", "c", "d")))
 
     def test_import_leaves_scipy_stats_out(self):
         proc = subprocess.run(
@@ -554,3 +593,49 @@ class TestFitDelta:
         res = fit_delta(g, spacings)
         assert res.diagnostics == {"a": {"rows": 2000}, "b": {"rows": 2000}}
         assert res.delta2_hat[("a", "b")] == pytest.approx(0.7, rel=0.15)
+
+
+class TestSameBitsAsThePlainPath:
+    """Ranks, spacings, G, h, delta2_hat and the objective equal, bit for
+    bit, the plain path of tests/oracle.py: stable sorts, np.ix_ gathers,
+    np.cov and the 16-gather Gram."""
+
+    @staticmethod
+    def raw_table(seed):
+        # conditioned draws at three anchors on a clique tree, plus a noise
+        # floor rounded to two decimals, so columns and anchors hold ties
+        rng = np.random.default_rng(seed)
+        g = build_block_graph(*clique_tree_edges(rng, int(rng.integers(5, 25))))
+        fam = random_delta(g, rng, lo=0.4, hi=2.0)
+        raw = np.vstack([sample_pareto_conditioned(fam, u, 400, int(s))
+                         for u, s in zip(rng.choice(g.nodes, 3), rng.integers(0, 2**31, 3))])
+        return g, np.round(raw + rng.random(raw.shape), 2)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fit_path(self, seed):
+        g, raw = self.raw_table(900 + seed)
+        pareto, ref_pareto = rank_transform(SampleSet(raw, g.nodes, "raw")), ranks_by_copies(raw)
+        assert np.array_equal(pareto.data, ref_pareto)
+        rng = np.random.default_rng(seed)
+        for k in (2, 150, 600):
+            spacings = {u: log_spacings(pareto, u, k) for u in g.nodes}
+            ref_spacings = {u: spacings_by_copies(ref_pareto, g.nodes, u, k) for u in g.nodes}
+            for u, mat in spacings.items():
+                assert np.array_equal(mat, ref_spacings[u])
+            covs = {u: cov_by_copies(mat) for u, mat in ref_spacings.items()}
+            means = {u: mat.mean(axis=0) for u, mat in ref_spacings.items()}
+            # fit_delta's covariances are np.cov's of the plain spacings (whose
+            # memory layout counts too): every later step sees the same input
+            res, ref = fit_delta(g, spacings), fit_delta_from_covariances(g, covs)
+            assert np.array_equal(res.as_vector(g), ref.as_vector(g))
+            assert res.objective == ref.objective
+            subset = sorted(rng.choice(g.nodes, int(rng.integers(1, len(g.nodes) + 1)), replace=False))
+            for anchors in (g.nodes, subset):
+                for given in (None, means):
+                    moments = {u: (covs[u], None if given is None else given[u]) for u in anchors}
+                    gram, target = _normal_equations(g, moments)
+                    ref_gram, ref_target = normal_equations_by_copies(g, moments)
+                    assert np.array_equal(gram, ref_gram) and np.array_equal(target, ref_target)
+                    got = fit_delta_from_covariances(g, {u: covs[u] for u in anchors},
+                                                     None if given is None else {u: given[u] for u in anchors})
+                    assert np.array_equal(got.as_vector(g), nnls_active_set(ref_gram, ref_target))

@@ -244,6 +244,17 @@ def test_csv_writers_reject_a_shape_their_readers_refuse(tmp_path):
     assert path.read_text() == "a,b\n1,2\n"
 
 
+def test_samples_writer_refuses_a_table_with_no_rows(tmp_path):
+    # a header alone is a file that read_samples_csv refuses
+    path = tmp_path / "s.csv"
+    with pytest.raises(ValueError, match="at least one row"):
+        ebio.write_samples_csv(path, ("a", "b"), np.zeros((0, 2)))
+    assert not path.exists()
+    path.write_text("a,b\n")
+    with pytest.raises(ValueError, match="no data rows"):
+        ebio.read_samples_csv(path)
+
+
 class TestCsvKernel:
     """The array formatter of the CSV writers against fmt17, value by value."""
 

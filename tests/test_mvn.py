@@ -83,6 +83,12 @@ class TestStdNormal:
         assert std_normal_cdf(-40.0) == 0.0
         assert std_normal_cdf(40.0) == 1.0
 
+    def test_trivariate_cut_is_scipy_ndtr(self):
+        # written out so that importing mvn loads no scipy; math.erfc is
+        # about 1e-14 off it, which would change the trivariate error bytes
+        from scipy.special import ndtr
+        assert mvn._CUT == float(ndtr(-mvn._LINE))
+
 
 class TestMvnCdf:
     def test_dim1_delegates_exactly(self):
