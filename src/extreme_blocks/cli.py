@@ -27,6 +27,7 @@ from .latent import ObservationMask, check_identifiable, recover_edge_params, re
 from .model import (
     GaussianLimit,
     PathSumMatrix,
+    _subset_path_sums,
     extremal_graph_check,
     path_sum_matrix,
     precision_matrix,
@@ -217,7 +218,8 @@ def cmd_simulate(args) -> int:
 
 
 def _tail_query(args, evaluate, **lists) -> int:
-    """Evaluate one tail query on P over --subset and emit its record.
+    """Evaluate one tail query on P over --subset, read without filling
+    the whole of P, and emit its record.
 
     lists holds the command's per-node option, if any, by name, None for
     all ones; evaluate gets the subset, or its mapping to those values.
@@ -230,7 +232,7 @@ def _tail_query(args, evaluate, **lists) -> int:
         if len(values) != len(subset):
             raise ValueError(f"--{name} length must match --subset")
         query[name], at = values, dict(zip(subset, values))
-    res = evaluate(path_sum_matrix(fam), at, rel_tol=args.tol, seed=args.seed)
+    res = evaluate(_subset_path_sums(fam, subset), at, rel_tol=args.tol, seed=args.seed)
     _emit({"query": query, "value": res.value,
            "error_estimate": res.error, "converged": res.converged, "seed": args.seed})
     return 0

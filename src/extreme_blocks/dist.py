@@ -22,7 +22,7 @@ from .errors import (
     NonPositiveCoordinateError,
     SubsetTooSmallError,
 )
-from .model import GaussianLimit, PathSumMatrix, _anchor
+from .model import GaussianLimit, PathSumMatrix
 from .mvn import MvnResult, mvn_cdf
 
 __all__ = [
@@ -70,10 +70,13 @@ def stdf_hr_detailed(p: PathSumMatrix, weights: Mapping[str, float] | Sequence[f
     mat = p.values[np.ix_(support, support)]
     ys = y[support]
     logy = np.log(ys)
-    anchored = [_anchor(mat, si) for si in range(support.size)]
-    upper = np.array([2.0 * row + (logy[si] - np.delete(logy, si))
-                      for si, (row, _) in enumerate(anchored)])
-    cov = np.array([psi for _, psi in anchored])
+    # term s is P anchored at s (model._anchor), all m terms in one gather:
+    # rest[s] lists the other nodes in order
+    m = support.size
+    rest = np.arange(m - 1) + (np.arange(m - 1) >= np.arange(m)[:, None])
+    pu = mat[np.arange(m)[:, None], rest]
+    cov = 2.0 * (pu[:, :, None] + pu[:, None, :] - mat[rest[:, :, None], rest[:, None, :]])
+    upper = 2.0 * pu + (logy[:, None] - logy[rest])
     return mvn_cdf(upper, cov, ys, rel_tol=rel_tol, seed=seed)
 
 

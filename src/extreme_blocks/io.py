@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import struct
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -58,11 +58,6 @@ def load_graph_json(path: str | Path) -> tuple[list[str], list[tuple[str, str]]]
         seen.add(e)
         edges.append(e)
     return nodes, edges
-
-
-def dump_graph_json(path: str | Path, nodes: Sequence[str], edges: Iterable[Edge]):
-    doc = {"nodes": list(nodes), "edges": [list(e) for e in sorted(edges)]}
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def load_params_json(path: str | Path) -> dict[Edge, float]:
@@ -308,18 +303,6 @@ def read_matrix_csv(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
 def dump_matrix_json(path: str | Path, nodes: Sequence[str], values: np.ndarray):
     doc = {"nodes": list(nodes), "values": np.asarray(values, dtype=float).tolist()}
     Path(path).write_text(json.dumps(doc) + "\n")
-
-
-def load_matrix_json(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or "nodes" not in doc or "values" not in doc:
-        raise ValueError("matrix file must be an object with 'nodes' and 'values'")
-    nodes = tuple(str(v) for v in doc["nodes"])
-    values = np.asarray(doc["values"], dtype=float)
-    if values.shape not in ((len(nodes),), (len(nodes), len(nodes))):
-        raise ValueError("matrix values do not match the node list")
-    return nodes, values
 
 
 # -- sample tables -----------------------------------------------------------

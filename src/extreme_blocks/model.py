@@ -15,7 +15,9 @@ a node s into the covariance 2*(m_si + m_sj - m_ij): on Delta_C it gives
 a clique's increment law (validation, sampling, Theta_u), on P it gives
 Sigma_u, and on a restricted P each stdf term.
 One fill along the block-cut tree's walk of (clique, separator,
-targets) sums the clique matrices Delta_C along shortest paths into P.
+targets) sums the clique matrices Delta_C along shortest paths into P;
+a few nodes' entries are read to the same bits, without the n x n
+fill, by climbing the tree pair by pair.
 Sigma_u's coefficients in delta^2 come from where paths enter cliques:
 edge (a, b) lies on the path from x to y exactly when the path from x
 enters the edge's clique at one end and the path from y at the other.
@@ -169,6 +171,45 @@ def path_sum_matrix(d: DeltaFamily) -> PathSumMatrix:
     """p_ij = sum of delta_e^2 over the unique shortest path from i to j,
     filled from the clique matrices Delta_C."""
     return PathSumMatrix(d.graph.nodes, _path_fill(d.graph, d.blocks))
+
+
+def _subset_path_sums(d: DeltaFamily, subset: Iterable[str]) -> PathSumMatrix:
+    """path_sum_matrix(d).restrict(subset), bit for bit, without the n x n
+    fill.
+
+    _path_fill writes P[t, k] = block[s, t] + P[s, k] for a target t
+    filled after k, s being t's separator, and the edge's block entry
+    alone when both are targets of one clique. So each entry climbs from
+    whichever of its two nodes is filled later, collecting those terms,
+    and sums them innermost first.
+    """
+    g = d.graph
+    idx = sorted({g.index(v) for v in subset})
+    step = {ci: k for k, (ci, _, _) in enumerate(g._root_walk)}
+    filled = [step.get(ci, -1) for ci in g._up_clique]  # the root, at -1, is filled first
+
+    def delta2(ci: int, a: int, b: int) -> float:
+        members = g._members[ci]
+        return d.blocks[ci][members.index(a), members.index(b)]
+
+    values = np.zeros((len(idx), len(idx)))
+    for i, j in combinations(range(len(idx)), 2):
+        a, b, terms = idx[i], idx[j], []
+        while True:
+            if filled[a] > filled[b]:
+                a, b = b, a
+            ci, s = g._up_clique[b], g._up[b]
+            if filled[a] == filled[b]:  # targets of one clique, one edge apart
+                s = a
+            terms.append(delta2(ci, s, b))
+            if s == a:
+                break
+            b = s
+        total = terms.pop()
+        while terms:
+            total = terms.pop() + total
+        values[i, j] = values[j, i] = total
+    return PathSumMatrix(tuple(g.nodes[v] for v in idx), values)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,10 @@ query is the one-term case. Which path serves a stack depends on d:
   (20,971,520 rows under the 20 shifts). The n-point lattice is the even
   half of the 2n-point one, so a doubling evaluates only the odd k, each
   block of them under all K shifts in one integrand call of at most
-  2**14 points in total.
+  2**14 points in total. All terms start on the same points, so a
+  stack's start lattice is laid once and integrated term by term. The
+  reordering and Cholesky factor of a term (at most 25 x 25) run on
+  Python floats: at that size a numpy call costs more than its arithmetic.
 
 On the lattice the estimate under shift r is S_r = sum_t w_t mean_{t,r};
 the value is the mean of the S_r and the reported error is
@@ -122,44 +125,52 @@ def _ordered_cholesky(cov: np.ndarray, upper: np.ndarray):
 
     Returns (L, b) in the integration order: at each stage the variable
     with the smallest conditional upper-tail mass comes first, which
-    concentrates variance in the leading integration dimensions.
+    concentrates variance in the leading integration dimensions. The
+    factorization runs on Python floats, a term being at most 25 x 25:
+    each candidate's sums L[i, :k] @ L[i, :k] and L[i, :k] @ y[:k] grow by
+    one product per stage, left to right, and the normal CDF is
+    0.5 erfc(-s / sqrt 2), so no numpy or scipy call is paid per entry.
     """
-    from scipy.special import ndtr
-
-    d = cov.shape[0]
-    c = cov.astype(float).copy()
-    b = upper.astype(float).copy()
-    L = np.zeros((d, d))
-    y = np.zeros(d)
+    d = len(upper)
+    c = cov.tolist()
+    b = upper.tolist()
+    at = list(range(d))  # the variable of cov at each position
+    L = [[0.0] * d for _ in range(d)]
+    y = [0.0] * d
+    sq = [0.0] * d  # L[i, :k] @ L[i, :k] of the variable at position i
+    ly = [0.0] * d  # L[i, :k] @ y[:k]
 
     for k in range(d):
-        best, best_p = k, np.inf
+        best, best_p = k, math.inf
         for i in range(k, d):
-            denom = c[i, i] - L[i, :k] @ L[i, :k]
-            if denom <= _EPS * max(c[i, i], 1.0):
+            var = c[at[i]][at[i]]
+            denom = var - sq[i]
+            if denom <= _EPS * max(var, 1.0):
                 raise NotPDError("covariance matrix is not positive definite")
-            s = (b[i] - L[i, :k] @ y[:k]) / math.sqrt(denom)
-            p = ndtr(s)
+            s = (b[i] - ly[i]) / math.sqrt(denom)
+            p = 0.5 * math.erfc(-s / _SQRT2)
             if p < best_p:
                 best_p, best, pivot = p, i, denom
         if best != k:
-            c[[k, best], :] = c[[best, k], :]
-            c[:, [k, best]] = c[:, [best, k]]
-            L[[k, best], :] = L[[best, k], :]
-            b[[k, best]] = b[[best, k]]
+            for row in (at, L, b, sq, ly):
+                row[k], row[best] = row[best], row[k]
 
-        L[k, k] = math.sqrt(pivot)
-        for i in range(k + 1, d):
-            L[i, k] = (c[i, k] - L[i, :k] @ L[k, :k]) / L[k, k]
-
-        sk = (b[k] - L[k, :k] @ y[:k]) / L[k, k]
-        ek = max(float(ndtr(sk)), _TINY)
+        lk = L[k]
+        lkk = lk[k] = math.sqrt(pivot)
+        sk = (b[k] - ly[k]) / lkk
+        ek = max(0.5 * math.erfc(-sk / _SQRT2), _TINY)
         # mean of a standard normal truncated to (-inf, sk]
-        if math.isinf(sk):
-            y[k] = 0.0
-        else:
-            y[k] = -math.exp(-0.5 * sk * sk) / (_SQRT_2PI * ek)
-    return L, b
+        y[k] = 0.0 if math.isinf(sk) else -math.exp(-0.5 * sk * sk) / (_SQRT_2PI * ek)
+        ck = at[k]
+        for i in range(k + 1, d):
+            li = L[i]
+            acc = 0.0
+            for j in range(k):
+                acc += li[j] * lk[j]
+            lik = li[k] = (c[at[i]][ck] - acc) / lkk
+            sq[i] += lik * lik
+            ly[i] += lik * y[k]
+    return np.array(L), np.array(b)
 
 
 def _integrand(L: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -226,15 +237,18 @@ def _lattice_numerators(z: np.ndarray, lo: int, hi: int, block: int):
         yield np.multiply.outer(zn, k) % np.uint64(hi)
 
 
-def _add_points(L: np.ndarray, b: np.ndarray, z: np.ndarray, shifts: np.ndarray,
-                sums: np.ndarray, lo: int, hi: int) -> None:
-    """Add the points that grow a term's lattice from lo to hi points, under
-    every shift, to the per-shift sums.
+def _add_points(factors, z: np.ndarray, shifts: np.ndarray, sums: np.ndarray,
+                lo: int, hi: int) -> None:
+    """Add the points that grow the lattices of the terms in factors, a
+    list of (L, b), from lo to hi points, under every shift, to their
+    per-shift sums, one row of sums per term.
 
     The hi-point lattice {k z / hi} holds the lo-point one, so a doubling
     evaluates only its new points, a block of them under every shift at
     once, at most 2**14 rows per integrand call; each shifted point is
-    folded by the baker's transform |2 frac(x) - 1|.
+    folded by the baker's transform |2 frac(x) - 1|. Each block is laid
+    once and integrated term by term, so a term's sums get the same bits
+    as when it is passed alone.
     """
     k = shifts.shape[0]
     for num in _lattice_numerators(z, lo, hi, max(1, (1 << 14) // k)):
@@ -244,8 +258,9 @@ def _add_points(L: np.ndarray, b: np.ndarray, z: np.ndarray, shifts: np.ndarray,
         w *= 2.0
         w -= 1.0
         np.abs(w, out=w)
-        f = _integrand(L, b, w.reshape(z.size, -1))
-        sums += f.reshape(k, -1).sum(axis=1)
+        w = w.reshape(z.size, -1)
+        for (L, b), term_sums in zip(factors, sums):
+            term_sums += _integrand(L, b, w).reshape(k, -1).sum(axis=1)
 
 
 def _bvn(h: np.ndarray, k: np.ndarray, r: np.ndarray):
@@ -353,10 +368,11 @@ def _lattice_sum(upper: np.ndarray, cov: np.ndarray, weights: np.ndarray,
     t >= 1, d >= 2.
 
     Each term's lattice {k z / n} starts at n = start_points under every
-    shift, and the lattice of the term with the largest weighted spread
-    doubles, evaluating only its odd k, until the t-quantile error meets
-    rel_tol or every term has reached max_points (``converged=False``);
-    ``points`` counts every integrand row."""
+    shift, on points laid once for the whole stack, and the lattice of the
+    term with the largest weighted spread doubles, evaluating only its odd
+    k, until the t-quantile error meets rel_tol or every term has reached
+    max_points (``converged=False``); ``points`` counts every integrand
+    row."""
     from scipy.special import stdtrit
 
     d = upper.shape[1]
@@ -367,10 +383,10 @@ def _lattice_sum(upper: np.ndarray, cov: np.ndarray, weights: np.ndarray,
     shifts = rng.random((randomizations, d - 1))
     t_quantile = float(stdtrit(randomizations - 1, 0.99865))
 
+    # every term starts on the same points, laid once for the stack
     sums = np.zeros((len(weights), randomizations))
+    _add_points(factors, z, shifts, sums, 0, start_points)
     n = np.full(len(weights), start_points)  # lattice points per shift of each term
-    for j, (L, b) in enumerate(factors):
-        _add_points(L, b, z, shifts, sums[j], 0, start_points)
     while True:
         means = sums / n[:, None]
         per_shift = weights @ means
@@ -383,7 +399,7 @@ def _lattice_sum(upper: np.ndarray, cov: np.ndarray, weights: np.ndarray,
         if not room.any():
             return MvnResult(value, err, False, points)
         j = int(np.argmax(np.where(room, weights * means.std(axis=1), -1.0)))
-        _add_points(*factors[j], z, shifts, sums[j], n[j], 2 * n[j])
+        _add_points(factors[j:j + 1], z, shifts, sums[j:j + 1], n[j], 2 * n[j])
         n[j] *= 2
 
 

@@ -23,7 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import SingularBlockError, UnknownNodeError
+from .errors import SingularBlockError
 from .model import DeltaFamily, _increment_law
 from .mvn import _check_seed
 
@@ -47,12 +47,6 @@ class FieldSample:
     anchor: str
     nodes: tuple[str, ...]
     matrix: np.ndarray
-
-    def column(self, v: str) -> np.ndarray:
-        try:
-            return self.matrix[:, self.nodes.index(v)]
-        except ValueError:
-            raise UnknownNodeError(f"unknown node {v!r}") from None
 
 
 def sample_limit_field(d: DeltaFamily, u: str, n: int, rng_seed: int,

@@ -17,6 +17,11 @@ streams, keyed by its clique indices, but take each clique's separator
 and law from the explicit paths and `clique_limit_params`, and multiply
 the increments along the explicit paths instead of summing logs.
 
+`ordered_cholesky_numpy` is the MVN term's greedy reordering and Cholesky
+factor as it was written on numpy arrays, with scipy's ndtr and a fresh
+BLAS dot for every sum; the library's float version must pick the same
+pivots and agree to rounding.
+
 The `*_by_copies` functions are the fit's data path written the slow,
 plain way: a stable sort per column, an `np.ix_` gather and a second log
 per anchor, `np.cov`, and 16 orientation gathers for the Gram matrix.
@@ -28,7 +33,7 @@ from collections import deque
 
 import numpy as np
 
-from extreme_blocks import sample_limit_field, validate_delta
+from extreme_blocks import NotPDError, sample_limit_field, validate_delta
 from extreme_blocks.graph import canonical_edge
 from extreme_blocks.model import _entry_classes
 
@@ -104,6 +109,49 @@ def check_cnd(m):
     q = np.linalg.qr(np.eye(d)[:, :-1] - np.eye(d)[:, -1:])[0]
     w = np.linalg.eigvalsh(q.T @ m @ q)
     return bool(w[-1] < 1e-10 * w[0])
+
+
+def ordered_cholesky_numpy(cov, upper):
+    """(L, b) of the greedy reordering by expected truncation: at each
+    stage the variable of smallest conditional upper-tail mass is the
+    pivot, ties going to the first; NotPDError where a conditional
+    variance is at most 1e-15 max(variance, 1)."""
+    from scipy.special import ndtr
+
+    d = cov.shape[0]
+    c = cov.astype(float).copy()
+    b = upper.astype(float).copy()
+    L = np.zeros((d, d))
+    y = np.zeros(d)
+
+    for k in range(d):
+        best, best_p = k, np.inf
+        for i in range(k, d):
+            denom = c[i, i] - L[i, :k] @ L[i, :k]
+            if denom <= 1e-15 * max(c[i, i], 1.0):
+                raise NotPDError("covariance matrix is not positive definite")
+            s = (b[i] - L[i, :k] @ y[:k]) / math.sqrt(denom)
+            p = ndtr(s)
+            if p < best_p:
+                best_p, best, pivot = p, i, denom
+        if best != k:
+            c[[k, best], :] = c[[best, k], :]
+            c[:, [k, best]] = c[:, [best, k]]
+            L[[k, best], :] = L[[best, k], :]
+            b[[k, best]] = b[[best, k]]
+
+        L[k, k] = math.sqrt(pivot)
+        for i in range(k + 1, d):
+            L[i, k] = (c[i, k] - L[i, :k] @ L[k, :k]) / L[k, k]
+
+        sk = (b[k] - L[k, :k] @ y[:k]) / L[k, k]
+        ek = max(float(ndtr(sk)), 1e-300)
+        # mean of a standard normal truncated to (-inf, sk]
+        if math.isinf(sk):
+            y[k] = 0.0
+        else:
+            y[k] = -math.exp(-0.5 * sk * sk) / (math.sqrt(2.0 * math.pi) * ek)
+    return L, b
 
 
 def embedded_cbc(dims):

@@ -12,22 +12,27 @@ from extreme_blocks import io as ebio
 from extreme_blocks import (
     SampleSet,
     build_block_graph,
+    extremal_coefficient_detailed,
     fit_delta,
     log_spacings,
+    pareto_cdf_detailed,
+    path_sum_matrix,
     rank_transform,
     sample_pareto_conditioned,
     std_normal_cdf,
+    stdf_hr_detailed,
     validate_delta,
 )
 from extreme_blocks.cli import run
 from conftest import FIG1_DELTA, FIG1_EDGES, FIG1_NODES, FIG2_DELTA, FIG2_EDGES, FIG2_NODES, FIG4_EDGES, FIG4_NODES
+from jsonfiles import dump_graph_json, load_matrix_json
 
 
 @pytest.fixture()
 def fig1_files(tmp_path):
     gpath = tmp_path / "fig1.json"
     ppath = tmp_path / "fig1_params.json"
-    ebio.dump_graph_json(gpath, FIG1_NODES, FIG1_EDGES)
+    dump_graph_json(gpath, FIG1_NODES, FIG1_EDGES)
     ebio.dump_params_json(ppath, FIG1_DELTA)
     return gpath, ppath
 
@@ -36,7 +41,7 @@ def fig1_files(tmp_path):
 def fig2_files(tmp_path):
     gpath = tmp_path / "fig2.json"
     ppath = tmp_path / "fig2_params.json"
-    ebio.dump_graph_json(gpath, FIG2_NODES, FIG2_EDGES)
+    dump_graph_json(gpath, FIG2_NODES, FIG2_EDGES)
     ebio.dump_params_json(ppath, FIG2_DELTA)
     return gpath, ppath
 
@@ -51,7 +56,7 @@ class TestValidate:
     def test_broken_graph_exit_two_with_diagnostic(self, tmp_path, capsys):
         gpath = tmp_path / "broken.json"
         edges = [e for e in FIG1_EDGES if e != ("2", "6")]
-        ebio.dump_graph_json(gpath, FIG1_NODES, edges)
+        dump_graph_json(gpath, FIG1_NODES, edges)
         assert run(["validate", "--graph", str(gpath)]) == 2
         diag = json.loads(capsys.readouterr().out.strip())
         assert diag["error"] == "NotBlockGraphError"
@@ -68,7 +73,7 @@ class TestValidate:
     def test_not_cnd_exit_two(self, tmp_path, capsys):
         gpath = tmp_path / "tri.json"
         ppath = tmp_path / "tri_params.json"
-        ebio.dump_graph_json(gpath, ["1", "2", "3"],
+        dump_graph_json(gpath, ["1", "2", "3"],
                              [("1", "2"), ("1", "3"), ("2", "3")])
         ebio.dump_params_json(ppath, {("1", "2"): 1.0, ("1", "3"): 1.0,
                                       ("2", "3"): 5.0})
@@ -220,7 +225,7 @@ class TestEvaluations:
     def test_stdf_single_edge(self, tmp_path, capsys):
         gpath = tmp_path / "e.json"
         ppath = tmp_path / "e_params.json"
-        ebio.dump_graph_json(gpath, ["a", "b"], [("a", "b")])
+        dump_graph_json(gpath, ["a", "b"], [("a", "b")])
         ebio.dump_params_json(ppath, {("a", "b"): 1.44})
         assert run(["stdf", "--graph", str(gpath), "--params", str(ppath),
                     "--subset", "a,b"]) == 0
@@ -241,7 +246,7 @@ class TestEvaluations:
     def test_pareto_cdf_record(self, tmp_path, capsys):
         gpath = tmp_path / "e.json"
         ppath = tmp_path / "e_params.json"
-        ebio.dump_graph_json(gpath, ["a", "b"], [("a", "b")])
+        dump_graph_json(gpath, ["a", "b"], [("a", "b")])
         ebio.dump_params_json(ppath, {("a", "b"): 1.0})
         assert run(["pareto-cdf", "--graph", str(gpath), "--params", str(ppath),
                     "--subset", "a,b", "--point", "2,2"]) == 0
@@ -260,6 +265,29 @@ class TestEvaluations:
             2 * std_normal_cdf(math.sqrt(FIG2_DELTA[("1", "2")])), abs=1e-10)
         assert rec["error_estimate"] == 0.0
         assert rec["converged"] is True
+
+    @pytest.mark.parametrize("subset", ["6,1,4,3", "5,1,3,2,6"])
+    @pytest.mark.parametrize("command, option, query", [
+        ("stdf", "weights", stdf_hr_detailed),
+        ("pareto-cdf", "point", pareto_cdf_detailed),
+        ("ec", None, extremal_coefficient_detailed),
+    ])
+    def test_record_is_the_full_path_sums_one(self, fig2_files, fig2_family, capsys,
+                                              command, option, query, subset):
+        # the CLI reads only the subset's path sums; its record is byte for
+        # byte the one evaluated on the whole of P
+        gpath, ppath = fig2_files
+        nodes = subset.split(",")
+        values = [0.6, 1.7, 1.1, 2.5, 0.9][:len(nodes)]
+        extra = [f"--{option}", ",".join(map(str, values))] if option else []
+        assert run([command, "--graph", str(gpath), "--params", str(ppath), "--subset", subset,
+                    "--tol", "1e-4", "--seed", "5", *extra]) == 0
+        at = dict(zip(nodes, values)) if option else nodes
+        res = query(path_sum_matrix(fig2_family), at, rel_tol=1e-4, seed=5)
+        record = {"query": {"subset": nodes, **({option: values} if option else {})},
+                  "value": res.value, "error_estimate": res.error,
+                  "converged": res.converged, "seed": 5}
+        assert capsys.readouterr().out == json.dumps(record) + "\n"
 
     @pytest.mark.parametrize("command, extra", [
         ("ec", []),
@@ -283,7 +311,7 @@ class TestEvaluations:
         nodes = [f"v{i}" for i in range(27)]
         gpath = tmp_path / "path.json"
         ppath = tmp_path / "path_params.json"
-        ebio.dump_graph_json(gpath, nodes, list(zip(nodes, nodes[1:])))
+        dump_graph_json(gpath, nodes, list(zip(nodes, nodes[1:])))
         ebio.dump_params_json(ppath, {e: 0.5 for e in zip(nodes, nodes[1:])})
         assert run(["stdf", "--graph", str(gpath), "--params", str(ppath),
                     "--subset", ",".join(nodes)]) == 3
@@ -331,7 +359,7 @@ class TestFitCommand:
 
     def test_one_column_table_fits_no_edges(self, tmp_path, capsys):
         gpath, dpath, out = tmp_path / "one.json", tmp_path / "data.csv", tmp_path / "fit"
-        ebio.dump_graph_json(gpath, ["a"], [])
+        dump_graph_json(gpath, ["a"], [])
         ebio.write_samples_csv(dpath, ("a",), np.random.default_rng(0).random((30, 1)))
         assert run(["fit", "--graph", str(gpath), "--data", str(dpath),
                     "--k", "5,10", "--out", str(out)]) == 0
@@ -346,7 +374,7 @@ class TestFitCommand:
         fam = validate_delta(g, {("a", "b"): 0.7})
         raw = np.vstack([sample_pareto_conditioned(fam, u, 2000, j) for j, u in enumerate(g.nodes)])
         gpath, dpath, out = tmp_path / "ab.json", tmp_path / "data.csv", tmp_path / "fit"
-        ebio.dump_graph_json(gpath, ["a", "b"], [("a", "b")])
+        dump_graph_json(gpath, ["a", "b"], [("a", "b")])
         ebio.write_samples_csv(dpath, g.nodes, raw)
         assert run(["fit", "--graph", str(gpath), "--data", str(dpath),
                     "--k", "200", "--out", str(out)]) == 0
@@ -375,7 +403,7 @@ class TestRecoverCommands:
         from extreme_blocks import ObservationMask, build_block_graph, path_sum_matrix, validate_delta
         from gen import random_delta
         gpath = tmp_path / "fig4.json"
-        ebio.dump_graph_json(gpath, FIG4_NODES, FIG4_EDGES)
+        dump_graph_json(gpath, FIG4_NODES, FIG4_EDGES)
         g = build_block_graph(FIG4_NODES, FIG4_EDGES)
         fam = random_delta(g, np.random.default_rng(21), lo=0.4, hi=2.0)
         mask = ObservationMask.from_latent(g, ["3"])
@@ -401,7 +429,7 @@ class TestRecoverCommands:
 
     def test_check_identifiable_exits(self, tmp_path, capsys):
         gpath = tmp_path / "fig4.json"
-        ebio.dump_graph_json(gpath, FIG4_NODES, FIG4_EDGES)
+        dump_graph_json(gpath, FIG4_NODES, FIG4_EDGES)
         assert run(["check-identifiable", "--graph", str(gpath), "--latent", "3"]) == 0
         rec = json.loads(capsys.readouterr().out.strip())
         assert rec["identifiable"] is True
@@ -411,7 +439,7 @@ class TestRecoverCommands:
 
     def test_mask_json_file(self, tmp_path, capsys):
         gpath = tmp_path / "fig4.json"
-        ebio.dump_graph_json(gpath, FIG4_NODES, FIG4_EDGES)
+        dump_graph_json(gpath, FIG4_NODES, FIG4_EDGES)
         mask = tmp_path / "mask.json"
         mask.write_text('{"latent": ["3"]}')
         assert run(["check-identifiable", "--graph", str(gpath),
@@ -425,7 +453,7 @@ class TestCommaLists:
     @pytest.fixture()
     def fig4_graph(self, tmp_path):
         gpath = tmp_path / "fig4.json"
-        ebio.dump_graph_json(gpath, FIG4_NODES, FIG4_EDGES)
+        dump_graph_json(gpath, FIG4_NODES, FIG4_EDGES)
         return str(gpath)
 
     def test_empty_latent_list(self, fig4_graph, capsys):
@@ -484,7 +512,7 @@ class TestCommaLists:
 
 def test_disconnected_graph_exit_two(tmp_path, capsys):
     gpath = tmp_path / "two.json"
-    ebio.dump_graph_json(gpath, ["a", "b"], [])
+    dump_graph_json(gpath, ["a", "b"], [])
     assert run(["validate", "--graph", str(gpath)]) == 2
     assert json.loads(capsys.readouterr().out.strip())["error"] == "DisconnectedGraphError"
 
@@ -562,10 +590,10 @@ def test_params_json_round_trips_through_parser(fig2_files, tmp_path):
     out = tmp_path / "json_out"
     assert run(["params", "--graph", str(gpath), "--params", str(ppath),
                 "--anchor", "1", "--out", str(out), "--format", "json"]) == 0
-    nodes, sigma = ebio.load_matrix_json(out / "sigma_1.json")
+    nodes, sigma = load_matrix_json(out / "sigma_1.json")
     assert nodes == ("2", "3", "4", "5", "6")
     assert np.allclose(np.diag(sigma) > 0, True)
-    _, mu = ebio.load_matrix_json(out / "mu_1.json")
+    _, mu = load_matrix_json(out / "mu_1.json")
     assert mu.shape == (5,)
 
 
@@ -573,7 +601,7 @@ def test_recover_json_format(tmp_path):
     from extreme_blocks import ObservationMask, build_block_graph, path_sum_matrix
     from gen import random_delta
     gpath = tmp_path / "fig4.json"
-    ebio.dump_graph_json(gpath, FIG4_NODES, FIG4_EDGES)
+    dump_graph_json(gpath, FIG4_NODES, FIG4_EDGES)
     g = build_block_graph(FIG4_NODES, FIG4_EDGES)
     fam = random_delta(g, np.random.default_rng(33), lo=0.4, hi=2.0)
     mask = ObservationMask.from_latent(g, ["3"])
@@ -584,7 +612,7 @@ def test_recover_json_format(tmp_path):
     assert run(["recover", "--graph", str(gpath), "--latent", "3",
                 "--pathsums", str(mpath), "--out", str(out),
                 "--format", "json"]) == 0
-    nodes, values = ebio.load_matrix_json(out / "P_recovered.json")
+    nodes, values = load_matrix_json(out / "P_recovered.json")
     assert nodes == tuple(FIG4_NODES)
     full = path_sum_matrix(fam)
     assert np.abs(values - full.values).max() <= 1e-10
@@ -599,7 +627,7 @@ def test_every_command_accepts_format_json(fig2_files, tmp_path, capsys):
     assert run(["pareto-cdf", "--graph", str(gpath), "--params", str(ppath),
                 "--subset", "1,2", "--point", "2,3", "--format", "json"]) == 0
     gpath4 = tmp_path / "fig4.json"
-    ebio.dump_graph_json(gpath4, FIG4_NODES, FIG4_EDGES)
+    dump_graph_json(gpath4, FIG4_NODES, FIG4_EDGES)
     assert run(["check-identifiable", "--graph", str(gpath4), "--latent", "3",
                 "--format", "json"]) == 0
     for line in capsys.readouterr().out.strip().splitlines():
@@ -610,7 +638,7 @@ def test_recover_inconsistent_input_exit_three(tmp_path, capsys):
     from extreme_blocks import ObservationMask, build_block_graph, path_sum_matrix
     from gen import random_delta
     gpath = tmp_path / "fig4.json"
-    ebio.dump_graph_json(gpath, FIG4_NODES, FIG4_EDGES)
+    dump_graph_json(gpath, FIG4_NODES, FIG4_EDGES)
     g = build_block_graph(FIG4_NODES, FIG4_EDGES)
     fam = random_delta(g, np.random.default_rng(55), lo=0.4, hi=2.0)
     mask = ObservationMask.from_latent(g, ["3"])
@@ -630,7 +658,7 @@ def test_recover_inconsistent_input_exit_three(tmp_path, capsys):
 def test_recover_non_positive_observed_edge_exit_three(tmp_path, capsys):
     # nothing latent: the observed edge (a, b) is read directly as -1
     gpath, mpath, latent = tmp_path / "path.json", tmp_path / "p.csv", tmp_path / "mask.json"
-    ebio.dump_graph_json(gpath, ["a", "b", "c"], [("a", "b"), ("b", "c")])
+    dump_graph_json(gpath, ["a", "b", "c"], [("a", "b"), ("b", "c")])
     ebio.write_matrix_csv(mpath, ("a", "b", "c"),
                           np.array([[0.0, -1.0, 1.0], [-1.0, 0.0, 2.0], [1.0, 2.0, 0.0]]))
     latent.write_text(json.dumps({"latent": []}))
@@ -645,7 +673,7 @@ def test_recover_non_finite_input_exit_one(tmp_path, capsys):
     from extreme_blocks import ObservationMask, build_block_graph, path_sum_matrix
     from gen import random_delta
     gpath = tmp_path / "fig4.json"
-    ebio.dump_graph_json(gpath, FIG4_NODES, FIG4_EDGES)
+    dump_graph_json(gpath, FIG4_NODES, FIG4_EDGES)
     g = build_block_graph(FIG4_NODES, FIG4_EDGES)
     fam = random_delta(g, np.random.default_rng(55), lo=0.4, hi=2.0)
     mask = ObservationMask.from_latent(g, ["3"])
@@ -712,7 +740,7 @@ def test_params_tol_overrides_graph_check_tolerance(fig2_files, tmp_path, capsys
 def test_validate_rejects_boolean_delta2(tmp_path, capsys):
     gpath = tmp_path / "g.json"
     ppath = tmp_path / "p.json"
-    ebio.dump_graph_json(gpath, ["a", "b"], [("a", "b")])
+    dump_graph_json(gpath, ["a", "b"], [("a", "b")])
     ppath.write_text('{"edges": [{"a": "a", "b": "b", "delta2": true}]}')
     assert run(["validate", "--graph", str(gpath), "--params", str(ppath)]) == 1
     diag = json.loads(capsys.readouterr().out.strip())
@@ -769,7 +797,7 @@ def test_fit_data_columns_must_be_the_graph_nodes(fig2_files, tmp_path, capsys):
 def test_node_id_with_a_comma_exit_one(tmp_path, capsys):
     # P.csv would split "a,b" into two header cells and --subset could not name it
     gpath, ppath = tmp_path / "g.json", tmp_path / "p.json"
-    ebio.dump_graph_json(gpath, ["a,b", "c"], [("a,b", "c")])
+    dump_graph_json(gpath, ["a,b", "c"], [("a,b", "c")])
     ebio.dump_params_json(ppath, {("a,b", "c"): 0.5})
     assert run(["params", "--graph", str(gpath), "--params", str(ppath), "--anchor", "c",
                 "--out", str(tmp_path / "out")]) == 1
@@ -780,7 +808,7 @@ def test_node_id_with_a_comma_exit_one(tmp_path, capsys):
 
 def test_recover_headers_must_be_the_observed_nodes(tmp_path, capsys):
     gpath, mpath = tmp_path / "fig4.json", tmp_path / "pobs.csv"
-    ebio.dump_graph_json(gpath, FIG4_NODES, FIG4_EDGES)
+    dump_graph_json(gpath, FIG4_NODES, FIG4_EDGES)
     observed = [v for v in FIG4_NODES if v != "3"]
     ebio.write_matrix_csv(mpath, observed[::-1], np.zeros((6, 6)))
     assert run(["recover", "--graph", str(gpath), "--latent", "3", "--pathsums", str(mpath),

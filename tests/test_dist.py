@@ -86,6 +86,29 @@ class TestStdf:
         terms = [real(u, c, rel_tol=1e-6) for u, c in zip(upper, cov)]
         assert value == pytest.approx(sum(w * t.value for w, t in zip(y, terms)), rel=1e-4)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_terms_gathered_at_once_are_the_anchored_ones(self, monkeypatch, seed):
+        # term s is P over the support anchored at s, _anchor's covariance,
+        # with bounds 2 p_s. + ln(y_s / y_v): one gather for all terms
+        # gives the same bits
+        import extreme_blocks.dist as dist
+        from extreme_blocks.model import _anchor
+        rng = np.random.default_rng(seed)
+        fam = random_delta(random_block_graph(rng, 12), rng)
+        p = path_sum_matrix(fam)
+        y = rng.uniform(0.2, 2.0, len(p.nodes)) * (rng.random(len(p.nodes)) < 0.7)
+        stacks = []
+        monkeypatch.setattr(dist, "mvn_cdf", lambda *args, **options: stacks.append(args))
+        stdf_hr_detailed(p, y, rel_tol=1e-2)
+        support = np.flatnonzero(y > 0)
+        ((upper, cov, weights),) = stacks
+        mat, logy = p.values[np.ix_(support, support)], np.log(y[support])
+        anchored = [_anchor(mat, s) for s in range(support.size)]
+        assert np.array_equal(upper, [2.0 * row + (logy[s] - np.delete(logy, s))
+                                      for s, (row, _) in enumerate(anchored)])
+        assert np.array_equal(cov, [psi for _, psi in anchored])
+        assert np.array_equal(weights, y[support])
+
     def test_detailed_three_nodes_spend_no_points(self, fig2_psum, monkeypatch):
         # three nodes give bivariate terms: the closed form evaluates them,
         # the error is its bound and no lattice point is drawn

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from extreme_blocks import io as ebio
+from jsonfiles import dump_graph_json, load_matrix_json
 
 
 class TestGraphJson:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "g.json"
-        ebio.dump_graph_json(path, ["b", "a", "c"], [("a", "b"), ("b", "c")])
+        dump_graph_json(path, ["b", "a", "c"], [("a", "b"), ("b", "c")])
         nodes, edges = ebio.load_graph_json(path)
         assert nodes == ["b", "a", "c"]
         assert edges == [("a", "b"), ("b", "c")]
@@ -378,14 +379,14 @@ class TestMatrixJson:
         path = tmp_path / "m.json"
         values = rng.standard_normal((4, 4))
         ebio.dump_matrix_json(path, ("a", "b", "c", "d"), values)
-        nodes, back = ebio.load_matrix_json(path)
+        nodes, back = load_matrix_json(path)
         assert nodes == ("a", "b", "c", "d")
         assert np.allclose(back, values, atol=0, rtol=0)
 
     def test_vector_round_trip(self, tmp_path):
         path = tmp_path / "v.json"
         ebio.dump_matrix_json(path, ("a", "b"), np.array([1.5, -2.0]))
-        nodes, back = ebio.load_matrix_json(path)
+        nodes, back = load_matrix_json(path)
         assert back.shape == (2,)
 
     @pytest.mark.parametrize("doc", ['[[1.0]]', '{"nodes": ["a"]}', '{"values": [1.0]}', '3'])
@@ -393,10 +394,10 @@ class TestMatrixJson:
         path = tmp_path / "m.json"
         path.write_text(doc)
         with pytest.raises(ValueError, match="'nodes' and 'values'"):
-            ebio.load_matrix_json(path)
+            load_matrix_json(path)
 
     def test_shape_mismatch_rejected(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text('{"nodes": ["a", "b"], "values": [[1, 2, 3]]}')
         with pytest.raises(ValueError):
-            ebio.load_matrix_json(path)
+            load_matrix_json(path)

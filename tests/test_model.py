@@ -15,7 +15,7 @@ from extreme_blocks import (
     sample_limit_field,
     validate_delta,
 )
-from extreme_blocks.model import _anchor, _increment_law
+from extreme_blocks.model import _anchor, _increment_law, _subset_path_sums
 from conftest import FIG2_DELTA
 from gen import clique_tree_edges, random_block_graph, random_delta, random_tree
 from oracle import check_cnd, clique_limit_params, clique_precisions, sigma_coefficient_matrix
@@ -126,6 +126,22 @@ class TestPathSums:
                 for i in g.path_nodes(u, j):
                     assert p.entry(u, i) + p.entry(i, j) == pytest.approx(
                         p.entry(u, j), abs=1e-12)
+
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_subset_read_without_the_fill(self, seed):
+        # the subset's entries, climbed pair by pair, are P's to the bit
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(5, 401))
+        g = build_block_graph(*clique_tree_edges(rng, n)) if seed % 2 else random_block_graph(rng)
+        fam = random_delta(g, rng)
+        p = path_sum_matrix(fam)
+        subsets = [rng.choice(g.nodes, int(rng.integers(1, min(len(g.nodes), 8) + 1)), replace=False)
+                   for _ in range(10)]
+        for subset in [*subsets, g.nodes]:
+            got, want = _subset_path_sums(fam, list(subset)), p.restrict(subset)
+            assert got.nodes == want.nodes
+            assert np.array_equal(got.values, want.values)
 
 
 def case_analysis_cov(g, fam, p, u, i, j):

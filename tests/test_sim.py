@@ -7,7 +7,6 @@ from extreme_blocks import (
     BlockGraph,
     DeltaFamily,
     SingularBlockError,
-    UnknownNodeError,
     build_block_graph,
     gaussian_limit,
     path_sum_matrix,
@@ -41,17 +40,17 @@ class TestIncrements:
         z = philox_increments(fam, "s", 4, 1)
         assert fs.anchor == "s" and fs.nodes == g.nodes
         assert sorted(v for _, v in z) == ["i", "j", "t"]
-        assert np.all(fs.column("s") == 1.0)
+        assert np.all(fs.matrix[:, fs.nodes.index("s")] == 1.0)
         for (s, v), zv in z.items():
-            assert s == "s" and np.all(fs.column(v) > 0)
-            np.testing.assert_allclose(fs.column(v), zv, rtol=1e-12, atol=0)
+            assert s == "s" and np.all(fs.matrix[:, fs.nodes.index(v)] > 0)
+            np.testing.assert_allclose(fs.matrix[:, fs.nodes.index(v)], zv, rtol=1e-12, atol=0)
 
     def test_unit_mean_and_log_mean(self, star_family):
         # anchored at s the field equals the increments themselves
         g, fam = star_family
         n = 1000000
         fs = sample_limit_field(fam, "s", n, 123)
-        z_i = fs.column("i")
+        z_i = fs.matrix[:, fs.nodes.index("i")]
         assert abs(z_i.mean() - 1.0) <= 4 * z_i.std(ddof=1) / math.sqrt(n)
         lnz = np.log(z_i)
         assert abs(lnz.mean() + 2 * 0.5) <= 4 * lnz.std(ddof=1) / math.sqrt(n)
@@ -60,8 +59,8 @@ class TestIncrements:
         g, fam = star_family
         n = 200000
         fs = sample_limit_field(fam, "s", n, 7)
-        lnz_i = np.log(fs.column("i"))
-        lnz_t = np.log(fs.column("t"))
+        lnz_i = np.log(fs.matrix[:, fs.nodes.index("i")])
+        lnz_t = np.log(fs.matrix[:, fs.nodes.index("t")])
         corr = np.corrcoef(lnz_i, lnz_t)[0, 1]
         assert abs(corr) <= 4 / math.sqrt(n)
 
@@ -69,8 +68,8 @@ class TestIncrements:
         g, fam = star_family
         n = 200000
         fs = sample_limit_field(fam, "s", n, 8)
-        lnz_i = np.log(fs.column("i"))
-        lnz_j = np.log(fs.column("j"))
+        lnz_i = np.log(fs.matrix[:, fs.nodes.index("i")])
+        lnz_j = np.log(fs.matrix[:, fs.nodes.index("j")])
         expect = 2 * (0.5 + 0.4 - 0.6)
         got = np.cov(lnz_i, lnz_j)[0, 1]
         var_i, var_j = 4 * 0.5, 4 * 0.4
@@ -90,20 +89,15 @@ class TestIncrements:
 class TestLimitField:
     def test_anchor_column_is_one(self, fig2_family):
         fs = sample_limit_field(fig2_family, "4", 100, 1)
-        assert np.all(fs.column("4") == 1.0)
-
-    def test_unknown_column_raises(self, fig2_family):
-        fs = sample_limit_field(fig2_family, "4", 10, 1)
-        with pytest.raises(UnknownNodeError, match="'x'"):
-            fs.column("x")
+        assert np.all(fs.matrix[:, fs.nodes.index("4")] == 1.0)
 
     def test_fig1_path_factorization(self, fig1_family):
         z = {e: zs[0] for e, zs in philox_increments(fig1_family, "7", 1, 321).items()}
         fs = sample_limit_field(fig1_family, "7", 1, 321)
-        a_70 = fs.column("0")[0]
+        a_70 = fs.matrix[:, fs.nodes.index("0")][0]
         expect = z[("7", "6")] * z[("6", "2")] * z[("2", "0")]
         assert a_70 == pytest.approx(expect, rel=1e-12)
-        a_75 = fs.column("5")[0]
+        a_75 = fs.matrix[:, fs.nodes.index("5")][0]
         assert a_75 == pytest.approx(z[("7", "6")] * z[("6", "5")], rel=1e-12)
 
     def test_empirical_covariance(self, fig1_family):
@@ -235,8 +229,8 @@ class TestPinnedOutputs:
         paths = {"0": "620", "1": "621", "2": "62", "3": "623", "4": "64", "5": "65", "7": "67"}
         for v, path in paths.items():
             want = math.prod(expect[e] for e in zip(path, path[1:]))
-            np.testing.assert_allclose(fs.column(v), [want], rtol=1e-12, atol=0)
-        np.testing.assert_array_equal(fs.column("6"), [1.0])
+            np.testing.assert_allclose(fs.matrix[:, fs.nodes.index(v)], [want], rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(fs.matrix[:, fs.nodes.index("6")], [1.0])
 
     def test_pareto(self, fig1_family):
         expect = [

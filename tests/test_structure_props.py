@@ -184,7 +184,7 @@ def test_field_multiplies_increments_along_paths(case, data):
     u = data.draw(st.sampled_from(g.nodes))
     field = sample_limit_field(fam, u, 3, seed)
     for v, expect in philox_field(fam, cliques, u, 3, seed).items():
-        np.testing.assert_allclose(field.column(v), expect, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(field.matrix[:, field.nodes.index(v)], expect, rtol=1e-12, atol=0)
 
 
 @PROPS
