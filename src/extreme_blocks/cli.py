@@ -2,8 +2,9 @@
 
 Subcommands: validate, params, simulate, stdf, pareto-cdf, ec, fit,
 recover, check-identifiable. Exit codes: 0 success, 1 usage or parse
-problem, 2 validation failure, 3 numerical failure. Errors are reported
-as machine-readable JSON on stdout.
+problem, 2 validation failure, 3 numerical failure. Every command prints
+one JSON record on stdout, errors included; matrices and tables go to
+--out as exact CSV, or as EBLK1 binary under simulate --format binary.
 
 Comma lists (--subset, --latent, --weights, --point, --k) read "" as the
 empty list and reject an empty entry or a repeated node or k. --latent
@@ -20,7 +21,7 @@ from pathlib import Path
 
 from . import io as ebio
 from .dist import extremal_coefficient_detailed, pareto_cdf_detailed, stdf_hr_detailed
-from .errors import ExtremeBlocksError, NotIdentifiableError
+from .errors import ExtremeBlocksError, KOutOfRangeError, NotIdentifiableError, SubsetTooSmallError
 from .fit import SampleSet, fit_delta, log_spacings, rank_transform
 from .graph import build_block_graph
 from .latent import ObservationMask, check_identifiable, recover_edge_params, recover_path_sums
@@ -83,11 +84,6 @@ def _add_common(p: argparse.ArgumentParser, *names):
         p.add_argument("--tol", type=_tolerance, default=None, help="tolerance override")
     if "out" in names:
         p.add_argument("--out", default=".", help="output directory")
-    if "format" in names:
-        p.add_argument("--format", choices=("csv", "json", "binary"), default="csv")
-    if "jsonflag" in names:
-        # records are always JSON; the flag is accepted for interface uniformity
-        p.add_argument("--format", choices=("json",), default="json")
     if "subset" in names:
         p.add_argument("--subset", required=True, help="comma-separated node ids")
     if "latent" in names:
@@ -144,16 +140,7 @@ def cmd_validate(args) -> int:
     if args.params:
         validate_delta(g, ebio.load_params_json(args.params))
         report["cnd"] = {"-".join(sorted(c)): "ok" for c in g.cliques}
-    if args.format == "json":
-        _emit(report)
-    else:
-        print(f"block graph with {len(g.nodes)} nodes, {len(g.edges)} edges")
-        print(f"cliques ({len(g.cliques)}):")
-        for c in report["cliques"]:
-            print("  {" + ", ".join(c) + "}")
-        print("separators: {" + ", ".join(report["separators"]) + "}")
-        if "cnd" in report:
-            print("all clique matrices conditionally negative definite")
+    _emit(report)
     return 0
 
 
@@ -161,6 +148,8 @@ def cmd_params(args) -> int:
     g, fam = _load_model(args)
     u = args.anchor
     g.index(u)
+    if len(g.nodes) < 2:
+        raise SubsetTooSmallError(f"anchor {u!r} leaves no other node for mu_u, Sigma_u and Theta_u")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -169,16 +158,10 @@ def cmd_params(args) -> int:
     theta = precision_matrix(fam, u)
     report = extremal_graph_check(lim, theta, tolerance=args.tol)
 
-    if args.format == "json":
-        ebio.dump_matrix_json(out / "P.json", p.nodes, p.values)
-        ebio.dump_matrix_json(out / f"mu_{u}.json", lim.nodes, lim.mean)
-        ebio.dump_matrix_json(out / f"sigma_{u}.json", lim.nodes, lim.cov)
-        ebio.dump_matrix_json(out / f"theta_{u}.json", lim.nodes, theta)
-    else:
-        ebio.write_matrix_csv(out / "P.csv", p.nodes, p.values)
-        ebio.write_samples_csv(out / f"mu_{u}.csv", lim.nodes, lim.mean[None, :])
-        ebio.write_matrix_csv(out / f"sigma_{u}.csv", lim.nodes, lim.cov)
-        ebio.write_matrix_csv(out / f"theta_{u}.csv", lim.nodes, theta)
+    ebio.write_matrix_csv(out / "P.csv", p.nodes, p.values)
+    ebio.write_samples_csv(out / f"mu_{u}.csv", lim.nodes, lim.mean[None, :])
+    ebio.write_matrix_csv(out / f"sigma_{u}.csv", lim.nodes, lim.cov)
+    ebio.write_matrix_csv(out / f"theta_{u}.csv", lim.nodes, theta)
     _emit({
         "anchor": u,
         "graph_check_max_violation": report.max_violation,
@@ -203,12 +186,6 @@ def cmd_simulate(args) -> int:
     if args.format == "binary":
         path = out / f"{stem}.bin"
         ebio.write_matrix_binary(path, matrix)
-    elif args.format == "json":
-        path = out / f"{stem}.json"
-        path.write_text(json.dumps({
-            "anchor": u, "seed": args.seed, "law": args.law,
-            "nodes": list(g.nodes), "matrix": matrix.tolist(),
-        }) + "\n")
     else:
         path = out / f"{stem}.csv"
         ebio.write_samples_csv(path, g.nodes, matrix)
@@ -226,6 +203,8 @@ def _tail_query(args, evaluate, **lists) -> int:
     """
     g, fam = _load_model(args)
     subset = _node_list(g, args.subset, "subset")
+    if not subset:
+        raise ValueError("--subset lists no node")
     query, at = {"subset": subset}, subset
     for name, raw in lists.items():
         values = [1.0] * len(subset) if raw is None else _comma_list(raw, name, float)
@@ -260,6 +239,8 @@ def cmd_fit(args) -> int:
     file_nodes, data = ebio.read_samples_csv(args.data)
     if tuple(sorted(file_nodes)) != g.nodes:
         raise ValueError("data columns do not match the graph's node set")
+    if not all(2 <= k < len(data) for k in ks):  # a spacing covariance needs two rows
+        raise KOutOfRangeError(f"every k must be in [2, {len(data) - 1}], got --k {args.k}")
     order = [file_nodes.index(v) for v in g.nodes]
     raw = SampleSet(data[:, order], g.nodes, "raw")
     pareto = rank_transform(raw)
@@ -300,12 +281,8 @@ def cmd_recover(args) -> int:
     fam = recover_edge_params(p_full, g)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.format == "json":
-        matrix_path = out / "P_recovered.json"
-        ebio.dump_matrix_json(matrix_path, p_full.nodes, p_full.values)
-    else:
-        matrix_path = out / "P_recovered.csv"
-        ebio.write_matrix_csv(matrix_path, p_full.nodes, p_full.values)
+    matrix_path = out / "P_recovered.csv"
+    ebio.write_matrix_csv(matrix_path, p_full.nodes, p_full.values)
     ebio.dump_params_json(out / "delta2_recovered.json", fam.edge_params)
     _emit({"written": [str(matrix_path), str(out / "delta2_recovered.json")],
            "latent": list(mask.latent)})
@@ -327,48 +304,46 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("validate", help="validate a graph (and parameters)")
     _add_common(p, "graph", "params-opt")
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("params", help="export P, mu, sigma, theta for an anchor")
     _add_common(p, "graph", "params", "anchor", "tol", "out")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_params)
 
     p = sub.add_parser("simulate", help="sample the limiting field or conditioned Pareto vectors")
-    _add_common(p, "graph", "params", "anchor", "n", "out", "format")
+    _add_common(p, "graph", "params", "anchor", "n", "out")
+    p.add_argument("--format", choices=("csv", "binary"), default="csv", help="samples file layout")
     p.add_argument("--seed", type=_seed, required=True, help="random seed")
     p.add_argument("--law", choices=("field", "pareto"), default="field")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("stdf", help="evaluate the stable tail dependence function")
-    _add_common(p, "graph", "params", "subset", "seed", "tol", "jsonflag")
+    _add_common(p, "graph", "params", "subset", "seed", "tol")
     p.add_argument("--weights", help="comma-separated weights (default: all ones)")
     p.set_defaults(func=cmd_stdf, tol=1e-6)
 
     p = sub.add_parser("pareto-cdf", help="evaluate the multivariate Pareto CDF")
-    _add_common(p, "graph", "params", "subset", "seed", "tol", "jsonflag")
+    _add_common(p, "graph", "params", "subset", "seed", "tol")
     p.add_argument("--point", required=True, help="comma-separated evaluation point")
     p.set_defaults(func=cmd_pareto_cdf, tol=1e-6)
 
     p = sub.add_parser("ec", help="extremal coefficient of a node subset")
-    _add_common(p, "graph", "params", "subset", "seed", "tol", "jsonflag")
+    _add_common(p, "graph", "params", "subset", "seed", "tol")
     p.set_defaults(func=cmd_ec, tol=1e-6)
 
     p = sub.add_parser("fit", help="moment-based estimation from a raw sample CSV")
-    _add_common(p, "graph", "out", "jsonflag")
+    _add_common(p, "graph", "out")
     p.add_argument("--data", required=True, help="samples CSV with node-id header")
     p.add_argument("--k", required=True, help="tail size k, or comma list for a sweep")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("recover", help="recover path sums and edge parameters with latent nodes")
     _add_common(p, "graph", "latent", "tol", "out")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--pathsums", required=True, help="restricted path-sum matrix CSV")
     p.set_defaults(func=cmd_recover, tol=1e-9)
 
     p = sub.add_parser("check-identifiable", help="latent-node identifiability check")
-    _add_common(p, "graph", "latent", "jsonflag")
+    _add_common(p, "graph", "latent")
     p.set_defaults(func=cmd_check_identifiable)
 
     return parser

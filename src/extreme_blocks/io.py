@@ -300,11 +300,6 @@ def read_matrix_csv(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
     return nodes, np.array(rows)
 
 
-def dump_matrix_json(path: str | Path, nodes: Sequence[str], values: np.ndarray):
-    doc = {"nodes": list(nodes), "values": np.asarray(values, dtype=float).tolist()}
-    Path(path).write_text(json.dumps(doc) + "\n")
-
-
 # -- sample tables -----------------------------------------------------------
 
 def write_samples_csv(path: str | Path, nodes: Sequence[str], matrix: np.ndarray):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -23,9 +24,9 @@ from extreme_blocks import (
     stdf_hr_detailed,
     validate_delta,
 )
-from extreme_blocks.cli import run
+from extreme_blocks.cli import build_parser, run
 from conftest import FIG1_DELTA, FIG1_EDGES, FIG1_NODES, FIG2_DELTA, FIG2_EDGES, FIG2_NODES, FIG4_EDGES, FIG4_NODES
-from jsonfiles import dump_graph_json, load_matrix_json
+from jsonfiles import dump_graph_json
 
 
 @pytest.fixture()
@@ -46,12 +47,20 @@ def fig2_files(tmp_path):
     return gpath, ppath
 
 
+# validate's record of Fig. 1 without parameters
+FIG1_REPORT = {
+    "nodes": ["0", "1", "2", "3", "4", "5", "6", "7"],
+    "cliques": [["0", "1", "2"], ["2", "3"], ["2", "4", "5", "6"], ["6", "7"]],
+    "separators": ["2", "6"],
+}
+
+
 class TestValidate:
     def test_valid_graph_exit_zero(self, fig1_files, capsys):
         gpath, ppath = fig1_files
         assert run(["validate", "--graph", str(gpath), "--params", str(ppath)]) == 0
-        out = capsys.readouterr().out
-        assert "cliques (4):" in out
+        report = json.loads(capsys.readouterr().out.strip())
+        assert report == {**FIG1_REPORT, "cnd": {"0-1-2": "ok", "2-3": "ok", "2-4-5-6": "ok", "6-7": "ok"}}
 
     def test_broken_graph_exit_two_with_diagnostic(self, tmp_path, capsys):
         gpath = tmp_path / "broken.json"
@@ -85,10 +94,10 @@ class TestValidate:
         assert run(["validate"]) == 1
 
     def test_json_format(self, fig1_files, capsys):
+        # the graph alone: no "cnd" entry
         gpath, _ = fig1_files
-        assert run(["validate", "--graph", str(gpath), "--format", "json"]) == 0
-        doc = json.loads(capsys.readouterr().out.strip())
-        assert doc["separators"] == ["2", "6"]
+        assert run(["validate", "--graph", str(gpath)]) == 0
+        assert capsys.readouterr().out == json.dumps(FIG1_REPORT) + "\n"
 
 
 class TestParams:
@@ -109,6 +118,10 @@ class TestParams:
         # row for the node adjacent to the anchor is constant
         i2 = snodes.index("2")
         assert np.allclose(sigma[i2, :], 4 * FIG2_DELTA[("1", "2")])
+        # mu_u is one row over Sigma_u's nodes: -2 times the anchor's P row
+        mnodes, mu = ebio.read_samples_csv(out / "mu_1.csv")
+        assert mnodes == snodes == ("2", "3", "4", "5", "6")
+        assert np.array_equal(mu, -2 * prow[None, :])
 
     def test_reemission_byte_identical(self, fig2_files, tmp_path):
         gpath, ppath = fig2_files
@@ -140,6 +153,20 @@ class TestParams:
         gpath, ppath = fig2_files
         assert run(["params", "--graph", str(gpath), "--params", str(ppath),
                     "--anchor", "zz", "--out", str(tmp_path / "x")]) == 2
+
+    def test_one_node_graph_exit_two_before_writing(self, tmp_path, capsys):
+        # validate accepts the graph, but mu_u, Sigma_u and Theta_u would be
+        # empty: P.csv was once written before the mu CSV writer refused
+        gpath, ppath, out = tmp_path / "one.json", tmp_path / "one_params.json", tmp_path / "out"
+        dump_graph_json(gpath, ["a"], [])
+        ebio.dump_params_json(ppath, {})
+        model = ["--graph", str(gpath), "--params", str(ppath)]
+        assert run(["validate", *model]) == 0
+        capsys.readouterr()
+        assert run(["params", *model, "--anchor", "a", "--out", str(out)]) == 2
+        diag = json.loads(capsys.readouterr().out.strip())
+        assert diag["error"] == "SubsetTooSmallError" and "leaves no other node" in diag["message"]
+        assert not out.exists()
 
 
 class TestSimulate:
@@ -191,16 +218,6 @@ class TestSimulate:
         mat = ebio.read_matrix_binary(rec["written"])
         assert mat.shape == (50, 8)
         assert mat[:, 7 - 0].min() > 0
-
-    def test_json_round_trips(self, fig1_files, tmp_path, capsys):
-        gpath, ppath = fig1_files
-        assert run(["simulate", "--graph", str(gpath), "--params", str(ppath),
-                    "--anchor", "7", "--n", "5", "--seed", "3",
-                    "--out", str(tmp_path), "--format", "json"]) == 0
-        rec = json.loads(capsys.readouterr().out.strip())
-        doc = json.loads(open(rec["written"]).read())
-        assert doc["seed"] == 3
-        assert np.array(doc["matrix"]).shape == (5, 8)
 
 
 @pytest.fixture()
@@ -397,6 +414,22 @@ class TestFitCommand:
         assert json.loads(capsys.readouterr().out.strip())["error"] == "ValueError"
         assert not out.exists()
 
+    @pytest.mark.parametrize("ks", ["20,1", "20,50", "0,20"])
+    def test_k_outside_two_to_rows_less_one_exit_two(self, fig2_files, tmp_path, capsys, ks):
+        # every k is checked before the first fit: a bad k once failed only
+        # after the ks before it had written their delta2_k<k>.json
+        gpath, _ = fig2_files
+        dpath = tmp_path / "data.csv"
+        rng = np.random.default_rng(0)
+        ebio.write_samples_csv(dpath, tuple(sorted(FIG2_NODES)), rng.random((50, len(FIG2_NODES))))
+        out = tmp_path / "fit"
+        out.mkdir()
+        assert run(["fit", "--graph", str(gpath), "--data", str(dpath),
+                    "--k", ks, "--out", str(out)]) == 2
+        diag = json.loads(capsys.readouterr().out.strip())
+        assert diag["error"] == "KOutOfRangeError" and "[2, 49]" in diag["message"]
+        assert list(out.iterdir()) == []
+
 
 class TestRecoverCommands:
     def test_recover_round_trip(self, tmp_path, capsys):
@@ -416,6 +449,9 @@ class TestRecoverCommands:
         back = ebio.load_params_json(out / "delta2_recovered.json")
         for e, v in fam.edge_params.items():
             assert back[e] == pytest.approx(v, abs=1e-10)
+        nodes, values = ebio.read_matrix_csv(out / "P_recovered.csv")
+        assert nodes == tuple(FIG4_NODES)
+        assert np.abs(values - path_sum_matrix(fam).values).max() <= 1e-10
 
     def test_recover_degree_two_exit_two(self, fig1_files, tmp_path, capsys):
         gpath, _ = fig1_files
@@ -502,6 +538,16 @@ class TestCommaLists:
         diag = json.loads(capsys.readouterr().out.strip())
         assert diag == {"error": "ValueError", "message": "--weights length must match --subset"}
 
+    @pytest.mark.parametrize("command, extra", [("stdf", []), ("pareto-cdf", ["--point", ""]), ("ec", [])])
+    def test_empty_subset_rejected(self, fig2_files, capsys, command, extra):
+        # it once reached the library, which named neither the option nor
+        # one error: AllZeroWeightsError, or SubsetTooSmallError for ec
+        gpath, ppath = fig2_files
+        assert run([command, "--graph", str(gpath), "--params", str(ppath),
+                    "--subset", "", *extra]) == 1
+        diag = json.loads(capsys.readouterr().out.strip())
+        assert diag == {"error": "ValueError", "message": "--subset lists no node"}
+
     def test_pareto_cdf_at_infinity(self, fig2_files, capsys):
         gpath, ppath = fig2_files
         assert run(["pareto-cdf", "--graph", str(gpath), "--params", str(ppath),
@@ -524,7 +570,7 @@ def test_console_entry_point(fig1_files):
          "--graph", str(gpath), "--params", str(ppath)],
         capture_output=True, text=True)
     assert proc.returncode == 0
-    assert "cliques (4):" in proc.stdout
+    assert len(json.loads(proc.stdout)["cliques"]) == 4
 
 
 def test_only_normal_cdf_commands_load_scipy_special(fig2_files, tmp_path):
@@ -583,55 +629,6 @@ def test_readme_example_session(tmp_path):
     assert (tmp_path / "out" / "samples_pareto_u1_n100000_seed42.csv").exists()
     ec = json.loads(proc.stdout.strip().splitlines()[-1])
     assert ec["query"] == {"subset": ["1", "5", "6"]} and ec["converged"] is True
-
-
-def test_params_json_round_trips_through_parser(fig2_files, tmp_path):
-    gpath, ppath = fig2_files
-    out = tmp_path / "json_out"
-    assert run(["params", "--graph", str(gpath), "--params", str(ppath),
-                "--anchor", "1", "--out", str(out), "--format", "json"]) == 0
-    nodes, sigma = load_matrix_json(out / "sigma_1.json")
-    assert nodes == ("2", "3", "4", "5", "6")
-    assert np.allclose(np.diag(sigma) > 0, True)
-    _, mu = load_matrix_json(out / "mu_1.json")
-    assert mu.shape == (5,)
-
-
-def test_recover_json_format(tmp_path):
-    from extreme_blocks import ObservationMask, build_block_graph, path_sum_matrix
-    from gen import random_delta
-    gpath = tmp_path / "fig4.json"
-    dump_graph_json(gpath, FIG4_NODES, FIG4_EDGES)
-    g = build_block_graph(FIG4_NODES, FIG4_EDGES)
-    fam = random_delta(g, np.random.default_rng(33), lo=0.4, hi=2.0)
-    mask = ObservationMask.from_latent(g, ["3"])
-    p_obs = path_sum_matrix(fam).restrict(mask.observed)
-    mpath = tmp_path / "pobs.csv"
-    ebio.write_matrix_csv(mpath, p_obs.nodes, p_obs.values)
-    out = tmp_path / "rec"
-    assert run(["recover", "--graph", str(gpath), "--latent", "3",
-                "--pathsums", str(mpath), "--out", str(out),
-                "--format", "json"]) == 0
-    nodes, values = load_matrix_json(out / "P_recovered.json")
-    assert nodes == tuple(FIG4_NODES)
-    full = path_sum_matrix(fam)
-    assert np.abs(values - full.values).max() <= 1e-10
-
-
-def test_every_command_accepts_format_json(fig2_files, tmp_path, capsys):
-    gpath, ppath = fig2_files
-    assert run(["stdf", "--graph", str(gpath), "--params", str(ppath),
-                "--subset", "1,2", "--format", "json"]) == 0
-    assert run(["ec", "--graph", str(gpath), "--params", str(ppath),
-                "--subset", "1,2", "--format", "json"]) == 0
-    assert run(["pareto-cdf", "--graph", str(gpath), "--params", str(ppath),
-                "--subset", "1,2", "--point", "2,3", "--format", "json"]) == 0
-    gpath4 = tmp_path / "fig4.json"
-    dump_graph_json(gpath4, FIG4_NODES, FIG4_EDGES)
-    assert run(["check-identifiable", "--graph", str(gpath4), "--latent", "3",
-                "--format", "json"]) == 0
-    for line in capsys.readouterr().out.strip().splitlines():
-        json.loads(line)  # every record parses as JSON
 
 
 def test_recover_inconsistent_input_exit_three(tmp_path, capsys):
@@ -816,3 +813,34 @@ def test_recover_headers_must_be_the_observed_nodes(tmp_path, capsys):
     diag = json.loads(capsys.readouterr().out.strip())
     assert diag["error"] == "ValueError" and "observed nodes" in diag["message"]
     assert not (tmp_path / "r").exists()
+
+
+# The CLI surface, pinned: a flag added to or removed from a subcommand, or
+# a changed set of choices, shows up as an edit to these lists.
+CLI_OPTIONS = {
+    "validate": ["--graph", "--params"],
+    "params": ["--anchor", "--graph", "--out", "--params", "--tol"],
+    "simulate": ["--anchor", "--format", "--graph", "--law", "--n", "--out", "--params", "--seed"],
+    "stdf": ["--graph", "--params", "--seed", "--subset", "--tol", "--weights"],
+    "pareto-cdf": ["--graph", "--params", "--point", "--seed", "--subset", "--tol"],
+    "ec": ["--graph", "--params", "--seed", "--subset", "--tol"],
+    "fit": ["--data", "--graph", "--k", "--out"],
+    "recover": ["--graph", "--latent", "--out", "--pathsums", "--tol"],
+    "check-identifiable": ["--graph", "--latent"],
+}
+
+CLI_CHOICES = {
+    ("simulate", "--format"): ["csv", "binary"],
+    ("simulate", "--law"): ["field", "pareto"],
+}
+
+
+def test_cli_surface():
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    options = {name: sorted(s for a in p._actions for s in a.option_strings if s not in ("-h", "--help"))
+               for name, p in commands.items()}
+    assert options == CLI_OPTIONS
+    choices = {(name, a.option_strings[0]): list(a.choices)
+               for name, p in commands.items() for a in p._actions if a.choices}
+    assert choices == CLI_CHOICES

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from extreme_blocks import io as ebio
-from jsonfiles import dump_graph_json, load_matrix_json
+from jsonfiles import dump_graph_json
 
 
 class TestGraphJson:
@@ -371,33 +371,3 @@ class TestBinaryMatrix:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ValueError):
             ebio.read_matrix_binary(path)
-
-
-class TestMatrixJson:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(3)
-        path = tmp_path / "m.json"
-        values = rng.standard_normal((4, 4))
-        ebio.dump_matrix_json(path, ("a", "b", "c", "d"), values)
-        nodes, back = load_matrix_json(path)
-        assert nodes == ("a", "b", "c", "d")
-        assert np.allclose(back, values, atol=0, rtol=0)
-
-    def test_vector_round_trip(self, tmp_path):
-        path = tmp_path / "v.json"
-        ebio.dump_matrix_json(path, ("a", "b"), np.array([1.5, -2.0]))
-        nodes, back = load_matrix_json(path)
-        assert back.shape == (2,)
-
-    @pytest.mark.parametrize("doc", ['[[1.0]]', '{"nodes": ["a"]}', '{"values": [1.0]}', '3'])
-    def test_malformed_rejected(self, tmp_path, doc):
-        path = tmp_path / "m.json"
-        path.write_text(doc)
-        with pytest.raises(ValueError, match="'nodes' and 'values'"):
-            load_matrix_json(path)
-
-    def test_shape_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "m.json"
-        path.write_text('{"nodes": ["a", "b"], "values": [[1, 2, 3]]}')
-        with pytest.raises(ValueError):
-            load_matrix_json(path)
