@@ -174,14 +174,14 @@ def cmd_params(args) -> int:
 def cmd_simulate(args) -> int:
     g, fam = _load_model(args)
     u = args.anchor
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     # the draws do not depend on the thread count, only the time does
     threads = (os.cpu_count() or 1) if len(g.nodes) * args.n >= PARALLEL_VALUES else 1
     if args.law == "pareto":
         matrix = sample_pareto_conditioned(fam, u, args.n, args.seed, threads=threads)
     else:
         matrix = sample_limit_field(fam, u, args.n, args.seed, threads=threads).matrix
+    out = Path(args.out)  # made after the draws, so a refused --n leaves nothing
+    out.mkdir(parents=True, exist_ok=True)
     stem = f"samples_{args.law}_u{u}_n{args.n}_seed{args.seed}"
     if args.format == "binary":
         path = out / f"{stem}.bin"

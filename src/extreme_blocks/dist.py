@@ -87,7 +87,7 @@ def hr_cdf_detailed(p: PathSumMatrix,
     with the first-order error exp(-l) e_l of its stdf term, and that
     term's points and converged flag; exactly 1 where every x is +inf."""
     sub, point = _as_values(p, x)
-    if np.any(point <= 0):
+    if not np.all(point > 0):  # NaN too, which would reach the stdf as a weight
         raise NonPositiveCoordinateError("max-stable CDF needs strictly positive coordinates")
     if point.size and np.all(point == np.inf):
         return MvnResult(1.0, 0.0, True, 0)
@@ -106,7 +106,7 @@ def pareto_cdf_detailed(p: PathSumMatrix,
     the floor term is l(1) itself and is evaluated once. Where every z is
     +inf, l(1/z) = l(0) = 0 and the CDF is exactly 1."""
     sub, zz = _as_values(p, z)
-    if np.any(zz <= 0):
+    if not np.all(zz > 0):  # NaN too
         raise NonPositiveCoordinateError("Pareto CDF needs strictly positive coordinates")
     if zz.size and np.all(zz == np.inf):
         return MvnResult(1.0, 0.0, True, 0)

@@ -13,12 +13,14 @@ The structure every other module reads is one block-cut tree, rooted at
 the first node. One depth-first search (Hopcroft-Tarjan) finds the
 blocks, checks that each is complete, and yields each block with its
 root-side separator, parents before children; in linear time and memory
-that gives each node's parent, parent clique and depth, and the root
-walk: every clique with its separator and its other members (its
-targets). Other modules read the tree through the parent pointers and
-through that walk, re-anchored at any node; a clique's separator toward
-a node is its step's separator in that node's walk. The public queries
-are paths between nodes and the cliques at a node or an edge.
+that gives the root walk, every clique with its separator and its other
+members (its targets), and each node's parent, parent clique and that
+clique's step in the walk. Path queries, re-anchored walks and the path
+sums of a few nodes read one climb up the parent pointers. Other modules
+read the tree through the walk, re-anchored at any node; a clique's
+separator toward a node is its step's separator in that node's walk.
+The public queries are paths between nodes and the cliques at a node or
+an edge.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ class BlockGraph:
 
     One block search roots the block-cut tree at the first node, in
     linear time and memory, and keeps its walk of (clique, separator,
-    targets); path queries climb the parent pointers in O(path length).
+    targets); one climber follows the parent pointers in O(path length).
     Instances are immutable after construction and safe for concurrent
     read access.
     """
@@ -105,7 +107,7 @@ class BlockGraph:
         clique_of = {b: ci for ci, b in enumerate(by_members)}
         self._up = [ROOT] * n               # parent node; the root's is itself
         self._up_clique = [-1] * n          # the clique in which a node is a target
-        self._depth = [0] * n               # hops from the root
+        self._up_step = [-1] * n            # that clique's step in the root walk
         self._root_walk: list[tuple[int, int, list[int]]] = []
         for b in reversed(range(len(blocks))):
             members, s = blocks[b]
@@ -114,7 +116,7 @@ class BlockGraph:
             for t in targets:
                 self._up[t] = s
                 self._up_clique[t] = ci
-                self._depth[t] = self._depth[s] + 1
+                self._up_step[t] = len(self._root_walk)
             self._root_walk.append((ci, s, targets))
 
     # -- construction internals ------------------------------------------
@@ -181,30 +183,29 @@ class BlockGraph:
             raise NotBlockGraphError([self.nodes[i] for i in short[0]])
         return comps
 
-    def _path(self, a: int, b: int) -> list[int]:
-        """Node indices of the unique shortest path from a to b.
-
-        Both ends climb toward the root until they meet, or until they are
-        targets of one clique, which joins them by a single edge.
-        """
-        up, depth, pc = self._up, self._depth, self._up_clique
-        head, tail = [a], [b]
+    def _climb(self, a: int, b: int):
+        """Edges (x, y, clique) of the shortest path between a and b, from
+        both ends inward. The end x that moves is the one whose parent
+        clique comes later in the root walk, the order in which the walk
+        reaches the path's edges; ends that are targets of one clique are
+        one edge apart."""
+        up, pc, step = self._up, self._up_clique, self._up_step
         while a != b:
-            if depth[a] > depth[b]:
-                a = up[a]
-                head.append(a)
-            elif depth[b] > depth[a]:
-                b = up[b]
-                tail.append(b)
-            elif pc[a] == pc[b]:
-                break
-            else:
-                a, b = up[a], up[b]
-                head.append(a)
-                tail.append(b)
-        if a == b:
-            tail.pop()
-        return head + tail[::-1]
+            if step[a] > step[b]:
+                a, b = b, a
+            if step[a] == step[b]:
+                yield b, a, pc[b]
+                return
+            yield b, up[b], pc[b]
+            b = up[b]
+
+    def _path(self, a: int, b: int) -> list[int]:
+        """Node indices of the unique shortest path from a to b."""
+        head, tail = [a], [b]
+        for x, y, _ in self._climb(a, b):
+            (head if x == head[-1] else tail).append(y)
+        # the last edge brings one end onto the other
+        return head + tail[-2::-1]
 
     def _walk(self, u: int = ROOT) -> list[tuple[int, int, list[int]]]:
         """(clique, separator, targets) for every clique, ordered away from
@@ -217,11 +218,8 @@ class BlockGraph:
         their root-side separator. A clique's separator is a target of an
         earlier clique, or u itself.
         """
-        chain = []
-        while u != ROOT:
-            ci = self._up_clique[u]
-            chain.append((ci, u, [t for t in self._members[ci] if t != u]))
-            u = self._up[u]
+        chain = [(ci, x, [t for t in self._members[ci] if t != x])
+                 for x, _, ci in self._climb(u, ROOT)]
         on_chain = {ci for ci, _, _ in chain}
         return chain + [step for step in self._root_walk if step[0] not in on_chain]
 
@@ -266,9 +264,7 @@ class BlockGraph:
         """The clique holding edge (a, b); KeyError if it is not an edge."""
         if not self.has_edge(a, b):
             raise KeyError(canonical_edge(a, b))
-        ia, ib = self._index[a], self._index[b]
-        # an edge joins a parent and its child, or two targets of one clique
-        return self._up_clique[ib] if self._up[ib] == ia else self._up_clique[ia]
+        return next(self._climb(self._index[a], self._index[b]))[2]
 
     def cliques_at(self, v: str) -> tuple[int, ...]:
         """Indices of the maximal cliques containing v."""

@@ -17,7 +17,7 @@ Sigma_u, and on a restricted P each stdf term.
 One fill along the block-cut tree's walk of (clique, separator,
 targets) sums the clique matrices Delta_C along shortest paths into P;
 a few nodes' entries are read to the same bits, without the n x n
-fill, by climbing the tree pair by pair.
+fill, by the graph's one climb up the tree, pair by pair.
 Sigma_u's coefficients in delta^2 come from where paths enter cliques:
 edge (a, b) lies on the path from x to y exactly when the path from x
 enters the edge's clique at one end and the path from y at the other.
@@ -160,8 +160,8 @@ def _path_fill(g: BlockGraph, blocks: list[np.ndarray]) -> np.ndarray:
 
 
 def _anchor(p: np.ndarray, iu: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row iu of a symmetric array and 2*(p[iu,i] + p[iu,j] - p[i,j]) over
-    i, j != iu; trailing axes ride along."""
+    """Row iu of a symmetric matrix and 2*(p[iu,i] + p[iu,j] - p[i,j])
+    over i, j != iu."""
     rest = [i for i in range(len(p)) if i != iu]  # cheaper than np.delete on clique-sized arrays
     pu = p[iu, rest]
     return pu, 2.0 * (pu[:, None] + pu[None, :] - p[np.ix_(rest, rest)])
@@ -179,36 +179,18 @@ def _subset_path_sums(d: DeltaFamily, subset: Iterable[str]) -> PathSumMatrix:
 
     _path_fill writes P[t, k] = block[s, t] + P[s, k] for a target t
     filled after k, s being t's separator, and the edge's block entry
-    alone when both are targets of one clique. So each entry climbs from
-    whichever of its two nodes is filled later, collecting those terms,
-    and sums them innermost first.
+    alone when both are targets of one clique. The tree's climb from both
+    ends of an entry meets those edges in the order the fill adds them,
+    so summing them innermost first repeats the fill's partial sums.
     """
     g = d.graph
     idx = sorted({g.index(v) for v in subset})
-    step = {ci: k for k, (ci, _, _) in enumerate(g._root_walk)}
-    filled = [step.get(ci, -1) for ci in g._up_clique]  # the root, at -1, is filled first
-
-    def delta2(ci: int, a: int, b: int) -> float:
-        members = g._members[ci]
-        return d.blocks[ci][members.index(a), members.index(b)]
-
     values = np.zeros((len(idx), len(idx)))
     for i, j in combinations(range(len(idx)), 2):
-        a, b, terms = idx[i], idx[j], []
-        while True:
-            if filled[a] > filled[b]:
-                a, b = b, a
-            ci, s = g._up_clique[b], g._up[b]
-            if filled[a] == filled[b]:  # targets of one clique, one edge apart
-                s = a
-            terms.append(delta2(ci, s, b))
-            if s == a:
-                break
-            b = s
-        total = terms.pop()
-        while terms:
-            total = terms.pop() + total
-        values[i, j] = values[j, i] = total
+        terms = [d.blocks[ci][g._members[ci].index(y), g._members[ci].index(x)]
+                 for x, y, ci in g._climb(idx[i], idx[j])]
+        # numpy scalars, so sum() adds them one by one, uncompensated
+        values[i, j] = values[j, i] = sum(reversed(terms))
     return PathSumMatrix(tuple(g.nodes[v] for v in idx), values)
 
 

@@ -52,6 +52,18 @@ def random_tree(rng: np.random.Generator, n_nodes: int = 8) -> BlockGraph:
     return build_block_graph(nodes, edges)
 
 
+def path_graph(n_nodes: int) -> BlockGraph:
+    """A chain p00000 - p00001 - ...; the library roots it at one end."""
+    nodes = [f"p{i:05d}" for i in range(n_nodes)]
+    return build_block_graph(nodes, list(zip(nodes, nodes[1:])))
+
+
+def star_graph(n_leaves: int) -> BlockGraph:
+    """A hub joined to n_leaves leaves; the library roots it at a leaf."""
+    leaves = [f"a{i:05d}" for i in range(n_leaves)]
+    return build_block_graph(["hub", *leaves], [("hub", v) for v in leaves])
+
+
 def random_delta(g: BlockGraph, rng: np.random.Generator,
                  lo: float = 0.3, hi: float = 2.5) -> DeltaFamily:
     params = {}

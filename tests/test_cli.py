@@ -209,6 +209,20 @@ class TestSimulate:
         assert run(["simulate", "--graph", str(gpath), "--params", str(ppath),
                     "--anchor", "7", "--n", "10", "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("fmt", ["csv", "binary"])
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_fewer_than_one_draw_exit_one_and_write_nothing(self, fig1_files, tmp_path,
+                                                            capsys, n, fmt):
+        # the out directory is made only after the draws
+        gpath, ppath = fig1_files
+        out = tmp_path / "out"
+        assert run(["simulate", "--graph", str(gpath), "--params", str(ppath),
+                    "--anchor", "7", "--n", n, "--seed", "1", "--format", fmt,
+                    "--out", str(out)]) == 1
+        diag = json.loads(capsys.readouterr().out.strip())
+        assert diag == {"error": "ValueError", "message": "need at least one draw"}
+        assert not out.exists()
+
     def test_binary_format(self, fig1_files, tmp_path, capsys):
         gpath, ppath = fig1_files
         assert run(["simulate", "--graph", str(gpath), "--params", str(ppath),
@@ -547,6 +561,15 @@ class TestCommaLists:
                     "--subset", "", *extra]) == 1
         diag = json.loads(capsys.readouterr().out.strip())
         assert diag == {"error": "ValueError", "message": "--subset lists no node"}
+
+    def test_pareto_cdf_nan_coordinate_exit_two(self, fig2_files, capsys):
+        # a NaN coordinate once reached the stdf as the weight 1/x and was
+        # blamed on "weights", exit 1
+        gpath, ppath = fig2_files
+        assert run(["pareto-cdf", "--graph", str(gpath), "--params", str(ppath),
+                    "--subset", "1,5", "--point", "nan,2"]) == 2
+        diag = json.loads(capsys.readouterr().out.strip())
+        assert diag["error"] == "NonPositiveCoordinateError"
 
     def test_pareto_cdf_at_infinity(self, fig2_files, capsys):
         gpath, ppath = fig2_files

@@ -248,10 +248,11 @@ class TestHrCdf:
         assert hr_cdf_detailed(fig2_psum, {"2": inf, "5": 2.0}) == MvnResult(math.exp(-0.5), 0.0, True, 0)
 
     def test_nan_rejected(self, edge_setup):
-        # a NaN coordinate is a NaN stdf weight 1/x
+        # a NaN coordinate is not strictly positive; it used to reach the
+        # stdf as the weight 1/x and be reported as a bad weight
         _, _, p = edge_setup
         for x in ([1.0, float("nan")], {"a": float("nan"), "b": 1.0}):
-            with pytest.raises(ValueError, match="finite and nonnegative"):
+            with pytest.raises(NonPositiveCoordinateError, match="strictly positive"):
                 hr_cdf_detailed(p, x)
 
     def test_detailed_two_node_closed_form(self, edge_setup):
@@ -341,7 +342,7 @@ class TestParetoCdf:
         _, _, p = edge_setup
         for run in (pareto_cdf, pareto_cdf_detailed):
             for z in ([2.0, float("nan")], {"a": float("nan"), "b": 2.0}):
-                with pytest.raises(ValueError, match="finite and nonnegative"):
+                with pytest.raises(NonPositiveCoordinateError, match="strictly positive"):
                     run(p, z)
 
     def test_detailed_propagates_its_three_terms(self, fig2_psum):

@@ -1,3 +1,7 @@
+import math
+import tracemalloc
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -17,7 +21,7 @@ from extreme_blocks import (
 )
 from extreme_blocks.model import _anchor, _increment_law, _subset_path_sums
 from conftest import FIG2_DELTA
-from gen import clique_tree_edges, random_block_graph, random_delta, random_tree
+from gen import clique_tree_edges, path_graph, random_block_graph, random_delta, random_tree, star_graph
 from oracle import check_cnd, clique_limit_params, clique_precisions, sigma_coefficient_matrix
 
 
@@ -128,12 +132,18 @@ class TestPathSums:
                         p.entry(u, j), abs=1e-12)
 
 
-    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("seed", [*range(8), "path", "star"])
     def test_subset_read_without_the_fill(self, seed):
-        # the subset's entries, climbed pair by pair, are P's to the bit
-        rng = np.random.default_rng(seed)
+        # the subset's entries, climbed pair by pair, are P's to the bit;
+        # the path is rooted at one end and the star at a leaf
+        rng = np.random.default_rng(seed if isinstance(seed, int) else 0)
         n = int(rng.integers(5, 401))
-        g = build_block_graph(*clique_tree_edges(rng, n)) if seed % 2 else random_block_graph(rng)
+        if seed == "path":
+            g = path_graph(200)
+        elif seed == "star":
+            g = star_graph(60)
+        else:
+            g = build_block_graph(*clique_tree_edges(rng, n)) if seed % 2 else random_block_graph(rng)
         fam = random_delta(g, rng)
         p = path_sum_matrix(fam)
         subsets = [rng.choice(g.nodes, int(rng.integers(1, min(len(g.nodes), 8) + 1)), replace=False)
@@ -142,6 +152,24 @@ class TestPathSums:
             got, want = _subset_path_sums(fam, list(subset)), p.restrict(subset)
             assert got.nodes == want.nodes
             assert np.array_equal(got.values, want.values)
+
+    def test_subset_read_on_a_long_chain_in_small_memory(self):
+        # an ancestor fill would be a 10^4 x 10^4 block, 800 MB
+        g = path_graph(10_000)
+        fam = random_delta(g, np.random.default_rng(3))
+        subset = [g.nodes[0], g.nodes[17], g.nodes[5_000], g.nodes[9_998], g.nodes[-1]]
+        tracemalloc.start()
+        try:
+            got = _subset_path_sums(fam, subset)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+        assert got.nodes == tuple(subset)
+        for a, b in combinations(subset, 2):
+            path = g.path_nodes(a, b)
+            expect = math.fsum(fam.delta2(x, y) for x, y in zip(path, path[1:]))
+            assert got.entry(a, b) == pytest.approx(expect, rel=1e-12, abs=0)
 
 
 def case_analysis_cov(g, fam, p, u, i, j):
@@ -271,7 +299,6 @@ class TestPrecision:
     def test_in_place_compaction_matches_gather(self):
         # Theta_u is written at its own size; it must be the gather from the
         # sum over all nodes, bit for bit, with one (n-1) x (n-1) matrix held
-        import tracemalloc
         n = 1001
         rng = np.random.default_rng(101)
         nodes, edges = clique_tree_edges(rng, n)
@@ -355,7 +382,6 @@ class TestExtremalGraphCheck:
             assert report.worst[0] == u
 
     def test_complete_graph_residual_measured(self):
-        from itertools import combinations
         nodes = list("abcd")
         g = build_block_graph(nodes, combinations(nodes, 2))
         fam = random_delta(g, np.random.default_rng(4))

@@ -10,7 +10,7 @@ search over the clique list and shares no code with the library.
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from extreme_blocks import (
@@ -24,7 +24,8 @@ from extreme_blocks import (
     sample_limit_field,
 )
 from extreme_blocks.fit import _normal_equations
-from gen import random_delta
+from extreme_blocks.graph import ROOT
+from gen import path_graph, random_delta, star_graph
 from oracle import explicit_paths, philox_field, sigma_coefficient_matrix
 
 PROPS = settings(max_examples=40, deadline=None,
@@ -52,12 +53,21 @@ def any_graph():
     return st.one_of(block_graphs(), block_graphs(tree=True))
 
 
+def fixed_case(g):
+    """A block_graphs() value for a given graph, seed 0."""
+    return g, [sorted(c) for c in g.cliques], 0
+
+
 def explicit_sum(fam, path):
     return sum(fam.delta2(a, b) for a, b in zip(path, path[1:]))
 
 
+# deep and wide: a path rooted at one end, and a star rooted at a leaf,
+# so every other leaf climbs through the hub
 @PROPS
 @given(any_graph())
+@example(fixed_case(path_graph(200)))
+@example(fixed_case(star_graph(60)))
 def test_path_queries_match_explicit_paths(case):
     g, cliques, _ = case
     for u in g.nodes:
@@ -93,8 +103,13 @@ def test_walk_hangs_every_clique_once_from_its_separator(case):
     root = g.nodes[0]
     for v, path in explicit_paths(cliques, root).items():
         iv = g.index(v)
-        assert g._depth[iv] == len(path) - 1
+        assert len(g._path(ROOT, iv)) == len(path)  # hops from the root, plus one
         assert g.nodes[g._up[iv]] == (path[-2] if len(path) > 1 else root)
+        if iv != ROOT:
+            # a node's parent clique is its step in the root walk, which
+            # comes after its parent's own parent clique
+            assert g._root_walk[g._up_step[iv]][0] == g._up_clique[iv]
+            assert g._up_step[g._up[iv]] < g._up_step[iv]
 
 
 @PROPS
